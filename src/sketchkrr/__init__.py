@@ -1,7 +1,7 @@
 """Kernel ridge regression with randomized sketches.
 
 Exact KRR plus three m x n sketch families (Gaussian, randomized
-orthogonal system via the fast Walsh-Hadamard transform, and
+orthogonal system of sign-flipped, row-sampled Hadamard rows, and
 sub-sampling/Nystrom), the kernel-complexity machinery that picks the
 projection dimension (critical radius, statistical dimension, sketch
 certificate), and a reproducible benchmark harness with a CLI.

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -284,7 +284,7 @@ def run_error_vs_n(config: ExperimentConfig, timing: bool = False) -> list[Trial
                     )
                 if timing:
                     elapsed = (time.perf_counter() - start) * 1e3
-                    records[-1] = _with_wall_time(records[-1], elapsed)
+                    records[-1] = replace(records[-1], wall_time_ms=elapsed)
     order = {kind: i for i, kind in enumerate(config.sketch_kinds)}
     records.sort(key=lambda r: (r.n, order[r.sketch], r.trial))
     return records
@@ -319,12 +319,6 @@ def _run_trial(
         error=err, rescaled_error=err * rate_factor(config.kernel, n),
         wall_time_ms=0.0,
     )
-
-
-def _with_wall_time(rec: TrialRecord, ms: float) -> TrialRecord:
-    values = {f.name: getattr(rec, f.name) for f in fields(TrialRecord)}
-    values["wall_time_ms"] = ms
-    return TrialRecord(**values)
 
 
 @dataclass(frozen=True)

@@ -172,19 +172,16 @@ class KernelMatrix:
 def build_kernel_matrix(spec: KernelSpec, pts: DesignPoints) -> KernelMatrix:
     """Build K with K[i, j] = kernel(x_i, x_j) / n.
 
-    Both triangles are filled from a single evaluation of the upper one, so
-    the result is exactly symmetric.  No eigendecomposition is performed.
+    Every family evaluates to an exactly symmetric matrix in IEEE
+    arithmetic (``min``, ``(u - v)**2`` and ``u * v`` are symmetric in
+    their arguments); :class:`KernelMatrix` checks it.  No
+    eigendecomposition is performed.
     """
     x = pts.x
     n = pts.n
     if spec.kind == "sobolev1" and (x.min() < 0.0 or x.max() > 1.0):
         warnings.warn("sobolev1 kernel is intended for covariates in [0, 1]", stacklevel=2)
-    full = kernel_eval(spec, x[:, None], x[None, :]) / n
-    K = np.empty((n, n))
-    iu = np.triu_indices(n)
-    K[iu] = full[iu]
-    K.T[iu] = full[iu]
-    return KernelMatrix(K)
+    return KernelMatrix(kernel_eval(spec, x[:, None], x[None, :]) / n)
 
 
 def eigendecompose(K: KernelMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -7,14 +7,16 @@ n-dimensional quadratic program to an m-dimensional one.  Three families:
 * ``ros``:       sign-randomized rows of the orthonormal Hadamard matrix,
   sampled without replacement and rescaled by sqrt(n/m).  When n is not a
   power of two the input is zero-padded to n_pad = 2^ceil(log2 n) and the
-  row indices range over n_pad.  Application costs O(n_pad log n_pad) per
-  column via the fast Walsh-Hadamard transform.
+  row indices range over n_pad.
 * ``subsample``: rescaled rows of the identity, sampled without
   replacement; each row is sqrt(n/m) * e_p.
 
-Operators are immutable and deterministic functions of
-(kind, m, n, seed); applying one to distinct columns is safe to
-parallelize.
+Gaussian and ROS sketches are applied as one dense product with their
+m x n matrix; for ROS the m sampled Hadamard rows are built on each call
+by Sylvester doubling, in O(m * n), and not kept on the operator.
+Sub-sampling gathers rows.  Operators are immutable and deterministic
+functions of (kind, m, n, seed); applying one to distinct columns is safe
+to parallelize.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ _SEED_MASK = (1 << 64) - 1
 class SketchOperator:
     """An m x n random sketch; build with :func:`draw_sketch`.
 
-    Exactly the state needed for the fast apply path is stored: the dense
+    Exactly the state that defines the operator is stored: the dense
     matrix for ``gaussian``, the Rademacher sign vector plus sampled row
     indices (over the padded length ``n_pad``) for ``ros``, and sampled row
     indices for ``subsample``.
@@ -139,18 +141,34 @@ def _check_rows(S: SketchOperator, M: np.ndarray) -> np.ndarray:
     return A
 
 
+def _dense(S: SketchOperator) -> np.ndarray:
+    """The m x n matrix of a gaussian or ros sketch."""
+    if S.kind == "gaussian":
+        return S.matrix
+    # row i of the Sylvester Hadamard matrix, H[i, j] = (-1)^popcount(i & j),
+    # doubled one bit of i at a time: H[i, j + h] = H[i, j] * (-1)^(bit b of i)
+    # for j < h = 2^b.  Only the first n columns are built, in place in the
+    # one m x n result: growing it by concatenation left temporaries of every
+    # size on the heap, and the peak RSS of identical runs then differed by
+    # about 5 MB.
+    rows = np.empty((S.m, S.n))
+    rows[:, 0] = 1.0
+    h = 1
+    while h < S.n:
+        w = min(h, S.n - h)
+        flip = (1 - 2 * ((S.indices >> (h.bit_length() - 1)) & 1)).astype(np.float64)
+        np.multiply(rows[:, :w], flip[:, None], out=rows[:, h : h + w])
+        h *= 2
+    rows *= S.signs[: S.n] * np.sqrt(S.n / (S.m * S.n_pad))
+    return rows
+
+
 def apply_sketch(S: SketchOperator, M) -> np.ndarray:
     """Compute S @ M for a length-n vector or an (n, k) matrix."""
     A = _check_rows(S, M)
-    if S.kind == "gaussian":
-        return S.matrix @ A
     if S.kind == "subsample":
         return S.scale * A[S.indices]
-    # TODO: prune the butterfly to the m sampled outputs (n_pad log m)
-    padded = np.zeros((S.n_pad, *A.shape[1:]))
-    padded[: S.n] = A
-    padded *= S.signs.reshape((-1,) + (1,) * (A.ndim - 1))
-    return S.scale * fwht(padded)[S.indices]
+    return _dense(S) @ A
 
 
 def apply_sketch_t(S: SketchOperator, M) -> np.ndarray:
@@ -160,25 +178,18 @@ def apply_sketch_t(S: SketchOperator, M) -> np.ndarray:
         raise DomainError("operand must be a vector or a matrix")
     if A.shape[0] != S.m:
         raise DomainError(f"operand has {A.shape[0]} rows, sketch transpose expects {S.m}")
-    if S.kind == "gaussian":
-        return S.matrix.T @ A
     if S.kind == "subsample":
         out = np.zeros((S.n, *A.shape[1:]))
         out[S.indices] = S.scale * A
         return out
-    scattered = np.zeros((S.n_pad, *A.shape[1:]))
-    scattered[S.indices] = A
-    out = fwht(scattered)
-    out *= S.signs.reshape((-1,) + (1,) * (A.ndim - 1))
-    return S.scale * out[: S.n]
+    return _dense(S).T @ A
 
 
 def materialize(S: SketchOperator) -> np.ndarray:
-    """Dense m x n matrix whose action matches :func:`apply_sketch`."""
-    if S.kind == "gaussian":
-        return S.matrix.copy()
+    """Dense m x n matrix whose action matches :func:`apply_sketch`; a new array."""
     if S.kind == "subsample":
         dense = np.zeros((S.m, S.n))
         dense[np.arange(S.m), S.indices] = S.scale
         return dense
-    return apply_sketch(S, np.eye(S.n))
+    # the gaussian matrix is the operator's own read-only array
+    return S.matrix.copy() if S.kind == "gaussian" else _dense(S)

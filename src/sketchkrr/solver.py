@@ -14,9 +14,11 @@ w = S^T a, giving the m-dimensional normal equations
 
     (S K^2 S^T + 2*lam * S K S^T) a = S K y / sqrt(n).
 
-A rank-deficient system falls back to the minimum-norm least-squares
-solution (eigenvalues below 1e-12 of the largest truncated) and the result
-is flagged.  The same normal equations with y replaced by the noiseless
+A system that Cholesky cannot factor, or that it factors with an
+estimated reciprocal condition number below machine epsilon (numerically
+singular), falls back to the minimum-norm least-squares solution
+(eigenvalues below 1e-12 of the largest truncated) and the result is
+flagged.  The same normal equations with y replaced by the noiseless
 values z* give the zero-noise projected solution, whose fitted values
 split the prediction error into approximation and estimation parts:
 
@@ -93,7 +95,8 @@ class FitResult:
     m-vector a for variants ``sketched`` / ``nystrom_dual`` (the implied
     expansion weights are then S^T a).  ``fitted`` holds the training-point
     values of the fitted function.  ``rank_deficient`` is set when a
-    singular system was resolved by minimum-norm pseudo-inversion.
+    singular or numerically singular system was resolved by minimum-norm
+    pseudo-inversion that truncated directions.
     """
 
     variant: str
@@ -128,24 +131,27 @@ def _check_lambda(lambda_n: float) -> float:
 def _solve_psd(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
     """Solve A x = b for symmetric PSD A.
 
-    Cholesky on the definite path; on failure, the minimum-norm
-    least-squares solution with spectrum truncated at PINV_REL_CUTOFF
-    relative, flagged as rank-deficient when truncation removed directions.
+    Cholesky on the definite path.  When the factorization fails, or
+    succeeds with an estimated reciprocal condition number below machine
+    epsilon, the minimum-norm least-squares solution from
+    :func:`_pinv_psd`, flagged when truncation removed directions.
     """
     try:
-        c = sla.cho_factor(A, lower=True, check_finite=False)
-        return sla.cho_solve(c, b, check_finite=False), False
+        L, lower = sla.cho_factor(A, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
         pass
-    w, V = np.linalg.eigh(A)
-    cutoff = PINV_REL_CUTOFF * max(float(w[-1]), 0.0)
-    keep = w > cutoff
-    x = V[:, keep] @ ((V[:, keep].T @ b) / w[keep])
-    return x, bool(keep.sum() < A.shape[0])
+    else:
+        # A is symmetric, so A.T (Fortran-ordered, no copy) has the same 1-norm
+        rcond, _ = sla.lapack.dpocon(L, sla.lapack.dlange("1", A.T), uplo="L")
+        if rcond >= np.finfo(np.float64).eps:
+            return sla.cho_solve((L, lower), b, check_finite=False), False
+    pinv, truncated = _pinv_psd(A)
+    return pinv @ b, truncated
 
 
 def _pinv_psd(A: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Pseudo-inverse of a symmetric PSD matrix with relative cutoff."""
+    """Pseudo-inverse of a symmetric PSD matrix, eigenvalues at or below
+    PINV_REL_CUTOFF * largest truncated, and whether any were."""
     w, V = np.linalg.eigh(A)
     cutoff = PINV_REL_CUTOFF * max(float(w[-1]), 0.0)
     keep = w > cutoff
@@ -171,7 +177,7 @@ def _sketched_normal_system(
     K: KernelMatrix, S: SketchOperator
 ) -> tuple[np.ndarray, np.ndarray]:
     """The m x n product S K and the m x m Gram S K S^T, each computed
-    once via the fast apply path and shared by the solvers."""
+    once with :func:`apply_sketch` and shared by the solvers."""
     if S.n != K.n:
         raise DomainError(f"sketch ambient dimension {S.n} != kernel size {K.n}")
     SK = apply_sketch(S, K.matrix)

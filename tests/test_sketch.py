@@ -143,16 +143,24 @@ class TestApplySketch:
         with pytest.raises(DomainError):
             apply_sketch_t(S, np.ones(8))
 
-    @pytest.mark.parametrize("n", [48, 100, 256])
-    def test_ros_fast_path_vs_dense_oracle(self, n):
-        # independent oracle: explicit Sylvester Hadamard, signed and row-sampled
+    @pytest.mark.parametrize(
+        "n, m",
+        [pytest.param(n, None, id=str(n)) for n in (48, 100, 256)]
+        + [pytest.param(1200, 11, id="1200-11"), pytest.param(1200, 1200, id="1200-1200")],
+    )
+    def test_ros_fast_path_vs_dense_oracle(self, n, m):
+        # independent oracle: explicit Sylvester Hadamard, signed and row-sampled;
+        # n = 1200 pads to 2048
         rng = np.random.default_rng(n + 1)
-        m = int(rng.integers(1, n // 2))
+        if m is None:
+            m = int(rng.integers(1, n // 2))
         S = draw_sketch("ros", m, n, 500 + n)
         dense = ros_dense_oracle(S)
         M = rng.standard_normal((n, 5))
+        V = rng.standard_normal((m, 5))
         assert np.abs(materialize(S) - dense).max() <= 1e-10
         assert np.abs(apply_sketch(S, M) - dense @ M).max() <= 1e-10
+        assert np.abs(apply_sketch_t(S, V) - dense.T @ V).max() <= 1e-10
 
 
 class TestIsotropy:

@@ -5,14 +5,19 @@ from helpers import rel_dev
 from sketchkrr import (
     DesignPoints,
     DomainError,
+    ExperimentConfig,
     KernelMatrix,
     KernelSpec,
     build_kernel_matrix,
+    complexity_profile,
+    derive_seed,
     draw_sketch,
     empirical_error,
     error_decomposition,
+    generate_data,
     identity_sketch,
     krr_objective,
+    materialize,
     predict,
     sketched_krr_objective,
     solve_dual_krr,
@@ -22,6 +27,7 @@ from sketchkrr import (
     solve_zero_noise,
     zero_noise_objective,
 )
+from sketchkrr.bench import _trial_streams
 
 
 def sobolev_instance(n, seed, sigma=1.0):
@@ -118,6 +124,32 @@ class TestSolveSketchedKrr:
         fit = solve_sketched_krr(K, np.ones(6), S, 0.1)
         assert fit.rank_deficient
         np.testing.assert_array_equal(fit.coefficients, np.zeros(3))
+
+    def test_numerically_singular_system_flagged(self):
+        # sub-sampling arm of an irregular-design sweep trial (gaussian kernel,
+        # n = 1200, m = 11): Cholesky factors its m x m system although LAPACK
+        # estimates the reciprocal condition number at ~5e-19
+        n, m = 1200, 11
+        config = ExperimentConfig(
+            kernel=KernelSpec.gaussian(0.25), fstar="quad", design="irregular",
+            sigma=0.125, n_grid=(n,), base_seed=2,
+        )
+        data_seed, sketch_seed = _trial_streams(derive_seed(2, n, "subsample", 0))
+        sample = generate_data(config, n, data_seed)
+        K = build_kernel_matrix(config.kernel, sample.pts)
+        lam = 2.0 * complexity_profile(K.eigenvalues, n, config.sigma).delta_n_sq
+        S = draw_sketch("subsample", m, n, sketch_seed)
+        fit = solve_sketched_krr(K, sample.y, S, lam)
+        assert fit.rank_deficient
+        # the sketched objective as least squares ||M a - c||^2, with
+        # M = [K S^T; sqrt(2 lam) K^(1/2) S^T] and c = [y / sqrt(n); 0]
+        U, mu = K.eig()
+        St = materialize(S).T
+        M = np.vstack([K.matrix @ St, np.sqrt(2.0 * lam) * (U @ (np.sqrt(mu)[:, None] * (U.T @ St)))])
+        c = np.concatenate([sample.y / np.sqrt(n), np.zeros(n)])
+        best = np.linalg.lstsq(M, c, rcond=None)[0]
+        excess = np.sum((M @ fit.coefficients - c) ** 2) / np.sum((M @ best - c) ** 2) - 1.0
+        assert excess < 0.5
 
     def test_span_completeness_full_gaussian_sketch(self):
         K, _, _, y = sobolev_instance(24, 9)
