@@ -5,18 +5,21 @@ derives its seed injectively from (base_seed, n, sketch kind, trial index)
 via splitmix64 mixing, so reruns are byte-identical and arms never share
 randomness.  Each trial generates a dataset y_i = f*(x_i) + sigma * w_i,
 builds the kernel matrix, computes the critical radius and statistical
-dimension from its spectrum, sets the projection dimension m and the
+dimension from its top eigenvalues and trace (no full eigendecomposition;
+see :mod:`sketchkrr.complexity`), sets the projection dimension m and the
 regularization (default 2 * delta_n^2) by rule, solves, and records the
 squared empirical prediction error against the stored f* values, together
 with the rescaled error (error times the kernel's known rate factor:
 n^(2/3) for sobolev1, n/sqrt(ln n) for the gaussian kernel, n for the
 finite-rank polynomial kernel).
 
-Failed trials record a marker row (NaN error) instead of aborting, so a
-sweep always emits exactly |n_grid| * |kinds| * trials rows.  Wall-clock
-timing is off by default because measured times would break the
-byte-identical reproducibility of the output; pass ``timing=True`` (or
-``--timing`` on the CLI) to record real milliseconds.
+A trial that fails with a :class:`DomainError`, :class:`NumericalError`
+or ``LinAlgError`` records a marker row (NaN error) instead of aborting, so
+a sweep always emits exactly |n_grid| * |kinds| * trials rows; any other
+exception is a bug and propagates.  Wall-clock timing is off by default
+because measured times would break the byte-identical reproducibility of
+the output; pass ``timing=True`` (or ``--timing`` on the CLI) to record
+real milliseconds.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from ._util import ceil_int
 from .complexity import ComplexityProfile, complexity_profile
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .kernels import DesignPoints, KernelMatrix, KernelSpec, build_kernel_matrix
 from .sketch import draw_sketch
 from .solver import (
@@ -241,7 +244,7 @@ class _KernelMatrixCache:
     """Bounded cache of kernel matrices keyed by (spec, design bytes).
 
     Deterministic designs repeat the same points across trials; reusing the
-    matrix also reuses its cached eigendecomposition.
+    matrix also reuses its cached head spectrum.
     """
 
     def __init__(self, maxsize: int = 8):
@@ -273,7 +276,7 @@ def run_error_vs_n(config: ExperimentConfig, timing: bool = False) -> list[Trial
                     records.append(
                         _run_trial(config, cache, n, kind, trial, seed)
                     )
-                except Exception:
+                except (DomainError, NumericalError, np.linalg.LinAlgError):
                     records.append(
                         TrialRecord(
                             n=n, m=0, sketch=kind, trial=trial, seed=seed,
@@ -299,7 +302,7 @@ def _run_trial(
     K = cache.get(config.kernel, sample.pts)
     # sigma = 0 leaves the critical radius undefined; the fit still works
     # with a fixed regularization, so the profile columns become NaN/0
-    profile = complexity_profile(K.eigenvalues, n, config.sigma) if config.sigma > 0 else None
+    profile = complexity_profile(K, n, config.sigma) if config.sigma > 0 else None
     lam = _regularization(config, profile)
     if kind == "exact":
         m = n
@@ -368,7 +371,7 @@ def run_nystrom_failure_demo(n: int, m: int, k: int, seed: int) -> NystromFailur
     z_star = np.concatenate([x1, np.ones(k)])
     y = z_star + 0.5 * rng.standard_normal(n)
 
-    profile = complexity_profile(K.eigenvalues, n, 0.5)
+    profile = complexity_profile(K, n, 0.5)
     lam = 2.0 * profile.delta_n_sq
     sub_seed, gauss_seed = _trial_streams(seed)
     S_sub = draw_sketch("subsample", m, n, sub_seed)

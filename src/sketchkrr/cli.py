@@ -8,13 +8,15 @@ Subcommands:
 * ``bench``                 full error-vs-n sweep from a config file, written as CSV
 * ``demo-nystrom-failure``  block-diagonal comparison of sub-sampling vs Gaussian sketching
 
-Exit codes: 0 success, 2 usage error, 1 runtime error.
+Exit codes: 0 success, 2 usage error, 1 runtime error (for ``bench``:
+also when every trial failed; failed trials are summarized on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -105,7 +107,7 @@ def _cmd_critical_radius(args) -> int:
     config = ExperimentConfig(kernel=spec, design=_norm(args.design), sigma=args.sigma, n_grid=(args.n,))
     sample = generate_data(config, args.n, args.seed)
     K = build_kernel_matrix(spec, sample.pts)
-    profile = complexity_profile(K.eigenvalues, args.n, args.sigma)
+    profile = complexity_profile(K, args.n, args.sigma)
     _emit(
         {
             "n": profile.n,
@@ -140,7 +142,10 @@ def _cmd_bench(args) -> int:
     records = run_error_vs_n(config, timing=args.timing)
     write_csv(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
-    return 0
+    failed = sum(math.isnan(r.error) for r in records)
+    if failed:
+        print(f"{failed} of {len(records)} trials failed (marker rows with NaN error)", file=sys.stderr)
+    return 1 if failed == len(records) else 0
 
 
 def _cmd_demo(args) -> int:

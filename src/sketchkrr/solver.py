@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
+from ._util import cho_factor_shifted
 from .errors import DomainError, NumericalError
 from .kernels import DesignPoints, KernelMatrix, KernelSpec, kernel_eval
 from .sketch import SketchOperator, apply_sketch, apply_sketch_t
@@ -163,9 +164,8 @@ def solve_krr(K: KernelMatrix, y, lambda_n: float) -> FitResult:
     """Exact kernel ridge regression: (K + 2*lam*I) w = y / sqrt(n)."""
     lam = _check_lambda(lambda_n)
     yv = _check_vector(y, K.n, "y")
-    A = K.matrix + 2.0 * lam * np.eye(K.n)
     try:
-        c = sla.cho_factor(A, lower=True, check_finite=False)
+        c = cho_factor_shifted(K.matrix, 2.0 * lam)
         omega = sla.cho_solve(c, yv / np.sqrt(K.n), check_finite=False)
     except np.linalg.LinAlgError as exc:  # unreachable for lam > 0 and PSD K
         raise NumericalError(f"shifted kernel system could not be solved: {exc}") from exc

@@ -8,6 +8,7 @@ from sketchkrr import (
     DomainError,
     ExperimentConfig,
     KernelSpec,
+    NumericalError,
     TrialRecord,
     derive_seed,
     fstar_values,
@@ -154,6 +155,26 @@ class TestRunErrorVsN:
         records = run_error_vs_n(cfg)
         assert len(records) == len(cfg.n_grid) * len(cfg.sketch_kinds) * cfg.trials
         assert all(math.isnan(r.error) for r in records)
+
+    def test_numerical_errors_become_marker_rows(self, monkeypatch):
+        import sketchkrr.bench as bench
+
+        def failing(*args, **kwargs):
+            raise NumericalError("injected")
+
+        monkeypatch.setattr(bench, "solve_krr", failing)
+        records = run_error_vs_n(small_config())
+        assert [math.isnan(r.error) for r in records] == [r.sketch == "exact" for r in records]
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        import sketchkrr.bench as bench
+
+        def broken(*args, **kwargs):
+            raise TypeError("injected")
+
+        monkeypatch.setattr(bench, "complexity_profile", broken)
+        with pytest.raises(TypeError, match="injected"):
+            run_error_vs_n(small_config())
 
     def test_timing_flag_populates_wall_time(self):
         cfg = small_config(n_grid=(8,), sketch_kinds=("exact",), trials=1)

@@ -108,6 +108,27 @@ class TestBench:
         assert main(["bench", "--config", str(cfg), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert len(read_csv(out1)) == 2 * 2 * 2
+        assert capsys.readouterr().err == ""  # no failed trials to summarize
+
+    def test_all_trials_failing_exits_nonzero(self, tmp_path, capsys):
+        # lambda rule two_delta_sq needs sigma > 0, so every trial fails
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("sigma = 1.0", "sigma = 0"))
+        out = tmp_path / "o.csv"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "8 of 8 trials failed" in err
+        assert len(read_csv(out)) == 8
+
+    def test_some_trials_failing_are_summarized(self, tmp_path, capsys):
+        # with sigma = 0 the statdim rule fails the sketched arm only
+        text = CONFIG_TEXT.replace("sigma = 1.0", "sigma = 0")
+        text = text.replace("m_rule = cuberoot", "m_rule = statdim\nc_statdim = 2")
+        text = text.replace("lambda_rule = two_delta_sq", "lambda_rule = fixed\nlambda_fixed = 0.01")
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(text)
+        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
+        assert "4 of 8 trials failed" in capsys.readouterr().err
 
     def test_missing_config_is_runtime_error(self, tmp_path, capsys):
         assert main(["bench", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o.csv")]) == 1

@@ -1,13 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from helpers import grid_critical_radius, sobolev_uniform_matrix
 from sketchkrr import (
+    DesignPoints,
     DomainError,
+    ExperimentConfig,
     KernelMatrix,
     KernelSpec,
+    NumericalError,
+    build_kernel_matrix,
     complexity_profile,
     critical_radius,
+    generate_data,
     kernel_complexity,
     population_eigenvalues,
     rate_exponent_check,
@@ -156,3 +163,85 @@ class TestEmpiricalVsPopulation:
             emp = critical_radius(emp_mu, n, 1.0) ** 2
             pop = critical_radius(pop_mu, n, 1.0) ** 2
             assert emp / pop <= 4.0 and pop / emp <= 4.0
+
+
+def dense_profile(K, n, sigma):
+    """The profile of K's full spectrum from numpy's dense eigvalsh."""
+    mu = np.clip(np.linalg.eigvalsh(K.matrix)[::-1], 0.0, None)
+    return complexity_profile(mu, n, sigma)
+
+
+class TestMatrixProfile:
+    """complexity_profile(K) from the randomized head spectrum against the
+    profile of the dense eigvalsh spectrum."""
+
+    @pytest.mark.parametrize(
+        "spec", [KernelSpec.sobolev1(), KernelSpec.gaussian(0.25), KernelSpec.polynomial(3)],
+        ids=["sobolev1", "gaussian", "polynomial3"],
+    )
+    @pytest.mark.parametrize("design", ["uniform_grid", "irregular", "iid_uniform"])
+    @pytest.mark.parametrize("n", [64, 257, 1024, 1200])
+    def test_matches_dense_eigvalsh(self, spec, design, n):
+        config = ExperimentConfig(kernel=spec, design=design, n_grid=(n,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # sobolev1 on the irregular design
+            K = build_kernel_matrix(spec, generate_data(config, n, n).pts)
+        # sigma = 0.125 makes d_n large enough for sobolev1 to double k
+        for sigma in (1.0, 0.125):
+            got = complexity_profile(K, n, sigma)
+            want = dense_profile(K, n, sigma)
+            assert got.d_n == want.d_n
+            assert abs(got.delta_n - want.delta_n) <= 1e-9 * want.delta_n
+            assert got.delta_n_sq == got.delta_n**2
+        assert K._heads and K._eig is None
+
+    def test_dense_fallback_for_small_n(self):
+        n = 24  # 4 * HEAD_START > n
+        K = KernelMatrix(sobolev_uniform_matrix(n))
+        assert complexity_profile(K, n, 1.0) == complexity_profile(K.eigenvalues, n, 1.0)
+        assert not K._heads
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.diag(np.r_[np.linspace(1.0, 0.1, 63), -0.5]), -np.eye(64)],
+        ids=["one-negative", "negative-definite"],
+    )
+    def test_indefinite_matrix_rejected(self, matrix):
+        with pytest.raises(NumericalError, match="not PSD"):
+            complexity_profile(KernelMatrix(matrix), 64, 1.0)
+
+    def test_zero_matrix(self):
+        prof = complexity_profile(KernelMatrix(np.zeros((64, 64))), 64, 1.0)
+        assert prof.delta_n == 0.0 and prof.d_n == 0
+
+    def test_fresh_builds_are_bit_identical(self):
+        pts = DesignPoints(np.random.default_rng(1).uniform(0, 1, 700))
+        first = build_kernel_matrix(KernelSpec.gaussian(0.25), pts)
+        second = build_kernel_matrix(KernelSpec.gaussian(0.25), pts)
+        assert complexity_profile(first, 700, 0.5) == complexity_profile(second, 700, 0.5)
+        np.testing.assert_array_equal(first.head_spectrum(1).values, second.head_spectrum(1).values)
+
+    def test_second_call_reuses_cached_head(self, monkeypatch):
+        import sketchkrr.kernels as kernels
+
+        calls = []
+        original = kernels._head_spectrum
+
+        def counting(matrix, k):
+            calls.append(k)
+            return original(matrix, k)
+
+        monkeypatch.setattr(kernels, "_head_spectrum", counting)
+        K = KernelMatrix(sobolev_uniform_matrix(512))
+        first = complexity_profile(K, 512, 0.125)
+        built = len(calls)
+        assert built >= 2  # d_n = 12 here, so k doubled at least once
+        assert complexity_profile(K, 512, 0.125) == first
+        assert len(calls) == built
+
+    def test_profile_does_not_depend_on_call_order(self):
+        n = 512
+        first = KernelMatrix(sobolev_uniform_matrix(n))
+        second = KernelMatrix(sobolev_uniform_matrix(n))
+        complexity_profile(first, n, 0.125)  # builds larger heads first
+        assert complexity_profile(first, n, 1.0) == complexity_profile(second, n, 1.0)

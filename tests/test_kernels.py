@@ -178,3 +178,32 @@ class TestSpectralInvariants:
             )
             mu = K.eigenvalues
             assert (mu > 1e-8 * mu[0]).sum() <= degree + 1
+
+
+class TestHeadSpectrum:
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_ritz_values_within_bounds_of_dense_eigenvalues(self, spec):
+        rng = np.random.default_rng(11)
+        K = build_kernel_matrix(spec, DesignPoints(np.sort(rng.uniform(0, 1, 300))))
+        head = K.head_spectrum(8)
+        mu = np.clip(np.linalg.eigvalsh(K.matrix)[::-1], 0.0, None)
+        assert head.values.shape == head.error_bounds.shape == (8,)
+        assert (np.diff(head.values) <= 0).all()
+        # each bound covers the distance to its eigenvalue, up to round-off
+        slack = 1e-13 * mu[0]
+        assert (np.abs(head.values - mu[:8]) <= head.error_bounds + slack).all()
+        assert head.trace == pytest.approx(np.trace(K.matrix), rel=1e-15)
+
+    def test_heads_are_cached_per_size(self):
+        K = build_kernel_matrix(KernelSpec.sobolev1(), DesignPoints(np.linspace(0.01, 1, 200)))
+        big = K.head_spectrum(16)
+        small = K.head_spectrum(4)
+        assert small.values.size == 4 and big.values.size == 16
+        assert K.head_spectrum(16) is big and K.head_spectrum(4) is small
+        # a head does not depend on which other heads were built first
+        fresh = build_kernel_matrix(KernelSpec.sobolev1(), DesignPoints(np.linspace(0.01, 1, 200)))
+        np.testing.assert_array_equal(fresh.head_spectrum(4).values, small.values)
+
+    def test_bad_size_rejected(self):
+        with pytest.raises(DomainError):
+            KernelMatrix(np.eye(4)).head_spectrum(0)

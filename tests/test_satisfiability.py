@@ -87,6 +87,18 @@ class TestCheckKSatisfiable:
             r = check_k_satisfiable(S, K, profile, c_threshold=2.0)
             assert r.passed == (r.lhs_isometry <= 0.5 and r.lhs_tail <= 2.0 * r.delta_n)
 
+    @pytest.mark.parametrize("kind,m", [("gaussian", 1), ("gaussian", 24), ("ros", 100), ("subsample", 64)])
+    def test_tail_norm_matches_dense_svd(self, sobolev_setup, kind, m):
+        n, K, profile = sobolev_setup
+        S = draw_sketch(kind, m, n, 5)
+        mu, U = np.linalg.eigh(K.matrix)
+        U, mu = U[:, ::-1], np.clip(mu[::-1], 0.0, None)
+        d = profile.d_n
+        want = np.linalg.norm((materialize(S) @ U[:, d:]) * np.sqrt(mu[d:]), 2)
+        report = check_k_satisfiable(S, K, profile)
+        np.testing.assert_allclose(report.lhs_tail, want, rtol=1e-12)
+        assert check_k_satisfiable(S, K, profile).lhs_tail == report.lhs_tail
+
     def test_wrong_width_rejected(self, sobolev_setup):
         n, K, profile = sobolev_setup
         with pytest.raises(DomainError):
