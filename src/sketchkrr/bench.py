@@ -1,32 +1,38 @@
 """Experiment harness: data generation, error-vs-n sweeps, CSV persistence.
 
-A sweep is a pure function of its :class:`ExperimentConfig`: every trial
-derives its seed injectively from (base_seed, n, sketch kind, trial index)
-via splitmix64 mixing, so reruns are byte-identical and arms never share
-randomness.  Each trial generates a dataset y_i = f*(x_i) + sigma * w_i,
-builds the kernel matrix, computes the critical radius and statistical
-dimension from its top eigenvalues and trace (no full eigendecomposition;
-see :mod:`sketchkrr.complexity`), sets the projection dimension m and the
-regularization (default 2 * delta_n^2) by rule, solves, and records the
-squared empirical prediction error against the stored f* values, together
-with the rescaled error (error times the kernel's known rate factor:
-n^(2/3) for sobolev1, n/sqrt(ln n) for the gaussian kernel, n for the
-finite-rank polynomial kernel).
+A sweep is a pure function of its :class:`ExperimentConfig`, so reruns are
+byte-identical.  Its arms are paired: each (n, trial) draws one dataset
+y_i = f*(x_i) + sigma * w_i from a seed mixed by splitmix64 from
+(base_seed, n, trial) alone, builds the kernel matrix once (once per n for
+the ``uniform_grid`` design, whose points do not depend on the seed),
+computes the critical radius and statistical dimension once from its top
+eigenvalues and trace (no full eigendecomposition; see
+:mod:`sketchkrr.complexity`), sets the regularization (default
+2 * delta_n^2) by rule, and fits every arm on that same data.  The arms
+differ only in the sketch: each draws it from its own trial seed, derived
+injectively from (base_seed, n, sketch kind, trial index) and recorded in
+the CSV ``seed`` column.  Each arm sets the projection dimension m by rule,
+solves, and records the squared empirical prediction error against the
+stored f* values, together with the rescaled error (error times the
+kernel's known rate factor: n^(2/3) for sobolev1, n/sqrt(ln n) for the
+gaussian kernel, n for the finite-rank polynomial kernel).
 
-A trial that fails with a :class:`DomainError`, :class:`NumericalError`
-or ``LinAlgError`` records a marker row (NaN error) instead of aborting, so
-a sweep always emits exactly |n_grid| * |kinds| * trials rows; any other
-exception is a bug and propagates.  Wall-clock timing is off by default
-because measured times would break the byte-identical reproducibility of
-the output; pass ``timing=True`` (or ``--timing`` on the CLI) to record
-real milliseconds.
+An arm that fails with a :class:`DomainError`, :class:`NumericalError`
+or ``LinAlgError`` records a marker row (NaN error) instead of aborting,
+and so does every arm of a trial whose shared data, kernel matrix or
+profile fails; a sweep always emits exactly |n_grid| * |kinds| * trials
+rows, and any other exception is a bug and propagates.  Wall-clock timing
+is off by default because measured times would break the byte-identical
+reproducibility of the output; pass ``timing=True`` (or ``--timing`` on
+the CLI) to record real milliseconds.  The time of a trial's shared work
+is then charged to its first arm's row, so the rows sum to the sweep's
+time.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -178,17 +184,28 @@ def _splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def derive_seed(base_seed: int, n: int, kind: str, trial: int) -> int:
-    """Injectively mix (base_seed, n, kind, trial) into a 64-bit trial seed."""
+def _mix_seed(base_seed: int, *parts: int) -> int:
     z = base_seed & _MASK64
-    for part in (n, _KIND_CODE[kind], trial):
+    for part in parts:
         z = _splitmix64(z ^ _splitmix64(part & _MASK64))
     return z
 
 
+def derive_seed(base_seed: int, n: int, kind: str, trial: int) -> int:
+    """Injectively mix (base_seed, n, kind, trial) into a 64-bit trial seed."""
+    return _mix_seed(base_seed, n, _KIND_CODE[kind], trial)
+
+
 def _trial_streams(seed: int) -> tuple[int, int]:
-    # separate data and sketch streams so the arms differ only in the sketch
+    # two independent streams of one seed: a data stream and a sketch stream
     return _splitmix64(seed ^ 1), _splitmix64(seed ^ 2)
+
+
+def _data_seed(base_seed: int, n: int, trial: int) -> int:
+    # no sketch kind in the mix: every arm of (n, trial) sees the same data
+    # and draws its sketch from the sketch stream of its own derive_seed,
+    # so paired arms differ only in the sketch
+    return _trial_streams(_mix_seed(base_seed, n, trial))[0]
 
 
 def generate_data(config: ExperimentConfig, n: int, seed: int) -> RegressionSample:
@@ -240,70 +257,80 @@ def _regularization(config: ExperimentConfig, profile: ComplexityProfile | None)
     return float(config.lambda_fixed)
 
 
-class _KernelMatrixCache:
-    """Bounded cache of kernel matrices keyed by (spec, design bytes).
+_TRIAL_ERRORS = (DomainError, NumericalError, np.linalg.LinAlgError)
 
-    Deterministic designs repeat the same points across trials; reusing the
-    matrix also reuses its cached head spectrum.
-    """
 
-    def __init__(self, maxsize: int = 8):
-        self.maxsize = maxsize
-        self._store: OrderedDict = OrderedDict()
+@dataclass(frozen=True)
+class _SharedInputs:
+    """What every arm of one (n, trial) fits on: the dataset, K, its
+    profile (None for sigma = 0) and the regularization."""
 
-    def get(self, spec: KernelSpec, pts: DesignPoints) -> KernelMatrix:
-        key = (spec, pts.x.tobytes())
-        if key in self._store:
-            self._store.move_to_end(key)
-            return self._store[key]
-        K = build_kernel_matrix(spec, pts)
-        self._store[key] = K
-        if len(self._store) > self.maxsize:
-            self._store.popitem(last=False)
-        return K
+    sample: RegressionSample
+    K: KernelMatrix
+    profile: ComplexityProfile | None
+    lam: float
+
+
+def _shared_inputs(
+    config: ExperimentConfig, n: int, trial: int, grid_K: KernelMatrix | None
+) -> _SharedInputs:
+    sample = generate_data(config, n, _data_seed(config.base_seed, n, trial))
+    K = grid_K if grid_K is not None else build_kernel_matrix(config.kernel, sample.pts)
+    # sigma = 0 leaves the critical radius undefined; the fit still works
+    # with a fixed regularization, so the profile columns become NaN/0
+    profile = complexity_profile(K, n, config.sigma) if config.sigma > 0 else None
+    return _SharedInputs(sample, K, profile, _regularization(config, profile))
+
+
+def _marker_row(n: int, kind: str, trial: int, seed: int) -> TrialRecord:
+    return TrialRecord(
+        n=n, m=0, sketch=kind, trial=trial, seed=seed,
+        lambda_n=math.nan, delta_n_sq=math.nan, d_n=0,
+        error=math.nan, rescaled_error=math.nan, wall_time_ms=0.0,
+    )
 
 
 def run_error_vs_n(config: ExperimentConfig, timing: bool = False) -> list[TrialRecord]:
     """Run the full sweep; one record per (n, kind, trial), sorted in that order."""
-    cache = _KernelMatrixCache()
     records: list[TrialRecord] = []
     for n in config.n_grid:
-        for kind in config.sketch_kinds:
-            for trial in range(config.trials):
+        # uniform_grid points do not depend on the seed: one K per n, whose
+        # cached head spectra also serve every trial's profile
+        grid_K = None
+        for trial in range(config.trials):
+            start = time.perf_counter() if timing else 0.0
+            try:
+                shared = _shared_inputs(config, n, trial, grid_K)
+            except _TRIAL_ERRORS:
+                shared = None
+            else:
+                if config.design == "uniform_grid":
+                    grid_K = shared.K
+            for kind in config.sketch_kinds:
                 seed = derive_seed(config.base_seed, n, kind, trial)
-                start = time.perf_counter() if timing else 0.0
-                try:
-                    records.append(
-                        _run_trial(config, cache, n, kind, trial, seed)
-                    )
-                except (DomainError, NumericalError, np.linalg.LinAlgError):
-                    records.append(
-                        TrialRecord(
-                            n=n, m=0, sketch=kind, trial=trial, seed=seed,
-                            lambda_n=math.nan, delta_n_sq=math.nan, d_n=0,
-                            error=math.nan, rescaled_error=math.nan,
-                            wall_time_ms=0.0,
-                        )
-                    )
+                record = _marker_row(n, kind, trial, seed)
+                if shared is not None:
+                    try:
+                        record = _fit_arm(config, shared, n, kind, trial, seed)
+                    except _TRIAL_ERRORS:
+                        pass
                 if timing:
-                    elapsed = (time.perf_counter() - start) * 1e3
-                    records[-1] = replace(records[-1], wall_time_ms=elapsed)
+                    # the shared inputs are charged to the trial's first arm
+                    now = time.perf_counter()
+                    record = replace(record, wall_time_ms=(now - start) * 1e3)
+                    start = now
+                records.append(record)
+            del shared  # release this trial's K before the next one is built
     order = {kind: i for i, kind in enumerate(config.sketch_kinds)}
     records.sort(key=lambda r: (r.n, order[r.sketch], r.trial))
     return records
 
 
-def _run_trial(
-    config: ExperimentConfig, cache: _KernelMatrixCache,
+def _fit_arm(
+    config: ExperimentConfig, shared: _SharedInputs,
     n: int, kind: str, trial: int, seed: int,
 ) -> TrialRecord:
-    data_seed, sketch_seed = _trial_streams(seed)
-    sample = generate_data(config, n, data_seed)
-    K = cache.get(config.kernel, sample.pts)
-    # sigma = 0 leaves the critical radius undefined; the fit still works
-    # with a fixed regularization, so the profile columns become NaN/0
-    profile = complexity_profile(K, n, config.sigma) if config.sigma > 0 else None
-    lam = _regularization(config, profile)
+    sample, K, profile, lam = shared.sample, shared.K, shared.profile, shared.lam
     if kind == "exact":
         m = n
         fit = solve_krr(K, sample.y, lam)
@@ -311,7 +338,7 @@ def _run_trial(
         if config.m_rule == "statdim" and profile is None:
             raise DomainError("m rule 'statdim' needs sigma > 0")
         m = _sketch_dim(config, n, profile.d_n if profile else 0)
-        S = draw_sketch(kind, m, n, sketch_seed)
+        S = draw_sketch(kind, m, n, _trial_streams(seed)[1])
         fit = solve_sketched_krr(K, sample.y, S, lam)
     err = empirical_error(fit.fitted, sample.fstar)
     return TrialRecord(
@@ -439,12 +466,13 @@ def summarize_records(records) -> list[ArmSummary]:
 
 def flatness_ratio(records, kind: str) -> float:
     """Max/min of the trial-mean rescaled error over the upper half of the
-    n values present for one arm; near 1 means the rescaling flattened the
-    curve (the decay rate is as predicted)."""
+    n values present for one arm (with the middle one when their number is
+    odd); near 1 means the rescaling flattened the curve (the decay rate is
+    as predicted)."""
     summaries = [s for s in summarize_records(records) if s.sketch == kind]
     if not summaries:
         raise DomainError(f"no records for sketch kind {kind!r}")
-    upper = summaries[(len(summaries) - 1) // 2 :]
+    upper = summaries[len(summaries) // 2 :]
     vals = [s.mean_rescaled for s in upper]
     return max(vals) / min(vals)
 

@@ -123,13 +123,21 @@ def kernel_eval(spec: KernelSpec, u, v):
     va = np.asarray(v, dtype=np.float64)
     if not (np.isfinite(ua).all() and np.isfinite(va).all()):
         raise DomainError("kernel arguments must be finite")
+    # one output buffer, every step in place: for an n x n grid this is one
+    # n x n allocation instead of one per step
+    out = np.empty(np.broadcast_shapes(ua.shape, va.shape))
     if spec.kind == "polynomial":
-        out = (1.0 + ua * va) ** spec.degree
+        np.multiply(ua, va, out=out)
+        out += 1.0
+        out **= spec.degree
     elif spec.kind == "gaussian":
-        d = ua - va
-        out = np.exp(-(d * d) / (2.0 * spec.bandwidth**2))
+        np.subtract(ua, va, out=out)
+        out *= out
+        np.negative(out, out=out)
+        out /= 2.0 * spec.bandwidth**2
+        np.exp(out, out=out)
     else:  # sobolev1
-        out = np.minimum(ua, va)
+        np.minimum(ua, va, out=out)
     if np.ndim(u) == 0 and np.ndim(v) == 0:
         return float(out)
     return out
@@ -163,7 +171,10 @@ class KernelMatrix:
     ones you need eagerly before sharing an instance across threads.
     """
 
-    def __init__(self, matrix: np.ndarray):
+    def __init__(self, matrix: np.ndarray, *, copy: bool = True):
+        """Check and store ``matrix``.  With ``copy=False`` a float64 array
+        is kept as it is and made read-only; pass that only for a fresh
+        array that nothing else writes to."""
         K = np.asarray(matrix, dtype=np.float64)
         if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] < 1:
             raise DomainError("kernel matrix must be square and nonempty")
@@ -171,7 +182,8 @@ class KernelMatrix:
             raise DomainError("kernel matrix must be finite")
         if not np.array_equal(K, K.T):
             raise DomainError("kernel matrix must be exactly symmetric")
-        K = K.copy()
+        if copy:
+            K = K.copy()
         K.setflags(write=False)
         self._matrix = K
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
@@ -229,14 +241,17 @@ def build_kernel_matrix(spec: KernelSpec, pts: DesignPoints) -> KernelMatrix:
 
     Every family evaluates to an exactly symmetric matrix in IEEE
     arithmetic (``min``, ``(u - v)**2`` and ``u * v`` are symmetric in
-    their arguments); :class:`KernelMatrix` checks it.  No
-    eigendecomposition is performed.
+    their arguments); :class:`KernelMatrix` checks it.  The kernel is
+    evaluated into one n x n buffer, which is scaled in place and kept
+    without a copy.  No eigendecomposition is performed.
     """
     x = pts.x
     n = pts.n
     if spec.kind == "sobolev1" and (x.min() < 0.0 or x.max() > 1.0):
         warnings.warn("sobolev1 kernel is intended for covariates in [0, 1]", stacklevel=2)
-    return KernelMatrix(kernel_eval(spec, x[:, None], x[None, :]) / n)
+    K = kernel_eval(spec, x[:, None], x[None, :])
+    K /= n
+    return KernelMatrix(K, copy=False)
 
 
 def eigendecompose(K: KernelMatrix) -> tuple[np.ndarray, np.ndarray]:

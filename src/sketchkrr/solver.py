@@ -41,7 +41,7 @@ import scipy.linalg as sla
 from ._util import cho_factor_shifted
 from .errors import DomainError, NumericalError
 from .kernels import DesignPoints, KernelMatrix, KernelSpec, kernel_eval
-from .sketch import SketchOperator, apply_sketch, apply_sketch_t
+from .sketch import SketchOperator, _dense, apply_sketch, apply_sketch_t
 
 __all__ = [
     "FitResult",
@@ -177,12 +177,17 @@ def _sketched_normal_system(
     K: KernelMatrix, S: SketchOperator
 ) -> tuple[np.ndarray, np.ndarray]:
     """The m x n product S K and the m x m Gram S K S^T, each computed
-    once with :func:`apply_sketch` and shared by the solvers."""
+    once and shared by the solvers.  A gaussian or ros sketch's dense
+    matrix (for ros, its Hadamard rows) is built once for both products;
+    sub-sampling gathers rows with :func:`apply_sketch`."""
     if S.n != K.n:
         raise DomainError(f"sketch ambient dimension {S.n} != kernel size {K.n}")
-    SK = apply_sketch(S, K.matrix)
-    SKSt = apply_sketch(S, SK.T)
-    return SK, SKSt
+    if S.kind == "subsample":
+        SK = apply_sketch(S, K.matrix)
+        return SK, apply_sketch(S, SK.T)
+    D = _dense(S)
+    SK = D @ K.matrix
+    return SK, SK @ D.T
 
 
 def _solve_sketched(

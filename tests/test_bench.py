@@ -10,6 +10,7 @@ from sketchkrr import (
     KernelSpec,
     NumericalError,
     TrialRecord,
+    complexity_profile,
     derive_seed,
     fstar_values,
     generate_data,
@@ -20,7 +21,7 @@ from sketchkrr import (
     run_nystrom_failure_demo,
     write_csv,
 )
-from sketchkrr.bench import _trial_streams
+from sketchkrr.bench import _data_seed
 
 
 def small_config(**overrides):
@@ -138,8 +139,7 @@ class TestRunErrorVsN:
         cfg = small_config(sketch_kinds=("exact",), trials=2)
         records = run_error_vs_n(cfg)
         r = records[0]
-        data_seed, _ = _trial_streams(r.seed)
-        sample = generate_data(cfg, r.n, data_seed)
+        sample = generate_data(cfg, r.n, _data_seed(cfg.base_seed, r.n, r.trial))
         K = build_kernel_matrix(cfg.kernel, sample.pts)
         prof = complexity_profile(K.eigenvalues, r.n, cfg.sigma)
         fit = solve_krr(K, sample.y, 2 * prof.delta_n_sq)
@@ -176,10 +176,116 @@ class TestRunErrorVsN:
         with pytest.raises(TypeError, match="injected"):
             run_error_vs_n(small_config())
 
+    def test_failing_profile_marks_every_arm_of_its_trial(self, monkeypatch):
+        import sketchkrr.bench as bench
+
+        calls = []
+
+        def fail_second(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:  # n = 8, trial 1: loops run n, then trial
+                raise NumericalError("injected")
+            return complexity_profile(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "complexity_profile", fail_second)
+        cfg = small_config(design="iid_uniform", sketch_kinds=("exact", "gaussian", "ros"))
+        records = run_error_vs_n(cfg)
+        assert len(records) == len(cfg.n_grid) * len(cfg.sketch_kinds) * cfg.trials
+        markers = {(r.n, r.sketch, r.trial) for r in records if math.isnan(r.error)}
+        assert markers == {(8, kind, 1) for kind in cfg.sketch_kinds}
+        assert all(r.seed == derive_seed(cfg.base_seed, r.n, r.sketch, r.trial) for r in records)
+
     def test_timing_flag_populates_wall_time(self):
         cfg = small_config(n_grid=(8,), sketch_kinds=("exact",), trials=1)
         assert run_error_vs_n(cfg)[0].wall_time_ms == 0.0
         assert run_error_vs_n(cfg, timing=True)[0].wall_time_ms > 0.0
+
+
+class TestPairedArms:
+    KINDS = ("exact", "gaussian", "ros", "subsample")
+
+    def spy(self, monkeypatch, name):
+        import sketchkrr.bench as bench
+
+        calls = []
+        original = getattr(bench, name)
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bench, name, counted)
+        return calls
+
+    def test_random_design_builds_once_per_trial(self, monkeypatch):
+        data = self.spy(monkeypatch, "generate_data")
+        builds = self.spy(monkeypatch, "build_kernel_matrix")
+        profiles = self.spy(monkeypatch, "complexity_profile")
+        cfg = small_config(design="iid_uniform", sketch_kinds=self.KINDS)
+        run_error_vs_n(cfg)
+        trials = len(cfg.n_grid) * cfg.trials
+        assert len(data) == len(builds) == len(profiles) == trials
+
+    def test_uniform_grid_builds_once_per_n(self, monkeypatch):
+        data = self.spy(monkeypatch, "generate_data")
+        builds = self.spy(monkeypatch, "build_kernel_matrix")
+        cfg = small_config(sketch_kinds=self.KINDS)
+        run_error_vs_n(cfg)
+        assert len(data) == len(cfg.n_grid) * cfg.trials
+        assert len(builds) == len(cfg.n_grid)
+
+    def test_arms_share_regularization_and_profile(self):
+        cfg = small_config(design="irregular", kernel=KernelSpec.gaussian(0.25),
+                           sketch_kinds=self.KINDS, n_grid=(16, 40))
+        groups = {}
+        for r in run_error_vs_n(cfg):
+            groups.setdefault((r.n, r.trial), set()).add((r.lambda_n, r.delta_n_sq, r.d_n))
+        assert len(groups) == len(cfg.n_grid) * cfg.trials
+        assert all(len(values) == 1 for values in groups.values())
+        # the trials themselves draw different data
+        assert len({next(iter(v)) for v in groups.values()}) == len(groups)
+
+    def test_arms_see_the_same_data(self, monkeypatch):
+        import sketchkrr.bench as bench
+
+        seen = []
+        original = bench.solve_sketched_krr
+
+        def recording(K, y, S, lambda_n):
+            seen.append((S.kind, K.matrix.tobytes(), y.tobytes()))
+            return original(K, y, S, lambda_n)
+
+        monkeypatch.setattr(bench, "solve_sketched_krr", recording)
+        cfg = small_config(design="iid_uniform", n_grid=(16,), trials=1, sketch_kinds=self.KINDS)
+        run_error_vs_n(cfg)
+        assert [kind for kind, _, _ in seen] == ["gaussian", "ros", "subsample"]
+        assert len({(K, y) for _, K, y in seen}) == 1
+
+    def test_timing_charges_shared_work_to_first_arm(self, monkeypatch):
+        import types
+
+        import sketchkrr.bench as bench
+
+        # a clock that advances 1 ms per reading and 5 s per profile
+        clock = [0.0]
+
+        def perf_counter():
+            clock[0] += 1e-3
+            return clock[0]
+
+        def slow_profile(*args, **kwargs):
+            clock[0] += 5.0
+            return complexity_profile(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "time", types.SimpleNamespace(perf_counter=perf_counter))
+        monkeypatch.setattr(bench, "complexity_profile", slow_profile)
+        cfg = small_config(design="iid_uniform", sketch_kinds=("exact", "gaussian", "ros"))
+        records = run_error_vs_n(cfg, timing=True)
+        # each row spans one clock reading; the trial's first row also spans
+        # the profile, so the rows add up to the sweep's time
+        for r in records:
+            want = 5001.0 if r.sketch == "exact" else 1.0
+            assert r.wall_time_ms == pytest.approx(want, abs=1e-6)
 
 
 class TestCsv:
@@ -301,6 +407,21 @@ class TestSummaries:
         np.testing.assert_allclose(
             ratio, max(means.values()) / min(means.values()), rtol=1e-12
         )
+
+    def test_flatness_ratio_even_grid_takes_top_half(self):
+        from sketchkrr import flatness_ratio
+
+        # the second-smallest n (16) lies far outside the range of the top two
+        rescaled = {8: 1.0, 16: 10.0, 32: 2.0, 64: 3.0}
+        records = [
+            TrialRecord(
+                n=n, m=n, sketch="exact", trial=0, seed=0, lambda_n=0.1,
+                delta_n_sq=0.05, d_n=2, error=v / n, rescaled_error=v, wall_time_ms=0.0,
+            )
+            for n, v in rescaled.items()
+        ]
+        assert flatness_ratio(records, "exact") == 1.5
+        assert flatness_ratio(records[:3], "exact") == 5.0  # odd: the middle one counts
 
     def test_emitted_plot_script_compiles(self, tmp_path):
         from sketchkrr import emit_plot_script

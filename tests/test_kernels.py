@@ -1,14 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from sketchkrr import (
     DesignPoints,
     DomainError,
+    ExperimentConfig,
     KernelMatrix,
     KernelSpec,
     NumericalError,
     build_kernel_matrix,
     eigendecompose,
+    generate_data,
     kernel_eval,
 )
 
@@ -118,6 +122,35 @@ class TestBuildKernelMatrix:
         K = build_kernel_matrix(KernelSpec.sobolev1(), DesignPoints(np.array([0.5, 1.0])))
         with pytest.raises(ValueError):
             K.matrix[0, 0] = 9.0
+
+    @pytest.mark.parametrize("spec", SPECS + [KernelSpec.polynomial(3)])
+    @pytest.mark.parametrize("design", ["uniform_grid", "irregular", "iid_uniform"])
+    def test_in_place_build_is_bit_identical(self, spec, design):
+        # oracle: each family's formula evaluated out of place, one
+        # temporary per step, then divided by n
+        config = ExperimentConfig(kernel=spec, design=design)
+        n = 257
+        x = generate_data(config, n, 4).pts.x
+        u, v = x[:, None], x[None, :]
+        if spec.kind == "polynomial":
+            oracle = (1.0 + u * v) ** spec.degree
+        elif spec.kind == "gaussian":
+            d = u - v
+            oracle = np.exp(-(d * d) / (2.0 * spec.bandwidth**2))
+        else:
+            oracle = np.minimum(u, v)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # irregular points pass 1 for sobolev1
+            K = build_kernel_matrix(spec, DesignPoints(x))
+        np.testing.assert_array_equal(K.matrix, oracle / n)
+        np.testing.assert_array_equal(K.matrix, kernel_eval(spec, u, v) / n)
+
+    def test_copy_false_keeps_the_buffer(self):
+        a = np.eye(3)
+        K = KernelMatrix(a, copy=False)
+        assert K.matrix is a and not a.flags.writeable
+        b = np.eye(3)
+        assert KernelMatrix(b).matrix is not b and b.flags.writeable
 
 
 class TestEigendecompose:

@@ -126,9 +126,10 @@ class TestSolveSketchedKrr:
         np.testing.assert_array_equal(fit.coefficients, np.zeros(3))
 
     def test_numerically_singular_system_flagged(self):
-        # sub-sampling arm of an irregular-design sweep trial (gaussian kernel,
-        # n = 1200, m = 11): Cholesky factors its m x m system although LAPACK
-        # estimates the reciprocal condition number at ~5e-19
+        # sub-sampling fit on an irregular design (gaussian kernel, n = 1200,
+        # m = 11; data and sketch from the two streams of one trial seed):
+        # Cholesky factors its m x m system although LAPACK estimates the
+        # reciprocal condition number at ~5e-19
         n, m = 1200, 11
         config = ExperimentConfig(
             kernel=KernelSpec.gaussian(0.25), fstar="quad", design="irregular",
