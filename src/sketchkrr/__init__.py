@@ -42,7 +42,6 @@ from .kernels import (
     KernelMatrix,
     KernelSpec,
     build_kernel_matrix,
-    eigendecompose,
     kernel_eval,
 )
 from .satisfiability import (

@@ -3,12 +3,13 @@
 A sweep is a pure function of its :class:`ExperimentConfig`, so reruns are
 byte-identical.  Its arms are paired: each (n, trial) draws one dataset
 y_i = f*(x_i) + sigma * w_i from a seed mixed by splitmix64 from
-(base_seed, n, trial) alone, builds the kernel matrix once (once per n for
-the ``uniform_grid`` design, whose points do not depend on the seed),
-computes the critical radius and statistical dimension once from its top
-eigenvalues and trace (no full eigendecomposition; see
-:mod:`sketchkrr.complexity`), sets the regularization (default
-2 * delta_n^2) by rule, and fits every arm on that same data.  The arms
+(base_seed, n, trial) alone, builds the kernel matrix once, computes the
+critical radius and statistical dimension once from its top eigenvalues
+and trace (no full eigendecomposition; see :mod:`sketchkrr.complexity`),
+sets the regularization (default 2 * delta_n^2) by rule, and fits every
+arm on that same data.  The ``uniform_grid`` design's points do not
+depend on the seed, so its kernel matrix, profile and regularization are
+computed once per n and only the sample is drawn per trial.  The arms
 differ only in the sketch: each draws it from its own trial seed, derived
 injectively from (base_seed, n, sketch kind, trial index) and recorded in
 the CSV ``seed`` column.  Each arm sets the projection dimension m by rule,
@@ -272,10 +273,12 @@ class _SharedInputs:
 
 
 def _shared_inputs(
-    config: ExperimentConfig, n: int, trial: int, grid_K: KernelMatrix | None
+    config: ExperimentConfig, n: int, trial: int, grid: _SharedInputs | None
 ) -> _SharedInputs:
     sample = generate_data(config, n, _data_seed(config.base_seed, n, trial))
-    K = grid_K if grid_K is not None else build_kernel_matrix(config.kernel, sample.pts)
+    if grid is not None:
+        return replace(grid, sample=sample)
+    K = build_kernel_matrix(config.kernel, sample.pts)
     # sigma = 0 leaves the critical radius undefined; the fit still works
     # with a fixed regularization, so the profile columns become NaN/0
     profile = complexity_profile(K, n, config.sigma) if config.sigma > 0 else None
@@ -294,18 +297,18 @@ def run_error_vs_n(config: ExperimentConfig, timing: bool = False) -> list[Trial
     """Run the full sweep; one record per (n, kind, trial), sorted in that order."""
     records: list[TrialRecord] = []
     for n in config.n_grid:
-        # uniform_grid points do not depend on the seed: one K per n, whose
-        # cached head spectra also serve every trial's profile
-        grid_K = None
+        # uniform_grid points do not depend on the seed: one K, profile and
+        # regularization per n, shared by every trial
+        grid = None
         for trial in range(config.trials):
             start = time.perf_counter() if timing else 0.0
             try:
-                shared = _shared_inputs(config, n, trial, grid_K)
+                shared = _shared_inputs(config, n, trial, grid)
             except _TRIAL_ERRORS:
                 shared = None
             else:
                 if config.design == "uniform_grid":
-                    grid_K = shared.K
+                    grid = shared
             for kind in config.sketch_kinds:
                 seed = derive_seed(config.base_seed, n, kind, trial)
                 record = _marker_row(n, kind, trial, seed)

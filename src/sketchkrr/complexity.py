@@ -19,16 +19,21 @@ mu_{k+1} <= delta^2,
     sum_j min(delta^2, mu_j) = sum_{j<=k} min(delta^2, mu_j) + (tr K - sum_{j<=k} mu_j).
 
 ``complexity_profile`` given a :class:`KernelMatrix` therefore works from
-its head spectrum (randomized top-k Ritz values, cached per k), starting
-at k = 8 and doubling k until the k-th Ritz value plus its error estimate
-is at most delta_n^2 / 2 and the error estimates of the leading d_n + 1
+a head spectrum: the top k Ritz values of a randomized subspace iteration
+(Halko, Martinsson and Tropp 2011) with a fixed seed, O(n^2 k) per
+multiplication by K, with an error estimate for each value.  It starts at
+k = 8 and doubles k until the k-th Ritz value plus its error estimate is
+at most delta_n^2 / 2 and the error estimates of the leading d_n + 1
 values are within 1e-10 * delta_n^2; once 4k exceeds n it uses the full
-spectrum of ``K.eig()``.  The result depends only on (K, n, sigma).  The
-error estimates are a-posteriori (their quadratic term divides by gaps
-between Ritz values, not between eigenvalues), so this path estimates
-delta_n and d_n rather than certifying them; the tests check it against
-dense ``eigvalsh`` (d_n exact, delta_n within 1e-9 relative) for three
-kernels, three designs and n from 64 to 1200.
+spectrum of ``K.eig()``.  After the first head it checks that K is PSD at
+working precision (K + 1e-10 * theta_1 * I must have a Cholesky factor)
+and raises :class:`NumericalError` if not.  The result depends only on
+(K, n, sigma), and n must be the size of K.  The error estimates are
+a-posteriori (their quadratic term divides by gaps between Ritz values,
+not between eigenvalues), so this path estimates delta_n and d_n rather
+than certifying them; the tests check it against dense ``eigvalsh`` (d_n
+exact, delta_n within 1e-9 relative) for three kernels, three designs and
+n from 64 to 1200.
 
 The module also provides population-level spectra for the three built-in
 kernel families, used for rate checks against the known decay of delta_n^2
@@ -42,8 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import cho_factor_shifted
 from .errors import DomainError, NumericalError
-from .kernels import KernelMatrix, KernelSpec
+from .kernels import EIG_CLAMP_REL, KernelMatrix, KernelSpec
 
 __all__ = [
     "ComplexityProfile",
@@ -62,6 +68,11 @@ BISECT_MAX_STEPS = 200
 # values must reach, relative to delta_n^2
 HEAD_START = 8
 RITZ_REL_TOL = 1e-10
+
+# the head's subspace iteration: a fixed start, so that it is a pure
+# function of K, and a fixed number of multiplications by K beyond the first
+HEAD_SEED = 20150123
+HEAD_POWER_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -152,7 +163,8 @@ def statistical_dimension(mu_hat, delta_n: float) -> int:
 
 def complexity_profile(mu_hat, n: int, sigma: float) -> ComplexityProfile:
     """Critical radius and statistical dimension for one spectrum, or for a
-    :class:`KernelMatrix` from its head spectrum (see the module docstring)."""
+    :class:`KernelMatrix` of size n from its head spectrum (see the module
+    docstring)."""
     if isinstance(mu_hat, KernelMatrix):
         delta_n, d_n = _matrix_profile(mu_hat, n, sigma)
     else:
@@ -164,20 +176,74 @@ def complexity_profile(mu_hat, n: int, sigma: float) -> ComplexityProfile:
 
 
 def _matrix_profile(K: KernelMatrix, n: int, sigma: float) -> tuple[float, int]:
+    if n != K.n:
+        raise DomainError(f"profile size n={n} does not match the kernel matrix size {K.n}")
+    matrix = K.matrix
+    trace = float(np.trace(matrix))
     k = HEAD_START
     while 4 * k <= K.n:
-        head = K.head_spectrum(k)
-        theta = head.values
-        delta = _critical_radius(theta, max(head.trace - float(theta.sum()), 0.0), n, sigma)
+        theta, bounds = _ritz_head(matrix, k)
+        if k == HEAD_START:  # K is the same for every k: one PSD check suffices
+            _check_psd(matrix, float(theta[0]))
+        delta = _critical_radius(theta, max(trace - float(theta.sum()), 0.0), n, sigma)
         dsq = delta * delta
         d_n = int((theta > dsq).sum())
-        bounds = head.error_bounds
         if theta[-1] + bounds[-1] <= dsq / 2.0 and (bounds[: d_n + 1] <= RITZ_REL_TOL * dsq).all():
             return delta, d_n
         k *= 2
     mu = K.eigenvalues
     delta = critical_radius(mu, n, sigma)
     return delta, statistical_dimension(mu, delta)
+
+
+def _ritz_head(matrix: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The top min(k, n) Ritz values of K, descending, and their error bounds.
+
+    A 2k-column Gaussian block with a fixed seed is multiplied by K
+    1 + HEAD_POWER_STEPS times with re-orthonormalization, then
+    Rayleigh-Ritz; the top k of the 2k Ritz values are kept.  ``bounds[j]``
+    estimates the distance from ``values[j]`` to the eigenvalue it
+    approximates: the smaller of the residual norm ||K v_j - values[j] v_j||
+    (some eigenvalue lies within it) and the quadratic bound residual^2 /
+    gap, with gap the distance to the nearest other Ritz value of the block
+    (a gap between Ritz values, not between eigenvalues, so this is an
+    a-posteriori estimate, not a guaranteed bound).  Ritz values never
+    exceed the eigenvalues they approximate, so trace(K) minus their sum is
+    at least the mass of the eigenvalues below the head.
+    """
+    n = matrix.shape[0]
+    Q = np.random.default_rng(HEAD_SEED).standard_normal((n, min(2 * k, n)))
+    for _ in range(HEAD_POWER_STEPS + 1):
+        Q = np.linalg.qr(matrix @ Q)[0]
+    KQ = matrix @ Q
+    theta, W = np.linalg.eigh(Q.T @ KQ)
+    theta, W = theta[::-1], W[:, ::-1]
+    # K (Q W) = (K Q) W, so the residuals need no further product with K
+    residuals = np.linalg.norm(KQ @ W - (Q @ W) * theta, axis=0)
+    gaps = np.abs(np.diff(theta))
+    gap = np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bounds = np.fmin(residuals, residuals * residuals / gap)
+    return np.clip(theta[:k], 0.0, None), bounds[:k]
+
+
+def _check_psd(matrix: np.ndarray, top: float) -> None:
+    """Raise unless K + 1e-10 * top * I has a Cholesky factor, top being
+    the largest Ritz value clamped at zero; with top = 0 only the zero
+    matrix is PSD."""
+    shift = EIG_CLAMP_REL * top
+    if shift > 0.0:
+        try:
+            cho_factor_shifted(matrix, shift)
+            return
+        except np.linalg.LinAlgError:
+            pass
+    elif not matrix.any():
+        return
+    raise NumericalError(
+        f"matrix is not PSD at working precision: K + {shift:.3e} * I "
+        "(1e-10 times the largest Ritz value) has no Cholesky factor"
+    )
 
 
 def population_eigenvalues(spec: KernelSpec, j_max: int) -> np.ndarray:

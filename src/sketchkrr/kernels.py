@@ -8,17 +8,14 @@ Three univariate kernel families are supported:
 
 The empirical kernel matrix carries a 1/n scaling, ``K[i, j] =
 kernel(x_i, x_j) / n``, which keeps its spectrum on the same scale as the
-population eigenvalues of the kernel integral operator.  Two views of
-its spectrum are computed lazily and cached on the matrix:
-
-* ``head_spectrum(k)``: the top k Ritz values of a randomized subspace
-  iteration with a fixed seed, with error estimates and trace(K), which
-  is all the critical radius needs (O(n^2 k) per iteration);
-* ``eig()`` (and ``eigenvalues``): the full eigendecomposition,
-  eigenvalues sorted descending with round-off negatives clamped to zero,
-  needed only where eigenvectors are (the sketch certificate).
-
-Both reject a matrix that is not PSD at working precision.
+population eigenvalues of the kernel integral operator.  A
+:class:`KernelMatrix` is a validated, immutable matrix that computes its
+full eigendecomposition lazily and caches it: ``eig()`` (and
+``eigenvalues``) sorts the eigenvalues descending, clamps round-off
+negatives to zero and rejects a matrix that is not PSD at working
+precision.  Only eigenvectors need it (the sketch certificate); the
+critical radius works from a randomized top-k head instead (see
+:mod:`sketchkrr.complexity`).
 """
 
 from __future__ import annotations
@@ -28,27 +25,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import cho_factor_shifted
 from .errors import DomainError, NumericalError
 
 __all__ = [
     "KernelSpec",
     "DesignPoints",
     "KernelMatrix",
-    "HeadSpectrum",
     "kernel_eval",
     "build_kernel_matrix",
-    "eigendecompose",
 ]
 
 # Eigenvalues above -EIG_CLAMP_REL * mu_1 are treated as round-off and
 # clamped to zero; anything more negative means the matrix is not PSD.
 EIG_CLAMP_REL = 1e-10
-
-# the head spectrum's subspace iteration: a fixed start, so that it is a pure
-# function of K, and a fixed number of multiplications by K beyond the first
-HEAD_SEED = 20150123
-HEAD_POWER_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -143,32 +132,12 @@ def kernel_eval(spec: KernelSpec, u, v):
     return out
 
 
-@dataclass(frozen=True)
-class HeadSpectrum:
-    """The top k Ritz values of K, descending, and what bounds them.
-
-    ``error_bounds[j]`` estimates the distance from ``values[j]`` to the
-    eigenvalue it approximates: the smaller of the residual norm
-    ||K v_j - values[j] v_j|| (some eigenvalue lies within it) and the
-    quadratic bound residual^2 / gap, with gap the distance to the nearest
-    other Ritz value of the block (a gap between Ritz values, not between
-    eigenvalues, so this is an a-posteriori estimate, not a guaranteed
-    bound).  Ritz values never exceed the
-    eigenvalues they approximate, so ``trace - values.sum()`` is at least
-    the mass of the eigenvalues below the head.
-    """
-
-    values: np.ndarray
-    error_bounds: np.ndarray
-    trace: float
-
-
 class KernelMatrix:
-    """Symmetric n x n kernel matrix with cached spectra.
+    """Symmetric n x n kernel matrix with a cached eigendecomposition.
 
-    The matrix is immutable after construction.  Each spectrum (see the
-    module docstring) is computed on first access and cached; compute the
-    ones you need eagerly before sharing an instance across threads.
+    The matrix is immutable after construction.  The eigendecomposition is
+    computed on first access and cached; call ``eig()`` eagerly before
+    sharing an instance across threads.
     """
 
     def __init__(self, matrix: np.ndarray, *, copy: bool = True):
@@ -187,7 +156,6 @@ class KernelMatrix:
         K.setflags(write=False)
         self._matrix = K
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
-        self._heads: dict[int, HeadSpectrum] = {}
 
     @property
     def matrix(self) -> np.ndarray:
@@ -198,7 +166,12 @@ class KernelMatrix:
         return self._matrix.shape[0]
 
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return (U, mu_hat) with K = U diag(mu_hat) U^T, mu_hat descending."""
+        """Return (U, mu_hat) with K = U diag(mu_hat) U^T, mu_hat descending.
+
+        Eigenvalues are clamped at zero; a value below -1e-10 * mu_1
+        indicates the matrix is not PSD at working precision and raises
+        :class:`NumericalError`.
+        """
         if self._eig is None:
             self._eig = _eigh_descending(self._matrix)
         return self._eig
@@ -210,26 +183,6 @@ class KernelMatrix:
     @property
     def eigenvectors(self) -> np.ndarray:
         return self.eig()[0]
-
-    def head_spectrum(self, k: int) -> HeadSpectrum:
-        """The top min(k, n) Ritz values, cached per k.
-
-        Randomized subspace iteration (Halko, Martinsson and Tropp 2011):
-        a 2k-column Gaussian block with a fixed seed, multiplied by K
-        1 + HEAD_POWER_STEPS times with re-orthonormalization, then
-        Rayleigh-Ritz; the top k of the 2k Ritz values are kept.  Raises
-        :class:`NumericalError` if K is not PSD at working precision:
-        K + 1e-10 * theta_1 * I must have a Cholesky factor.
-        """
-        if k < 1:
-            raise DomainError(f"head size must be >= 1, got {k}")
-        head = self._heads.get(k)
-        if head is None:
-            head = _head_spectrum(self._matrix, k)
-            if not self._heads:  # K is immutable: one PSD check suffices
-                _check_psd(self._matrix, float(head.values[0]))
-            self._heads[k] = head
-        return head
 
     def __repr__(self) -> str:  # pragma: no cover
         state = "decomposed" if self._eig is not None else "lazy"
@@ -254,16 +207,6 @@ def build_kernel_matrix(spec: KernelSpec, pts: DesignPoints) -> KernelMatrix:
     return KernelMatrix(K, copy=False)
 
 
-def eigendecompose(K: KernelMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Decompose (and cache) K = U diag(mu_hat) U^T.
-
-    Eigenvalues are sorted descending and clamped at zero; a value below
-    -1e-10 * mu_1 indicates the matrix is not PSD at working precision and
-    raises :class:`NumericalError`.
-    """
-    return K.eig()
-
-
 def _eigh_descending(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
         w, v = np.linalg.eigh(matrix)
@@ -282,43 +225,3 @@ def _eigh_descending(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w.setflags(write=False)
     v.setflags(write=False)
     return v, w
-
-
-def _head_spectrum(matrix: np.ndarray, k: int) -> HeadSpectrum:
-    n = matrix.shape[0]
-    Q = np.random.default_rng(HEAD_SEED).standard_normal((n, min(2 * k, n)))
-    for _ in range(HEAD_POWER_STEPS + 1):
-        Q = np.linalg.qr(matrix @ Q)[0]
-    KQ = matrix @ Q
-    theta, W = np.linalg.eigh(Q.T @ KQ)
-    theta, W = theta[::-1], W[:, ::-1]
-    # K (Q W) = (K Q) W, so the residuals need no further product with K
-    residuals = np.linalg.norm(KQ @ W - (Q @ W) * theta, axis=0)
-    gaps = np.abs(np.diff(theta))
-    gap = np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bounds = np.fmin(residuals, residuals * residuals / gap)
-    values = np.clip(theta[:k], 0.0, None)
-    bounds = bounds[:k]
-    values.setflags(write=False)
-    bounds.setflags(write=False)
-    return HeadSpectrum(values, bounds, float(np.trace(matrix)))
-
-
-def _check_psd(matrix: np.ndarray, top: float) -> None:
-    """Raise unless K + 1e-10 * top * I has a Cholesky factor, top being
-    the largest Ritz value clamped at zero; with top = 0 only the zero
-    matrix is PSD."""
-    shift = EIG_CLAMP_REL * top
-    if shift > 0.0:
-        try:
-            cho_factor_shifted(matrix, shift)
-            return
-        except np.linalg.LinAlgError:
-            pass
-    elif not matrix.any():
-        return
-    raise NumericalError(
-        f"matrix is not PSD at working precision: K + {shift:.3e} * I "
-        "(1e-10 times the largest Ritz value) has no Cholesky factor"
-    )

@@ -61,11 +61,14 @@ def check_k_satisfiable(
 
     ``S`` may be a :class:`SketchOperator` (materialized internally) or any
     dense matrix with n columns, e.g. the transposed leading eigenvector
-    block itself, which passes with both norms exactly zero.  An empty head
-    (d_n = 0) makes the isometry condition vacuous.
+    block itself, which passes with both norms exactly zero.  ``profile``
+    must be for K's size n.  An empty head (d_n = 0) makes the isometry
+    condition vacuous.
     """
     if not c_threshold > 0.0:
         raise DomainError(f"c_threshold must be > 0, got {c_threshold}")
+    if profile.n != K.n:
+        raise DomainError(f"profile is for n={profile.n}, kernel size is {K.n}")
     dense = materialize(S) if isinstance(S, SketchOperator) else np.asarray(S, dtype=np.float64)
     if dense.ndim != 2 or dense.shape[0] < 1:
         raise DomainError("sketch must be a matrix with at least one row")
@@ -105,6 +108,8 @@ def recommended_sketch_dim(kind: str, d_n: int, n, c: float) -> int:
     ceil(c * d_n * ln(n)^4) for ros sketches, clamped to [1, n]."""
     if d_n < 1:
         raise DomainError(f"d_n must be >= 1, got {d_n}")
+    if not n >= 1:
+        raise DomainError(f"n must be >= 1, got {n}")
     if not c > 0.0:
         raise DomainError(f"c must be > 0, got {c}")
     if kind == "gaussian":

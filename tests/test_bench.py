@@ -136,15 +136,16 @@ class TestRunErrorVsN:
     def test_exact_arm_matches_direct_solve(self):
         from sketchkrr import build_kernel_matrix, complexity_profile, empirical_error, solve_krr
 
+        # every trial, not only the first: uniform_grid shares K and the
+        # profile across the trials of an n but draws each trial's sample
         cfg = small_config(sketch_kinds=("exact",), trials=2)
-        records = run_error_vs_n(cfg)
-        r = records[0]
-        sample = generate_data(cfg, r.n, _data_seed(cfg.base_seed, r.n, r.trial))
-        K = build_kernel_matrix(cfg.kernel, sample.pts)
-        prof = complexity_profile(K.eigenvalues, r.n, cfg.sigma)
-        fit = solve_krr(K, sample.y, 2 * prof.delta_n_sq)
-        assert r.m == r.n
-        assert r.error == empirical_error(fit.fitted, sample.fstar)
+        for r in run_error_vs_n(cfg):
+            sample = generate_data(cfg, r.n, _data_seed(cfg.base_seed, r.n, r.trial))
+            K = build_kernel_matrix(cfg.kernel, sample.pts)
+            prof = complexity_profile(K.eigenvalues, r.n, cfg.sigma)
+            fit = solve_krr(K, sample.y, 2 * prof.delta_n_sq)
+            assert r.m == r.n
+            assert r.error == empirical_error(fit.fitted, sample.fstar)
 
     def test_deterministic_repetition(self):
         assert run_error_vs_n(small_config()) == run_error_vs_n(small_config())
@@ -229,10 +230,11 @@ class TestPairedArms:
     def test_uniform_grid_builds_once_per_n(self, monkeypatch):
         data = self.spy(monkeypatch, "generate_data")
         builds = self.spy(monkeypatch, "build_kernel_matrix")
+        profiles = self.spy(monkeypatch, "complexity_profile")
         cfg = small_config(sketch_kinds=self.KINDS)
         run_error_vs_n(cfg)
         assert len(data) == len(cfg.n_grid) * cfg.trials
-        assert len(builds) == len(cfg.n_grid)
+        assert len(builds) == len(profiles) == len(cfg.n_grid)
 
     def test_arms_share_regularization_and_profile(self):
         cfg = small_config(design="irregular", kernel=KernelSpec.gaussian(0.25),

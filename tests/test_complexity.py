@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import sketchkrr.complexity as complexity
 from helpers import grid_critical_radius, sobolev_uniform_matrix
 from sketchkrr import (
     DesignPoints,
@@ -171,6 +172,36 @@ def dense_profile(K, n, sigma):
     return complexity_profile(mu, n, sigma)
 
 
+@pytest.fixture
+def head_calls(monkeypatch):
+    """Record the size k of every head the profile builds."""
+    calls = []
+    original = complexity._ritz_head
+
+    def counting(matrix, k):
+        calls.append(k)
+        return original(matrix, k)
+
+    monkeypatch.setattr(complexity, "_ritz_head", counting)
+    return calls
+
+
+class TestRitzHead:
+    @pytest.mark.parametrize(
+        "spec", [KernelSpec.polynomial(2), KernelSpec.gaussian(0.25), KernelSpec.sobolev1()]
+    )
+    def test_ritz_values_within_bounds_of_dense_eigenvalues(self, spec):
+        rng = np.random.default_rng(11)
+        K = build_kernel_matrix(spec, DesignPoints(np.sort(rng.uniform(0, 1, 300))))
+        values, bounds = complexity._ritz_head(K.matrix, 8)
+        mu = np.clip(np.linalg.eigvalsh(K.matrix)[::-1], 0.0, None)
+        assert values.shape == bounds.shape == (8,)
+        assert (np.diff(values) <= 0).all()
+        # each bound covers the distance to its eigenvalue, up to round-off
+        slack = 1e-13 * mu[0]
+        assert (np.abs(values - mu[:8]) <= bounds + slack).all()
+
+
 class TestMatrixProfile:
     """complexity_profile(K) from the randomized head spectrum against the
     profile of the dense eigvalsh spectrum."""
@@ -181,7 +212,7 @@ class TestMatrixProfile:
     )
     @pytest.mark.parametrize("design", ["uniform_grid", "irregular", "iid_uniform"])
     @pytest.mark.parametrize("n", [64, 257, 1024, 1200])
-    def test_matches_dense_eigvalsh(self, spec, design, n):
+    def test_matches_dense_eigvalsh(self, spec, design, n, head_calls):
         config = ExperimentConfig(kernel=spec, design=design, n_grid=(n,))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # sobolev1 on the irregular design
@@ -193,13 +224,32 @@ class TestMatrixProfile:
             assert got.d_n == want.d_n
             assert abs(got.delta_n - want.delta_n) <= 1e-9 * want.delta_n
             assert got.delta_n_sq == got.delta_n**2
-        assert K._heads and K._eig is None
+        assert head_calls and K._eig is None
 
-    def test_dense_fallback_for_small_n(self):
+    def test_dense_fallback_for_small_n(self, head_calls):
         n = 24  # 4 * HEAD_START > n
         K = KernelMatrix(sobolev_uniform_matrix(n))
         assert complexity_profile(K, n, 1.0) == complexity_profile(K.eigenvalues, n, 1.0)
-        assert not K._heads
+        assert not head_calls
+
+    def test_one_psd_check_per_profile(self, monkeypatch, head_calls):
+        checks = []
+        original = complexity._check_psd
+
+        def counting(matrix, top):
+            checks.append(top)
+            original(matrix, top)
+
+        monkeypatch.setattr(complexity, "_check_psd", counting)
+        K = KernelMatrix(sobolev_uniform_matrix(512))
+        complexity_profile(K, 512, 0.125)
+        assert len(head_calls) >= 2  # d_n = 12 here, so k doubled at least once
+        assert len(checks) == 1
+
+    def test_size_mismatch_rejected(self):
+        K = KernelMatrix(sobolev_uniform_matrix(64))
+        with pytest.raises(DomainError, match="n=10.*64"):
+            complexity_profile(K, 10, 1.0)
 
     @pytest.mark.parametrize(
         "matrix",
@@ -219,29 +269,12 @@ class TestMatrixProfile:
         first = build_kernel_matrix(KernelSpec.gaussian(0.25), pts)
         second = build_kernel_matrix(KernelSpec.gaussian(0.25), pts)
         assert complexity_profile(first, 700, 0.5) == complexity_profile(second, 700, 0.5)
-        np.testing.assert_array_equal(first.head_spectrum(1).values, second.head_spectrum(1).values)
-
-    def test_second_call_reuses_cached_head(self, monkeypatch):
-        import sketchkrr.kernels as kernels
-
-        calls = []
-        original = kernels._head_spectrum
-
-        def counting(matrix, k):
-            calls.append(k)
-            return original(matrix, k)
-
-        monkeypatch.setattr(kernels, "_head_spectrum", counting)
-        K = KernelMatrix(sobolev_uniform_matrix(512))
-        first = complexity_profile(K, 512, 0.125)
-        built = len(calls)
-        assert built >= 2  # d_n = 12 here, so k doubled at least once
-        assert complexity_profile(K, 512, 0.125) == first
-        assert len(calls) == built
+        np.testing.assert_array_equal(complexity._ritz_head(first.matrix, 1)[0],
+                                      complexity._ritz_head(second.matrix, 1)[0])
 
     def test_profile_does_not_depend_on_call_order(self):
         n = 512
         first = KernelMatrix(sobolev_uniform_matrix(n))
         second = KernelMatrix(sobolev_uniform_matrix(n))
-        complexity_profile(first, n, 0.125)  # builds larger heads first
+        complexity_profile(first, n, 0.125)  # doubles k on the same K first
         assert complexity_profile(first, n, 1.0) == complexity_profile(second, n, 1.0)

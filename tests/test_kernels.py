@@ -11,7 +11,6 @@ from sketchkrr import (
     KernelSpec,
     NumericalError,
     build_kernel_matrix,
-    eigendecompose,
     generate_data,
     kernel_eval,
 )
@@ -157,29 +156,29 @@ class TestEigendecompose:
     def test_scaled_identity(self):
         n = 5
         K = KernelMatrix(np.eye(n) / n)
-        U, mu = eigendecompose(K)
+        U, mu = K.eig()
         np.testing.assert_allclose(mu, np.full(n, 1.0 / n), rtol=1e-14)
         np.testing.assert_allclose(U.T @ U, np.eye(n), atol=1e-12)
 
     def test_two_by_two_closed_form(self):
         # characteristic polynomial of [[1/4, 1/4], [1/4, 1/2]]: roots (3 +- sqrt(5))/8
         K = KernelMatrix(np.array([[0.25, 0.25], [0.25, 0.5]]))
-        _, mu = eigendecompose(K)
+        _, mu = K.eig()
         np.testing.assert_allclose(mu, [(3 + np.sqrt(5)) / 8, (3 - np.sqrt(5)) / 8], rtol=1e-12)
 
     def test_zero_matrix(self):
-        _, mu = eigendecompose(KernelMatrix(np.zeros((4, 4))))
+        _, mu = KernelMatrix(np.zeros((4, 4))).eig()
         np.testing.assert_array_equal(mu, np.zeros(4))
 
     def test_roundoff_negatives_clamped(self):
         K = KernelMatrix(np.diag([1.0, -1e-12]))
-        _, mu = eigendecompose(K)
+        _, mu = K.eig()
         assert mu[1] == 0.0
 
     def test_indefinite_matrix_rejected(self):
         K = KernelMatrix(np.diag([1.0, -0.5]))
         with pytest.raises(NumericalError):
-            eigendecompose(K)
+            K.eig()
 
     def test_decomposition_is_cached(self):
         K = build_kernel_matrix(KernelSpec.sobolev1(), DesignPoints(np.array([0.2, 0.8])))
@@ -211,32 +210,3 @@ class TestSpectralInvariants:
             )
             mu = K.eigenvalues
             assert (mu > 1e-8 * mu[0]).sum() <= degree + 1
-
-
-class TestHeadSpectrum:
-    @pytest.mark.parametrize("spec", SPECS)
-    def test_ritz_values_within_bounds_of_dense_eigenvalues(self, spec):
-        rng = np.random.default_rng(11)
-        K = build_kernel_matrix(spec, DesignPoints(np.sort(rng.uniform(0, 1, 300))))
-        head = K.head_spectrum(8)
-        mu = np.clip(np.linalg.eigvalsh(K.matrix)[::-1], 0.0, None)
-        assert head.values.shape == head.error_bounds.shape == (8,)
-        assert (np.diff(head.values) <= 0).all()
-        # each bound covers the distance to its eigenvalue, up to round-off
-        slack = 1e-13 * mu[0]
-        assert (np.abs(head.values - mu[:8]) <= head.error_bounds + slack).all()
-        assert head.trace == pytest.approx(np.trace(K.matrix), rel=1e-15)
-
-    def test_heads_are_cached_per_size(self):
-        K = build_kernel_matrix(KernelSpec.sobolev1(), DesignPoints(np.linspace(0.01, 1, 200)))
-        big = K.head_spectrum(16)
-        small = K.head_spectrum(4)
-        assert small.values.size == 4 and big.values.size == 16
-        assert K.head_spectrum(16) is big and K.head_spectrum(4) is small
-        # a head does not depend on which other heads were built first
-        fresh = build_kernel_matrix(KernelSpec.sobolev1(), DesignPoints(np.linspace(0.01, 1, 200)))
-        np.testing.assert_array_equal(fresh.head_spectrum(4).values, small.values)
-
-    def test_bad_size_rejected(self):
-        with pytest.raises(DomainError):
-            KernelMatrix(np.eye(4)).head_spectrum(0)

@@ -104,6 +104,12 @@ class TestCheckKSatisfiable:
         with pytest.raises(DomainError):
             check_k_satisfiable(np.ones((2, n + 1)), K, profile)
 
+    def test_profile_of_other_size_rejected(self, sobolev_setup):
+        n, K, _ = sobolev_setup
+        other = complexity_profile(K.eigenvalues[:64], 64, 1.0)
+        with pytest.raises(DomainError, match=f"n=64.*{n}"):
+            check_k_satisfiable(identity_sketch(n), K, other)
+
 
 class TestRecommendedSketchDim:
     def test_gaussian_rule(self):
@@ -126,3 +132,7 @@ class TestRecommendedSketchDim:
             recommended_sketch_dim("gaussian", 0, 10, 1.0)
         with pytest.raises(DomainError):
             recommended_sketch_dim("subsample", 2, 10, 1.0)
+        for kind in ("gaussian", "ros"):
+            for n in (0, -3):
+                with pytest.raises(DomainError, match=f"n must be >= 1, got {n}"):
+                    recommended_sketch_dim(kind, 2, n, 1.0)
