@@ -70,7 +70,6 @@ from .solver import (
     solve_krr,
     solve_nystrom_dual,
     solve_sketched_krr,
-    solve_zero_noise,
     zero_noise_objective,
 )
 

@@ -42,7 +42,7 @@ from ._util import ceil_int
 from .complexity import ComplexityProfile, complexity_profile
 from .errors import DomainError, NumericalError
 from .kernels import DesignPoints, KernelMatrix, KernelSpec, build_kernel_matrix
-from .sketch import draw_sketch
+from .sketch import SketchOperator, draw_sketch
 from .solver import (
     RegressionSample,
     empirical_error,
@@ -109,6 +109,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.kernel, KernelSpec):
             raise DomainError("kernel must be a KernelSpec")
+        for name in ("sigma", "c_statdim", "lambda_fixed"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if self.fstar not in FSTAR_CHOICES:
             raise DomainError(f"unknown fstar {self.fstar!r}")
         if self.design not in DESIGN_CHOICES:
@@ -338,10 +342,8 @@ def _fit_arm(
         m = n
         fit = solve_krr(K, sample.y, lam)
     else:
-        if config.m_rule == "statdim" and profile is None:
-            raise DomainError("m rule 'statdim' needs sigma > 0")
-        m = _sketch_dim(config, n, profile.d_n if profile else 0)
-        S = draw_sketch(kind, m, n, _trial_streams(seed)[1])
+        S = _arm_sketch(config, profile, n, kind, seed)
+        m = S.m
         fit = solve_sketched_krr(K, sample.y, S, lam)
     err = empirical_error(fit.fitted, sample.fstar)
     return TrialRecord(
@@ -352,6 +354,17 @@ def _fit_arm(
         error=err, rescaled_error=err * rate_factor(config.kernel, n),
         wall_time_ms=0.0,
     )
+
+
+def _arm_sketch(
+    config: ExperimentConfig, profile: ComplexityProfile | None, n: int, kind: str, seed: int
+) -> SketchOperator:
+    """The sketch of arm ``kind`` with trial seed ``seed``: m by the config's
+    rule, drawn from the seed's sketch stream."""
+    if config.m_rule == "statdim" and profile is None:
+        raise DomainError("m rule 'statdim' needs sigma > 0")
+    m = _sketch_dim(config, n, profile.d_n if profile else 0)
+    return draw_sketch(kind, m, n, _trial_streams(seed)[1])
 
 
 @dataclass(frozen=True)
@@ -582,11 +595,23 @@ def read_csv(path) -> list[TrialRecord]:
 
 # --- config files ------------------------------------------------------------
 
-_CONFIG_KEYS = (
-    "kernel", "degree", "bandwidth", "fstar", "design", "sigma", "n_grid",
-    "sketches", "m_rule", "m_fixed", "c_statdim", "lambda_rule",
-    "lambda_fixed", "trials", "seed",
-)
+def _name(value: str) -> str:
+    return value.strip().replace("-", "_").lower()
+
+
+def _listed(parse):
+    return lambda value: tuple(parse(v) for v in value.split(","))
+
+
+# config key -> (KernelSpec or ExperimentConfig field, value parser)
+_CONFIG_KEYS = {
+    "kernel": ("kind", _name), "degree": ("degree", int), "bandwidth": ("bandwidth", float),
+    "fstar": ("fstar", _name), "design": ("design", _name), "sigma": ("sigma", float),
+    "n_grid": ("n_grid", _listed(int)), "sketches": ("sketch_kinds", _listed(_name)),
+    "m_rule": ("m_rule", _name), "m_fixed": ("m_fixed", int), "c_statdim": ("c_statdim", float),
+    "lambda_rule": ("lambda_rule", _name), "lambda_fixed": ("lambda_fixed", float),
+    "trials": ("trials", int), "seed": ("base_seed", int),
+}
 
 
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
@@ -596,8 +621,10 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     comma-separated; hyphens and underscores are interchangeable in values.
     Keys: kernel, degree, bandwidth, fstar, design, sigma, n_grid, sketches,
     m_rule, m_fixed, c_statdim, lambda_rule, lambda_fixed, trials, seed.
+    The kernel keys go to :class:`KernelSpec`, which rejects a missing or
+    stray hyperparameter; the rest go to :class:`ExperimentConfig`.
     """
-    raw: dict[str, str] = {}
+    fields: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -607,57 +634,23 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise DomainError(f"{source}: line {lineno}: unknown key {key!r}")
-        if key in raw:
+        field, parse = _CONFIG_KEYS[key]
+        if field in fields:
             raise DomainError(f"{source}: line {lineno}: duplicate key {key!r}")
         if not value:
             raise DomainError(f"{source}: line {lineno}: empty value for {key!r}")
-        raw[key] = value
+        try:
+            fields[field] = parse(value)
+        except ValueError as exc:
+            raise DomainError(f"{source}: line {lineno}: bad value {value!r} for {key!r}") from exc
 
-    def norm(v: str) -> str:
-        return v.replace("-", "_").lower()
-
-    if "kernel" not in raw:
+    if "kind" not in fields:
         raise DomainError(f"{source}: missing required key 'kernel'")
-    kind = norm(raw["kernel"])
-    if kind == "polynomial":
-        if "degree" not in raw:
-            raise DomainError(f"{source}: polynomial kernel needs 'degree'")
-        kernel = KernelSpec.polynomial(int(raw["degree"]))
-    elif kind == "gaussian":
-        if "bandwidth" not in raw:
-            raise DomainError(f"{source}: gaussian kernel needs 'bandwidth'")
-        kernel = KernelSpec.gaussian(float(raw["bandwidth"]))
-    elif kind == "sobolev1":
-        kernel = KernelSpec.sobolev1()
-    else:
-        raise DomainError(f"{source}: unknown kernel {raw['kernel']!r}")
-
-    kwargs: dict = {"kernel": kernel}
-    if "fstar" in raw:
-        kwargs["fstar"] = norm(raw["fstar"])
-    if "design" in raw:
-        kwargs["design"] = norm(raw["design"])
-    if "sigma" in raw:
-        kwargs["sigma"] = float(raw["sigma"])
-    if "n_grid" in raw:
-        kwargs["n_grid"] = tuple(int(v.strip()) for v in raw["n_grid"].split(","))
-    if "sketches" in raw:
-        kwargs["sketch_kinds"] = tuple(norm(v.strip()) for v in raw["sketches"].split(","))
-    if "m_rule" in raw:
-        kwargs["m_rule"] = norm(raw["m_rule"])
-    if "m_fixed" in raw:
-        kwargs["m_fixed"] = int(raw["m_fixed"])
-    if "c_statdim" in raw:
-        kwargs["c_statdim"] = float(raw["c_statdim"])
-    if "lambda_rule" in raw:
-        kwargs["lambda_rule"] = norm(raw["lambda_rule"])
-    if "lambda_fixed" in raw:
-        kwargs["lambda_fixed"] = float(raw["lambda_fixed"])
-    if "trials" in raw:
-        kwargs["trials"] = int(raw["trials"])
-    if "seed" in raw:
-        kwargs["base_seed"] = int(raw["seed"])
-    return ExperimentConfig(**kwargs)
+    kernel = {f: fields.pop(f) for f in ("kind", "degree", "bandwidth") if f in fields}
+    try:
+        return ExperimentConfig(kernel=KernelSpec(**kernel), **fields)
+    except DomainError as exc:
+        raise DomainError(f"{source}: {exc}") from exc
 
 
 def load_config(path) -> ExperimentConfig:

@@ -3,13 +3,22 @@
 Subcommands:
 
 * ``fit``                   one dataset, one (possibly sketched) fit; prints the error and profile
-* ``critical-radius``       delta_n^2 and d_n for a kernel/design/sample size
-* ``check-sketch``          the two-norm sketch certificate, as text or JSON
+* ``critical-radius``       delta_n^2 and d_n of that dataset's kernel matrix
+* ``check-sketch``          the two-norm certificate of the sketch ``fit`` draws, as text or JSON
 * ``bench``                 full error-vs-n sweep from a config file, written as CSV
 * ``demo-nystrom-failure``  block-diagonal comparison of sub-sampling vs Gaussian sketching
 
-Exit codes: 0 success, 2 usage error, 1 runtime error (for ``bench``:
-also when every trial failed; failed trials are summarized on stderr).
+``fit``, ``critical-radius`` and ``check-sketch`` share one trial path.
+Their kernel, design, ``--n``, ``--sigma`` and ``--seed`` flags make one
+:class:`~sketchkrr.bench.ExperimentConfig` with ``n_grid = (n,)`` and
+``trials = 1``, and each works on its trial 0 through the sweep's own
+code: the same dataset, kernel matrix and profile.  ``check-sketch --m M``
+certifies the sketch that ``fit --m-rule fixed --m M`` fits with; without
+``--m`` it takes m = d_n.
+
+Exit codes: 0 success, 2 usage error (also flags that make an invalid
+kernel or config), 1 runtime error (for ``bench``: also when every trial
+failed; failed trials are summarized on stderr).
 """
 
 from __future__ import annotations
@@ -21,18 +30,24 @@ import sys
 from dataclasses import asdict
 
 from .bench import (
+    ARM_KINDS,
+    DESIGN_CHOICES,
+    FSTAR_CHOICES,
+    LAMBDA_RULES,
+    M_RULES,
     ExperimentConfig,
+    _arm_sketch,
+    _shared_inputs,
     derive_seed,
-    generate_data,
     load_config,
     run_error_vs_n,
     run_nystrom_failure_demo,
     write_csv,
 )
-from .complexity import complexity_profile
-from .kernels import KernelSpec, build_kernel_matrix
+from .errors import DomainError
+from .kernels import _KERNEL_KINDS, KernelSpec
 from .satisfiability import check_k_satisfiable
-from .sketch import draw_sketch
+from .sketch import SKETCH_KINDS
 
 __all__ = ["main", "build_parser"]
 
@@ -41,36 +56,38 @@ class _UsageError(Exception):
     pass
 
 
+def _choices(values) -> list[str]:
+    return [v.replace("_", "-") for v in values]
+
+
 def _norm(value: str) -> str:
-    return value.replace("-", "_").lower()
+    return value.replace("-", "_")
 
 
-def _add_kernel_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kernel", required=True, choices=["sobolev1", "gaussian", "polynomial"])
+def _add_trial_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kernel", required=True, choices=_choices(_KERNEL_KINDS))
     p.add_argument("--bandwidth", type=float, help="gaussian kernel bandwidth h > 0")
     p.add_argument("--degree", type=int, help="polynomial kernel degree D >= 1")
-
-
-def _kernel_from_args(args) -> KernelSpec:
-    if args.kernel == "polynomial":
-        if args.degree is None:
-            raise _UsageError("--kernel polynomial requires --degree")
-        return KernelSpec.polynomial(args.degree)
-    if args.kernel == "gaussian":
-        if args.bandwidth is None:
-            raise _UsageError("--kernel gaussian requires --bandwidth")
-        return KernelSpec.gaussian(args.bandwidth)
-    return KernelSpec.sobolev1()
-
-
-def _add_design_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--design",
-        default="uniform-grid",
-        choices=["uniform-grid", "irregular", "iid-uniform"],
-    )
+    p.add_argument("--design", default="uniform-grid", choices=_choices(DESIGN_CHOICES))
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=int, required=True)
+
+
+def _config(args, **rules) -> ExperimentConfig:
+    """The one-trial config of the trial flags plus a subcommand's rules."""
+    try:
+        return ExperimentConfig(
+            kernel=KernelSpec(args.kernel, degree=args.degree, bandwidth=args.bandwidth),
+            design=_norm(args.design),
+            sigma=args.sigma,
+            n_grid=(args.n,),
+            trials=1,
+            base_seed=args.seed,
+            **rules,
+        )
+    except DomainError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -81,33 +98,22 @@ def _emit(payload: dict, fmt: str) -> None:
 
 
 def _cmd_fit(args) -> int:
-    config = ExperimentConfig(
-        kernel=_kernel_from_args(args),
+    config = _config(
+        args,
         fstar=_norm(args.fstar),
-        design=_norm(args.design),
-        sigma=args.sigma,
-        n_grid=(args.n,),
         sketch_kinds=(_norm(args.sketch),),
         m_rule=_norm(args.m_rule),
         m_fixed=args.m_fixed,
         c_statdim=args.c_statdim,
         lambda_rule=_norm(args.lambda_rule),
         lambda_fixed=args.lambda_fixed,
-        trials=1,
-        base_seed=args.seed,
     )
-    rec = run_error_vs_n(config)[0]
-    payload = asdict(rec)
-    _emit(payload, args.format)
+    _emit(asdict(run_error_vs_n(config)[0]), args.format)
     return 0
 
 
 def _cmd_critical_radius(args) -> int:
-    spec = _kernel_from_args(args)
-    config = ExperimentConfig(kernel=spec, design=_norm(args.design), sigma=args.sigma, n_grid=(args.n,))
-    sample = generate_data(config, args.n, args.seed)
-    K = build_kernel_matrix(spec, sample.pts)
-    profile = complexity_profile(K, args.n, args.sigma)
+    profile = _shared_inputs(_config(args), args.n, 0, None).profile
     _emit(
         {
             "n": profile.n,
@@ -122,16 +128,17 @@ def _cmd_critical_radius(args) -> int:
 
 
 def _cmd_check_sketch(args) -> int:
-    spec = _kernel_from_args(args)
     kind = _norm(args.sketch)
-    config = ExperimentConfig(kernel=spec, design=_norm(args.design), sigma=args.sigma, n_grid=(args.n,))
-    sample = generate_data(config, args.n, args.seed)
-    K = build_kernel_matrix(spec, sample.pts)
-    profile = complexity_profile(K.eigenvalues, args.n, args.sigma)
-    m = args.m if args.m is not None else max(1, min(profile.d_n, args.n))
-    S = draw_sketch(kind, m, args.n, derive_seed(args.seed, args.n, kind, 0))
-    report = check_k_satisfiable(S, K, profile, c_threshold=args.c_threshold)
-    payload = {"kind": kind, "m": m, "n": args.n, "d_n": profile.d_n}
+    # without --m, m = d_n: the statdim rule with c = 1
+    if args.m is None:
+        config = _config(args, sketch_kinds=(kind,), m_rule="statdim", c_statdim=1.0)
+    else:
+        config = _config(args, sketch_kinds=(kind,), m_rule="fixed", m_fixed=args.m)
+    shared = _shared_inputs(config, args.n, 0, None)
+    seed = derive_seed(config.base_seed, args.n, kind, 0)
+    S = _arm_sketch(config, shared.profile, args.n, kind, seed)
+    report = check_k_satisfiable(S, shared.K, shared.profile, c_threshold=args.c_threshold)
+    payload = {"kind": kind, "m": S.m, "n": args.n, "d_n": shared.profile.d_n}
     payload.update(asdict(report))
     _emit(payload, args.format)
     return 0
@@ -162,21 +169,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit", help="fit one dataset and print the error")
-    _add_kernel_args(p)
-    _add_design_args(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--fstar", default="abs-shift", choices=["abs-shift", "quad"])
-    p.add_argument("--sketch", default="exact", choices=["exact", "gaussian", "ros", "subsample"])
-    p.add_argument(
-        "--m-rule", default="cuberoot",
-        choices=["cuberoot", "loggauss", "logfour", "fixed", "statdim"],
-    )
+    _add_trial_args(p)
+    p.add_argument("--fstar", default="abs-shift", choices=_choices(FSTAR_CHOICES))
+    p.add_argument("--sketch", default="exact", choices=_choices(ARM_KINDS))
+    p.add_argument("--m-rule", default="cuberoot", choices=_choices(M_RULES))
     p.add_argument(
         "--m-fixed", "--m", dest="m_fixed", type=int,
         help="projection dimension for --m-rule fixed",
     )
     p.add_argument("--c-statdim", type=float, help="multiplier for --m-rule statdim")
-    p.add_argument("--lambda-rule", default="two-delta-sq", choices=["two-delta-sq", "fixed"])
+    p.add_argument("--lambda-rule", default="two-delta-sq", choices=_choices(LAMBDA_RULES))
     p.add_argument(
         "--lambda-fixed", "--lambda", dest="lambda_fixed", type=float,
         help="regularization for --lambda-rule fixed",
@@ -185,17 +187,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("critical-radius", help="print delta_n^2 and d_n")
-    _add_kernel_args(p)
-    _add_design_args(p)
-    p.add_argument("--n", type=int, required=True)
+    _add_trial_args(p)
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.set_defaults(func=_cmd_critical_radius)
 
     p = sub.add_parser("check-sketch", help="evaluate the sketch certificate")
-    _add_kernel_args(p)
-    _add_design_args(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--sketch", default="gaussian", choices=["gaussian", "ros", "subsample"])
+    _add_trial_args(p)
+    p.add_argument("--sketch", default="gaussian", choices=_choices(SKETCH_KINDS))
     p.add_argument("--m", type=int, help="projection dimension (default: d_n)")
     p.add_argument("--c-threshold", type=float, default=4.0)
     p.add_argument("--format", default="text", choices=["text", "json"])

@@ -35,6 +35,9 @@ __all__ = [
     "build_kernel_matrix",
 ]
 
+# the kernel families KernelSpec accepts
+_KERNEL_KINDS = ("sobolev1", "gaussian", "polynomial")
+
 # Eigenvalues above -EIG_CLAMP_REL * mu_1 are treated as round-off and
 # clamped to zero; anything more negative means the matrix is not PSD.
 EIG_CLAMP_REL = 1e-10
@@ -44,7 +47,9 @@ EIG_CLAMP_REL = 1e-10
 class KernelSpec:
     """Selects a kernel family and its hyperparameter.
 
-    Use the factory classmethods rather than the raw constructor::
+    The one place that decides which hyperparameter each family takes: a
+    missing, out-of-range or stray one raises :class:`DomainError`.  The
+    factory classmethods are shorthands::
 
         KernelSpec.polynomial(3)
         KernelSpec.gaussian(0.25)
@@ -56,6 +61,8 @@ class KernelSpec:
     bandwidth: float | None = None
 
     def __post_init__(self) -> None:
+        if self.kind not in _KERNEL_KINDS:
+            raise DomainError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "polynomial":
             if self.degree is None or int(self.degree) != self.degree or self.degree < 1:
                 raise DomainError(f"polynomial kernel needs integer degree >= 1, got {self.degree!r}")
@@ -66,11 +73,8 @@ class KernelSpec:
                 raise DomainError(f"gaussian kernel needs bandwidth > 0, got {self.bandwidth!r}")
             if self.degree is not None:
                 raise DomainError("gaussian kernel takes no degree")
-        elif self.kind == "sobolev1":
-            if self.degree is not None or self.bandwidth is not None:
-                raise DomainError("sobolev1 kernel takes no hyperparameters")
-        else:
-            raise DomainError(f"unknown kernel kind {self.kind!r}")
+        elif self.degree is not None or self.bandwidth is not None:
+            raise DomainError("sobolev1 kernel takes no hyperparameters")
 
     @classmethod
     def polynomial(cls, degree: int) -> "KernelSpec":

@@ -33,6 +33,7 @@ the Nystrom approximation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,6 @@ __all__ = [
     "RegressionSample",
     "solve_krr",
     "solve_sketched_krr",
-    "solve_zero_noise",
     "error_decomposition",
     "predict",
     "empirical_error",
@@ -124,8 +124,8 @@ def _check_vector(v, n: int, name: str) -> np.ndarray:
 
 
 def _check_lambda(lambda_n: float) -> float:
-    if not lambda_n > 0.0:
-        raise DomainError(f"lambda_n must be > 0, got {lambda_n}")
+    if not (lambda_n > 0.0 and math.isfinite(lambda_n)):
+        raise DomainError(f"lambda_n must be finite and > 0, got {lambda_n}")
     return float(lambda_n)
 
 
@@ -191,8 +191,7 @@ def _sketched_normal_system(
 
 
 def _solve_sketched(
-    K: KernelMatrix, rhs: np.ndarray, S: SketchOperator, lam: float,
-    SK: np.ndarray, SKSt: np.ndarray,
+    K: KernelMatrix, rhs: np.ndarray, lam: float, SK: np.ndarray, SKSt: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     A = SK @ SK.T + 2.0 * lam * SKSt
     b = SK @ rhs / np.sqrt(K.n)
@@ -206,18 +205,8 @@ def solve_sketched_krr(K: KernelMatrix, y, S: SketchOperator, lambda_n: float) -
     lam = _check_lambda(lambda_n)
     yv = _check_vector(y, K.n, "y")
     SK, SKSt = _sketched_normal_system(K, S)
-    alpha, fitted, rank_def = _solve_sketched(K, yv, S, lam, SK, SKSt)
+    alpha, fitted, rank_def = _solve_sketched(K, yv, lam, SK, SKSt)
     return FitResult("sketched", alpha, S, lam, fitted, rank_deficient=rank_def)
-
-
-def solve_zero_noise(K: KernelMatrix, z_star, S: SketchOperator, lambda_n: float) -> np.ndarray:
-    """Coefficients of the noiseless projected program.
-
-    Minimizes (1/(2n)) ||z* - sqrt(n) K S^T a||^2 + lam ||sqrt(K) S^T a||^2,
-    whose normal equations are the sketched KRR system with y replaced by
-    the true values z*.
-    """
-    return solve_sketched_krr(K, z_star, S, lambda_n).coefficients
 
 
 def error_decomposition(
@@ -233,8 +222,8 @@ def error_decomposition(
     zv = _check_vector(z_star, K.n, "z_star")
     yv = _check_vector(y, K.n, "y")
     SK, SKSt = _sketched_normal_system(K, S)
-    _, fitted_hat, _ = _solve_sketched(K, yv, S, lam, SK, SKSt)
-    _, fitted_dag, _ = _solve_sketched(K, zv, S, lam, SK, SKSt)
+    _, fitted_hat, _ = _solve_sketched(K, yv, lam, SK, SKSt)
+    _, fitted_dag, _ = _solve_sketched(K, zv, lam, SK, SKSt)
     approx = empirical_error(fitted_dag, zv)
     est = empirical_error(fitted_dag, fitted_hat)
     total = empirical_error(fitted_hat, zv)
@@ -328,7 +317,13 @@ def sketched_krr_objective(K: KernelMatrix, y, S: SketchOperator, lambda_n: floa
 
 
 def zero_noise_objective(K: KernelMatrix, z_star, S: SketchOperator, lambda_n: float, alpha) -> float:
-    """Objective of the noiseless projected program at coefficients alpha."""
+    """Objective of the noiseless projected program at coefficients alpha.
+
+    The program minimizes (1/(2n)) ||z* - sqrt(n) K S^T a||^2 +
+    lam ||sqrt(K) S^T a||^2; its normal equations are the sketched KRR
+    system with y replaced by the true values z*, so its minimizer is
+    ``solve_sketched_krr(K, z_star, S, lambda_n).coefficients``.
+    """
     zv = _check_vector(z_star, K.n, "z_star")
     w = apply_sketch_t(S, np.asarray(alpha, dtype=np.float64))
     r = zv - np.sqrt(K.n) * (K.matrix @ w)

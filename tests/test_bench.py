@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from sketchkrr import (
     derive_seed,
     fstar_values,
     generate_data,
+    load_config,
     parse_config,
     rate_factor,
     read_csv,
@@ -22,6 +24,8 @@ from sketchkrr import (
     write_csv,
 )
 from sketchkrr.bench import _data_seed
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_config(**overrides):
@@ -55,6 +59,18 @@ class TestConfig:
             small_config(lambda_rule="fixed")  # missing lambda_fixed
         with pytest.raises(DomainError):
             small_config(fstar="cubic")
+
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            ("sigma", dict(sigma=math.inf)),
+            ("c_statdim", dict(m_rule="statdim", c_statdim=math.inf)),
+            ("lambda_fixed", dict(lambda_rule="fixed", lambda_fixed=math.inf)),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, field, overrides):
+        with pytest.raises(DomainError, match=field):
+            small_config(**overrides)
 
 
 class TestTargetsAndRates:
@@ -370,6 +386,43 @@ class TestConfigParsing:
     def test_polynomial_needs_degree(self):
         with pytest.raises(DomainError, match="degree"):
             parse_config("kernel = polynomial")
+
+    def test_stray_hyperparameter_rejected(self):
+        with pytest.raises(DomainError, match="cfg: gaussian kernel takes no degree"):
+            parse_config("kernel = gaussian\nbandwidth = 0.25\ndegree = 3", source="cfg")
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("trials = x", "trials"),
+            ("degree = 2.5", "degree"),
+            ("n_grid = 8,,16", "n_grid"),
+            ("sigma = abc", "sigma"),
+        ],
+    )
+    def test_bad_value_names_source_line_and_key(self, line, key):
+        text = f"kernel = polynomial\n{line}\n"
+        with pytest.raises(DomainError, match=f"^cfg: line 2: .*'{key}'"):
+            parse_config(text, source="cfg")
+
+    def test_shipped_configs_load_as_written(self):
+        paths = sorted(CONFIG_DIR.glob("*.cfg"))
+        assert paths
+        for path in paths:
+            written = {}
+            for line in path.read_text().splitlines():
+                key, sep, value = line.split("#", 1)[0].partition("=")
+                if sep:
+                    written[key.strip()] = value.strip()
+            cfg = load_config(path)
+            assert cfg.kernel.kind == written["kernel"], path
+            bandwidth = written.get("bandwidth")
+            assert cfg.kernel.bandwidth == (float(bandwidth) if bandwidth else None), path
+            degree = written.get("degree")
+            assert cfg.kernel.degree == (int(degree) if degree else None), path
+            assert cfg.design == written["design"].replace("-", "_"), path
+            sketches = tuple(v.strip() for v in written["sketches"].split(","))
+            assert cfg.sketch_kinds == sketches, path
 
     def test_sweep_is_pure_function_of_text(self):
         a = run_error_vs_n(parse_config(self.TEXT))

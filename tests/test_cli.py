@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sketchkrr import read_csv
+from sketchkrr import bench, draw_sketch, read_csv
 from sketchkrr.cli import main
 
 CONFIG_TEXT = """\
@@ -88,7 +88,57 @@ class TestFit:
         assert payload["m"] == 6 and payload["lambda_n"] == 0.05
 
 
+class TestOneTrialPath:
+    """fit, critical-radius and check-sketch work on trial 0 of one config."""
+
+    ARGS = [
+        "--kernel", "gaussian", "--bandwidth", "0.25", "--sigma", "0.125",
+        "--n", "200", "--seed", "0", "--format", "json",
+    ]
+
+    @staticmethod
+    def run_json(argv, capsys):
+        assert main(argv) == 0
+        return json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("design", ["irregular", "iid-uniform"])
+    def test_subcommands_agree_on_random_designs(self, design, capsys):
+        args = self.ARGS + ["--design", design]
+        radius = self.run_json(["critical-radius", *args], capsys)
+        fit = self.run_json(["fit", *args], capsys)
+        check = self.run_json(["check-sketch", *args], capsys)
+        assert fit["delta_n_sq"] == radius["delta_n_sq"]
+        assert check["delta_n"] == radius["delta_n"]
+        assert fit["d_n"] == radius["d_n"] == check["d_n"]
+
+    def test_check_sketch_draws_the_fit_sketch(self, monkeypatch, capsys):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return draw_sketch(*args)
+
+        monkeypatch.setattr(bench, "draw_sketch", spy)
+        args = self.ARGS + ["--design", "irregular", "--sketch", "ros", "--m", "12"]
+        fit = self.run_json(["fit", "--m-rule", "fixed", *args], capsys)
+        check = self.run_json(["check-sketch", *args], capsys)
+        assert fit["m"] == check["m"] == 12
+        assert len(calls) == 2 and calls[0] == calls[1]
+
+
 class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--kernel", "sobolev1", "--m-rule", "fixed"],  # no --m-fixed
+            ["--kernel", "gaussian", "--bandwidth", "0.25", "--degree", "3"],
+            ["--kernel", "polynomial"],  # no --degree
+        ],
+    )
+    def test_invalid_config_is_usage_error(self, flags, capsys):
+        assert main(["fit", "--n", "16", *flags]) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+
     def test_unknown_flag(self, capsys):
         assert main(["critical-radius", "--kernel", "sobolev1", "--n", "8", "--frob"]) == 2
 

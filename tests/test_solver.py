@@ -24,7 +24,6 @@ from sketchkrr import (
     solve_krr,
     solve_nystrom_dual,
     solve_sketched_krr,
-    solve_zero_noise,
     zero_noise_objective,
 )
 from sketchkrr.bench import _trial_streams
@@ -93,6 +92,13 @@ class TestSolveKrr:
         K, _, _, y = sobolev_instance(5, 6)
         with pytest.raises(DomainError):
             solve_krr(K, y, 0.0)
+
+    def test_lambda_must_be_finite(self):
+        K, _, _, y = sobolev_instance(5, 6)
+        with pytest.raises(DomainError, match="lambda_n"):
+            solve_krr(K, y, np.inf)
+        with pytest.raises(DomainError, match="lambda_n"):
+            solve_sketched_krr(K, y, draw_sketch("gaussian", 2, 5, 1), np.inf)
 
 
 class TestSolveSketchedKrr:
@@ -183,7 +189,9 @@ class TestZeroNoiseAndDecomposition:
     def test_zero_target_gives_zero(self):
         K, _, _, _ = sobolev_instance(12, 13)
         S = draw_sketch("gaussian", 4, 12, 5)
-        np.testing.assert_array_equal(solve_zero_noise(K, np.zeros(12), S, 0.1), np.zeros(4))
+        np.testing.assert_array_equal(
+            solve_sketched_krr(K, np.zeros(12), S, 0.1).coefficients, np.zeros(4)
+        )
 
     def test_identity_sketch_equals_noiseless_exact(self):
         from sketchkrr import apply_sketch_t
@@ -191,7 +199,7 @@ class TestZeroNoiseAndDecomposition:
         K, _, z, _ = sobolev_instance(18, 14)
         lam = 0.02
         S = identity_sketch(18)
-        alpha = solve_zero_noise(K, z, S, lam)
+        alpha = solve_sketched_krr(K, z, S, lam).coefficients
         exact = solve_krr(K, z, lam)
         fitted = np.sqrt(18) * K.matrix @ apply_sketch_t(S, alpha)
         assert rel_dev(fitted, exact.fitted) <= 1e-8
@@ -200,7 +208,7 @@ class TestZeroNoiseAndDecomposition:
         K, _, z, _ = sobolev_instance(15, 15)
         lam = 0.03
         S = draw_sketch("ros", 5, 15, 6)
-        alpha = solve_zero_noise(K, z, S, lam)
+        alpha = solve_sketched_krr(K, z, S, lam).coefficients
         base = zero_noise_objective(K, z, S, lam, alpha)
         rng = np.random.default_rng(16)
         for _ in range(100):
