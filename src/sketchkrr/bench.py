@@ -1,7 +1,7 @@
 """Experiment harness: data generation, error-vs-n sweeps, CSV persistence.
 
-A sweep is a pure function of its :class:`ExperimentConfig`, so reruns are
-byte-identical.  Its arms are paired: each (n, trial) draws one dataset
+A sweep is a pure function of its :class:`ExperimentConfig`, so reruns at
+a fixed BLAS thread count are byte-identical.  Its arms are paired: each (n, trial) draws one dataset
 y_i = f*(x_i) + sigma * w_i from a seed mixed by splitmix64 from
 (base_seed, n, trial) alone, builds the kernel matrix once, computes the
 critical radius and statistical dimension once from its top eigenvalues
@@ -82,8 +82,6 @@ DESIGN_CHOICES = ("uniform_grid", "irregular", "iid_uniform")
 M_RULES = ("cuberoot", "loggauss", "logfour", "fixed", "statdim")
 LAMBDA_RULES = ("two_delta_sq", "fixed")
 
-CSV_HEADER = "n,m,sketch,trial,seed,lambda,delta_n_sq,d_n,error,rescaled_error,wall_time_ms"
-
 _MASK64 = (1 << 64) - 1
 _KIND_CODE = {kind: i for i, kind in enumerate(ARM_KINDS)}
 
@@ -163,6 +161,15 @@ class TrialRecord:
     wall_time_ms: float
 
 
+# TrialRecord's fields in order, as (CSV column, parser); lambda_n is "lambda"
+_CSV_COLUMNS = (
+    ("n", int), ("m", int), ("sketch", str), ("trial", int), ("seed", int),
+    ("lambda", float), ("delta_n_sq", float), ("d_n", int),
+    ("error", float), ("rescaled_error", float), ("wall_time_ms", float),
+)
+CSV_HEADER = ",".join(column for column, _ in _CSV_COLUMNS)
+
+
 def fstar_values(name: str, x) -> np.ndarray:
     """Evaluate a built-in target function on an array of covariates."""
     xv = np.asarray(x, dtype=np.float64)
@@ -233,10 +240,7 @@ def generate_data(config: ExperimentConfig, n: int, seed: int) -> RegressionSamp
         x[: n - k] = rng.uniform(0.0, 0.5, size=n - k)
         x[n - k :] = 1.0 + rng.normal(0.0, 1.0 / math.sqrt(n), size=k)
     fstar = fstar_values(config.fstar, x)
-    if config.sigma == 0.0:
-        y = fstar.copy()
-    else:
-        y = fstar + config.sigma * rng.standard_normal(n)
+    y = fstar + config.sigma * rng.standard_normal(n)
     return RegressionSample(DesignPoints(x), y, fstar=fstar, sigma=config.sigma)
 
 
@@ -547,16 +551,9 @@ def write_csv(records, path) -> None:
     """Write records under the fixed header; floats keep 17 significant digits."""
     lines = [CSV_HEADER]
     for r in records:
-        lines.append(
-            ",".join(
-                (
-                    str(r.n), str(r.m), r.sketch, str(r.trial), str(r.seed),
-                    _fmt_float(r.lambda_n), _fmt_float(r.delta_n_sq), str(r.d_n),
-                    _fmt_float(r.error), _fmt_float(r.rescaled_error),
-                    _fmt_float(r.wall_time_ms),
-                )
-            )
-        )
+        # a dataclass instance's __dict__ holds its fields in declaration order
+        row = zip(_CSV_COLUMNS, vars(r).values())
+        lines.append(",".join(_fmt_float(v) if parse is float else str(v) for (_, parse), v in row))
     try:
         with open(path, "w", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -576,17 +573,13 @@ def read_csv(path) -> list[TrialRecord]:
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
-        if len(parts) != 11:
-            raise DomainError(f"{path}: line {lineno}: expected 11 fields, got {len(parts)}")
+        if len(parts) != len(_CSV_COLUMNS):
+            raise DomainError(
+                f"{path}: line {lineno}: expected {len(_CSV_COLUMNS)} fields, got {len(parts)}"
+            )
         try:
             records.append(
-                TrialRecord(
-                    n=int(parts[0]), m=int(parts[1]), sketch=parts[2],
-                    trial=int(parts[3]), seed=int(parts[4]),
-                    lambda_n=float(parts[5]), delta_n_sq=float(parts[6]),
-                    d_n=int(parts[7]), error=float(parts[8]),
-                    rescaled_error=float(parts[9]), wall_time_ms=float(parts[10]),
-                )
+                TrialRecord(*(parse(part) for (_, parse), part in zip(_CSV_COLUMNS, parts)))
             )
         except ValueError as exc:
             raise DomainError(f"{path}: line {lineno}: {exc}") from exc

@@ -17,8 +17,10 @@ certifies the sketch that ``fit --m-rule fixed --m M`` fits with; without
 ``--m`` it takes m = d_n.
 
 Exit codes: 0 success, 2 usage error (also flags that make an invalid
-kernel or config), 1 runtime error (for ``bench``: also when every trial
-failed; failed trials are summarized on stderr).
+kernel or config), 1 runtime error.  A one-trial command whose trial
+fails exits 1 with the reason on stderr; ``bench`` records a failed
+trial as a marker row, summarizes failed trials on stderr and exits 1
+only when every trial failed.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .bench import (
     M_RULES,
     ExperimentConfig,
     _arm_sketch,
+    _fit_arm,
     _shared_inputs,
     derive_seed,
     load_config,
@@ -98,17 +101,20 @@ def _emit(payload: dict, fmt: str) -> None:
 
 
 def _cmd_fit(args) -> int:
+    kind = _norm(args.sketch)
     config = _config(
         args,
         fstar=_norm(args.fstar),
-        sketch_kinds=(_norm(args.sketch),),
+        sketch_kinds=(kind,),
         m_rule=_norm(args.m_rule),
         m_fixed=args.m_fixed,
         c_statdim=args.c_statdim,
         lambda_rule=_norm(args.lambda_rule),
         lambda_fixed=args.lambda_fixed,
     )
-    _emit(asdict(run_error_vs_n(config)[0]), args.format)
+    shared = _shared_inputs(config, args.n, 0, None)
+    seed = derive_seed(config.base_seed, args.n, kind, 0)
+    _emit(asdict(_fit_arm(config, shared, args.n, kind, 0, seed)), args.format)
     return 0
 
 

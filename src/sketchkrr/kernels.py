@@ -13,13 +13,16 @@ population eigenvalues of the kernel integral operator.  A
 full eigendecomposition lazily and caches it: ``eig()`` (and
 ``eigenvalues``) sorts the eigenvalues descending, clamps round-off
 negatives to zero and rejects a matrix that is not PSD at working
-precision.  Only eigenvectors need it (the sketch certificate); the
-critical radius works from a randomized top-k head instead (see
+precision.  Two callers need it: the sketch certificate, for the
+eigenvectors, and ``complexity_profile(K)``, which takes ``K.eigenvalues``
+once its head size k passes n / 4 (4k > n); below that the critical
+radius works from a randomized top-k head (see
 :mod:`sketchkrr.complexity`).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -69,8 +72,12 @@ class KernelSpec:
             if self.bandwidth is not None:
                 raise DomainError("polynomial kernel takes no bandwidth")
         elif self.kind == "gaussian":
-            if self.bandwidth is None or not self.bandwidth > 0:
-                raise DomainError(f"gaussian kernel needs bandwidth > 0, got {self.bandwidth!r}")
+            h = self.bandwidth
+            # kernel_eval divides by 2*h*h: it must be a positive finite float
+            if h is None or not (h > 0 and 0.0 < 2.0 * h * h < math.inf):
+                raise DomainError(
+                    f"gaussian kernel needs bandwidth h > 0 with 2*h*h positive and finite, got {h!r}"
+                )
             if self.degree is not None:
                 raise DomainError("gaussian kernel takes no degree")
         elif self.degree is not None or self.bandwidth is not None:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -307,6 +308,10 @@ class TestPairedArms:
 
 
 class TestCsv:
+    def test_header_names_record_fields_in_order(self):
+        names = [f.name for f in dataclasses.fields(TrialRecord)]
+        assert CSV_HEADER.split(",") == ["lambda" if f == "lambda_n" else f for f in names]
+
     def test_header_only_for_empty_records(self, tmp_path):
         path = tmp_path / "empty.csv"
         write_csv([], path)
@@ -390,6 +395,11 @@ class TestConfigParsing:
     def test_stray_hyperparameter_rejected(self):
         with pytest.raises(DomainError, match="cfg: gaussian kernel takes no degree"):
             parse_config("kernel = gaussian\nbandwidth = 0.25\ndegree = 3", source="cfg")
+
+    @pytest.mark.parametrize("h", ["inf", "1e300", "1e-200"])
+    def test_bandwidth_that_breaks_the_kernel_names_source(self, h):
+        with pytest.raises(DomainError, match="^cfg: gaussian kernel needs bandwidth"):
+            parse_config(f"kernel = gaussian\nbandwidth = {h}", source="cfg")
 
     @pytest.mark.parametrize(
         "line, key",

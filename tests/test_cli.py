@@ -111,6 +111,15 @@ class TestOneTrialPath:
         assert check["delta_n"] == radius["delta_n"]
         assert fit["d_n"] == radius["d_n"] == check["d_n"]
 
+    def test_subcommands_agree_on_a_failed_trial(self, capsys):
+        # the default lambda rule, two_delta_sq, needs sigma > 0
+        args = ["--kernel", "sobolev1", "--n", "30", "--sigma", "0"]
+        for command in ("fit", "critical-radius", "check-sketch"):
+            assert main([command, *args]) == 1, command
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: lambda rule 'two_delta_sq' needs sigma > 0\n"
+
     def test_check_sketch_draws_the_fit_sketch(self, monkeypatch, capsys):
         calls = []
 
@@ -133,6 +142,10 @@ class TestUsageErrors:
             ["--kernel", "sobolev1", "--m-rule", "fixed"],  # no --m-fixed
             ["--kernel", "gaussian", "--bandwidth", "0.25", "--degree", "3"],
             ["--kernel", "polynomial"],  # no --degree
+            # bandwidths whose 2*h*h is not a positive finite float
+            ["--kernel", "gaussian", "--bandwidth", "inf"],
+            ["--kernel", "gaussian", "--bandwidth", "1e300"],
+            ["--kernel", "gaussian", "--bandwidth", "1e-200"],
         ],
     )
     def test_invalid_config_is_usage_error(self, flags, capsys):

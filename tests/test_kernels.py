@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -41,6 +42,12 @@ class TestKernelSpec:
     def test_invalid_specs(self, bad):
         with pytest.raises(DomainError):
             bad()
+
+    @pytest.mark.parametrize("h", [np.inf, 1e300, 1e-200])
+    def test_bandwidth_needs_finite_positive_scale(self, h):
+        # 2*h*h overflows to inf or underflows to 0
+        with pytest.raises(DomainError, match=f"bandwidth .*got {re.escape(repr(h))}$"):
+            KernelSpec.gaussian(h)
 
 
 class TestKernelEval:
