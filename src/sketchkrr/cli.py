@@ -16,11 +16,11 @@ code: the same dataset, kernel matrix and profile.  ``check-sketch --m M``
 certifies the sketch that ``fit --m-rule fixed --m M`` fits with; without
 ``--m`` it takes m = d_n.
 
-Exit codes: 0 success, 2 usage error (also flags that make an invalid
-kernel or config), 1 runtime error.  A one-trial command whose trial
-fails exits 1 with the reason on stderr; ``bench`` records a failed
-trial as a marker row, summarizes failed trials on stderr and exits 1
-only when every trial failed.
+Exit codes: 0 success, 2 usage error (also flags or a ``bench`` config
+file that make an invalid kernel or config), 1 runtime error.  A
+one-trial command whose trial fails exits 1 with the reason on stderr;
+``bench`` records a failed trial as a marker row, summarizes failed
+trials on stderr and exits 1 only when every trial failed.
 """
 
 from __future__ import annotations
@@ -151,7 +151,10 @@ def _cmd_check_sketch(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = load_config(args.config)
+    try:
+        config = load_config(args.config)
+    except DomainError as exc:
+        raise _UsageError(str(exc)) from exc
     records = run_error_vs_n(config, timing=args.timing)
     write_csv(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")

@@ -25,9 +25,11 @@ multiplication by K, with an error estimate for each value.  It starts at
 k = 8 and doubles k until the k-th Ritz value plus its error estimate is
 at most delta_n^2 / 2 and the error estimates of the leading d_n + 1
 values are within 1e-10 * delta_n^2; once 4k exceeds n it uses the full
-spectrum of ``K.eig()``.  After the first head it checks that K is PSD at
-working precision (K + 1e-10 * theta_1 * I must have a Cholesky factor)
-and raises :class:`NumericalError` if not.  The result depends only on
+spectrum of ``K.eig()``.  A matrix from ``build_kernel_matrix`` is PSD
+at working precision by construction (its docstring gives the argument)
+and is not checked again; for any other matrix, after the first head, K +
+1e-10 * theta_1 * I must have a Cholesky factor, or the profile raises
+:class:`NumericalError`.  The result depends only on
 (K, n, sigma), and n must be the size of K.  The error estimates are
 a-posteriori (their quadratic term divides by gaps between Ritz values,
 not between eigenvalues), so this path estimates delta_n and d_n rather
@@ -183,7 +185,9 @@ def _matrix_profile(K: KernelMatrix, n: int, sigma: float) -> tuple[float, int]:
     k = HEAD_START
     while 4 * k <= K.n:
         theta, bounds = _ritz_head(matrix, k)
-        if k == HEAD_START:  # K is the same for every k: one PSD check suffices
+        # K is the same for every k: one PSD check suffices, and none for
+        # a matrix PSD by construction (see build_kernel_matrix)
+        if k == HEAD_START and not K._proven:
             _check_psd(matrix, float(theta[0]))
         delta = _critical_radius(theta, max(trace - float(theta.sum()), 0.0), n, sigma)
         dsq = delta * delta

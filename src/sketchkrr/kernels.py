@@ -13,7 +13,11 @@ population eigenvalues of the kernel integral operator.  A
 full eigendecomposition lazily and caches it: ``eig()`` (and
 ``eigenvalues``) sorts the eigenvalues descending, clamps round-off
 negatives to zero and rejects a matrix that is not PSD at working
-precision.  Two callers need it: the sketch certificate, for the
+precision.  A matrix passed to ``KernelMatrix(...)`` must be exactly
+symmetric, and ``complexity_profile(K)`` checks that it is PSD with one
+Cholesky factorization; a matrix from ``build_kernel_matrix`` is
+symmetric and PSD by construction (its docstring gives the argument) and
+skips both checks.  Two callers need it: the sketch certificate, for the
 eigenvectors, and ``complexity_profile(K)``, which takes ``K.eigenvalues``
 once its head size k passes n / 4 (4k > n); below that the critical
 radius works from a randomized top-k head (see
@@ -134,7 +138,10 @@ def kernel_eval(spec: KernelSpec, u, v):
         np.subtract(ua, va, out=out)
         out *= out
         np.negative(out, out=out)
-        out /= 2.0 * spec.bandwidth**2
+        # a tiny bandwidth overflows the quotient to -inf, and exp(-inf) = 0
+        # is the correct limit of the kernel
+        with np.errstate(over="ignore"):
+            out /= 2.0 * spec.bandwidth**2
         np.exp(out, out=out)
     else:  # sobolev1
         np.minimum(ua, va, out=out)
@@ -151,21 +158,29 @@ class KernelMatrix:
     sharing an instance across threads.
     """
 
-    def __init__(self, matrix: np.ndarray, *, copy: bool = True):
+    def __init__(self, matrix: np.ndarray, *, copy: bool = True, _proven: bool = False):
         """Check and store ``matrix``.  With ``copy=False`` a float64 array
         is kept as it is and made read-only; pass that only for a fresh
-        array that nothing else writes to."""
+        array that nothing else writes to.
+
+        ``_proven`` is for :func:`build_kernel_matrix` alone: the matrix is
+        exactly symmetric and PSD at working precision by construction, so
+        the full-transpose comparison here and the profile's PSD check
+        (:mod:`sketchkrr.complexity`) are skipped.  ``eig()`` still checks
+        its eigenvalues.
+        """
         K = np.asarray(matrix, dtype=np.float64)
         if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] < 1:
             raise DomainError("kernel matrix must be square and nonempty")
         if not np.isfinite(K).all():
             raise DomainError("kernel matrix must be finite")
-        if not np.array_equal(K, K.T):
+        if not _proven and not np.array_equal(K, K.T):
             raise DomainError("kernel matrix must be exactly symmetric")
         if copy:
             K = K.copy()
         K.setflags(write=False)
         self._matrix = K
+        self._proven = _proven
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -203,11 +218,30 @@ class KernelMatrix:
 def build_kernel_matrix(spec: KernelSpec, pts: DesignPoints) -> KernelMatrix:
     """Build K with K[i, j] = kernel(x_i, x_j) / n.
 
-    Every family evaluates to an exactly symmetric matrix in IEEE
-    arithmetic (``min``, ``(u - v)**2`` and ``u * v`` are symmetric in
-    their arguments); :class:`KernelMatrix` checks it.  The kernel is
-    evaluated into one n x n buffer, which is scaled in place and kept
-    without a copy.  No eigendecomposition is performed.
+    The kernel is evaluated into one n x n buffer, which is scaled in place
+    and kept without a copy.  No eigendecomposition is performed.  The
+    result is symmetric and PSD at working precision by construction, so
+    it is marked as checked and skips :class:`KernelMatrix`'s
+    full-transpose comparison and the profile's O(n^3) Cholesky:
+
+    * **Symmetry.**  ``min``, ``(u - v)**2`` and ``u * v`` are exactly
+      symmetric in their arguments in IEEE arithmetic, and every later step
+      acts on one entry alone, so K[i, j] and K[j, i] are the same bits.
+    * **PSD.**  min(u, v) on u, v >= 0, exp(-(u - v)**2 / (2 h^2)) and
+      (1 + u v)^D are positive-definite kernels, so the exact matrix is PSD.
+    * **Rounding.**  Each built entry differs from the exact one by at most
+      c * eps * max_i K_ii: c ~ 1 for sobolev1 (only the division by n
+      rounds), c ~ 4 for gaussian (a relative error delta in the exponent
+      a changes exp(-a) by about a e^(-a) delta <= delta / e) and c ~ D + 3
+      for polynomial (the base 1 + u v is off by at most eps (1 + |u v|),
+      and |1 + u v|^(D-1) (1 + |u v|) <= max_i K_ii).  The
+      error matrix then has spectral norm at most n * c * eps * max_i K_ii,
+      and mu_1 >= max_i K_ii, so mu_min >= -n * c * eps * mu_1: about
+      -1e-12 * mu_1 at n = 1200, far inside the -EIG_CLAMP_REL * mu_1 clamp.
+
+    The mark is set only when these hold: x >= 0 for sobolev1, and
+    n * c * eps <= EIG_CLAMP_REL.  Otherwise both dense checks run (a
+    sobolev1 kernel on negative points is indefinite).
     """
     x = pts.x
     n = pts.n
@@ -215,7 +249,20 @@ def build_kernel_matrix(spec: KernelSpec, pts: DesignPoints) -> KernelMatrix:
         warnings.warn("sobolev1 kernel is intended for covariates in [0, 1]", stacklevel=2)
     K = kernel_eval(spec, x[:, None], x[None, :])
     K /= n
-    return KernelMatrix(K, copy=False)
+    return KernelMatrix(K, copy=False, _proven=_psd_by_construction(spec, x))
+
+
+def _psd_by_construction(spec: KernelSpec, x: np.ndarray) -> bool:
+    """Whether :func:`build_kernel_matrix`'s argument covers ``spec`` on x."""
+    if spec.kind == "sobolev1":
+        if x.min() < 0.0:
+            return False
+        c = 1.0
+    elif spec.kind == "gaussian":
+        c = 4.0
+    else:
+        c = spec.degree + 3.0
+    return x.size * c * np.finfo(np.float64).eps <= EIG_CLAMP_REL
 
 
 def _eigh_descending(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

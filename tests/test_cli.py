@@ -152,6 +152,14 @@ class TestUsageErrors:
         assert main(["fit", "--n", "16", *flags]) == 2
         assert capsys.readouterr().err.startswith("usage error: ")
 
+    def test_invalid_bench_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("kernel = sobolev1", "kernel = gaussian\nbandwidth = inf"))
+        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "bad.cfg" in err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_unknown_flag(self, capsys):
         assert main(["critical-radius", "--kernel", "sobolev1", "--n", "8", "--frob"]) == 2
 

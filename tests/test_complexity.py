@@ -246,6 +246,23 @@ class TestMatrixProfile:
         assert len(head_calls) >= 2  # d_n = 12 here, so k doubled at least once
         assert len(checks) == 1
 
+    def test_psd_check_only_for_direct_matrices(self, monkeypatch):
+        checks = []
+        monkeypatch.setattr(complexity, "_check_psd", lambda matrix, top: checks.append(top))
+        n = 512
+        built = build_kernel_matrix(KernelSpec.sobolev1(), DesignPoints(np.arange(1, n + 1) / n))
+        from_build = complexity_profile(built, n, 0.125)
+        assert checks == []
+        assert complexity_profile(KernelMatrix(built.matrix), n, 0.125) == from_build
+        assert len(checks) == 1
+
+    def test_sobolev1_on_negative_points_rejected(self):
+        n = 64  # large enough for the head path
+        with pytest.warns(UserWarning):
+            K = build_kernel_matrix(KernelSpec.sobolev1(), DesignPoints(np.linspace(-1.0, 1.0, n)))
+        with pytest.raises(NumericalError, match="not PSD"):
+            complexity_profile(K, n, 1.0)
+
     def test_size_mismatch_rejected(self):
         K = KernelMatrix(sobolev_uniform_matrix(64))
         with pytest.raises(DomainError, match="n=10.*64"):

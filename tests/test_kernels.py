@@ -15,6 +15,7 @@ from sketchkrr import (
     generate_data,
     kernel_eval,
 )
+from sketchkrr.kernels import EIG_CLAMP_REL, _psd_by_construction
 
 SPECS = [
     KernelSpec.polynomial(2),
@@ -82,6 +83,15 @@ class TestKernelEval:
             kernel_eval(KernelSpec.sobolev1(), np.nan, 0.5)
         with pytest.raises(DomainError):
             kernel_eval(KernelSpec.gaussian(1.0), 0.1, np.inf)
+
+    def test_tiny_bandwidth_reaches_the_limit_without_warning(self):
+        # 2*h*h is a positive subnormal: every off-diagonal quotient
+        # overflows to -inf and exp(-inf) = 0 is the kernel's limit
+        n = 64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            K = build_kernel_matrix(KernelSpec.gaussian(1e-160), DesignPoints(np.arange(n) / n))
+        np.testing.assert_array_equal(K.matrix, np.eye(n) / n)
 
 
 class TestDesignPoints:
@@ -157,6 +167,55 @@ class TestBuildKernelMatrix:
         assert K.matrix is a and not a.flags.writeable
         b = np.eye(3)
         assert KernelMatrix(b).matrix is not b and b.flags.writeable
+
+
+class TestPsdByConstruction:
+    """Dense oracles for the argument that lets build_kernel_matrix skip the
+    symmetry comparison and the profile's PSD check."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            KernelSpec.sobolev1(),
+            KernelSpec.gaussian(0.25),
+            KernelSpec.gaussian(0.05),
+            KernelSpec.polynomial(3),
+            KernelSpec.polynomial(8),
+        ],
+        ids=["sobolev1", "gaussian0.25", "gaussian0.05", "polynomial3", "polynomial8"],
+    )
+    @pytest.mark.parametrize("design", ["uniform_grid", "irregular", "iid_uniform"])
+    @pytest.mark.parametrize("n", [64, 257, 1200])
+    def test_marked_matrix_is_symmetric_and_psd(self, spec, design, n):
+        config = ExperimentConfig(kernel=spec, design=design, n_grid=(n,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # irregular points pass 1 for sobolev1
+            K = build_kernel_matrix(spec, generate_data(config, n, n).pts)
+        assert K._proven
+        assert np.array_equal(K.matrix, K.matrix.T)
+        mu = np.linalg.eigvalsh(K.matrix)
+        # the argument allows -n * c * eps * mu_max (about -3e-12 for
+        # polynomial(8) at n = 1200); dense eigvalsh sees far less
+        assert mu[0] >= -1e-12 * mu[-1]
+
+    def test_sobolev1_on_negative_points_is_not_marked(self):
+        with pytest.warns(UserWarning):
+            K = build_kernel_matrix(KernelSpec.sobolev1(), DesignPoints(np.linspace(-1.0, 1.0, 64)))
+        assert not K._proven
+
+    def test_size_beyond_the_rounding_margin_is_not_marked(self):
+        # n * (D + 3) * eps > EIG_CLAMP_REL from n = 40 941 on for D = 8;
+        # the decision reads only the family and n, so a small stand-in
+        # array of that length is enough to check it
+        eps = np.finfo(np.float64).eps
+        big = int(EIG_CLAMP_REL / (11 * eps)) + 1
+        assert not _psd_by_construction(KernelSpec.polynomial(8), np.zeros(big))
+        assert _psd_by_construction(KernelSpec.polynomial(8), np.zeros(big - 1))
+
+    def test_direct_matrix_keeps_the_symmetry_check(self):
+        with pytest.raises(DomainError, match="symmetric"):
+            KernelMatrix(np.array([[1.0, 0.5], [0.25, 1.0]]))
+        assert not KernelMatrix(np.eye(3))._proven
 
 
 class TestEigendecompose:
