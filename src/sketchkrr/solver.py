@@ -174,29 +174,34 @@ def solve_krr(K: KernelMatrix, y, lambda_n: float) -> FitResult:
 
 
 def _sketched_normal_system(
-    K: KernelMatrix, S: SketchOperator
+    K: KernelMatrix, S: SketchOperator, lam: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The m x n product S K and the m x m Gram S K S^T, each computed
-    once and shared by the solvers.  A gaussian or ros sketch's dense
-    matrix (for ros, its Hadamard rows) is built once for both products;
-    sub-sampling gathers rows with :func:`apply_sketch`."""
+    """The m x n product S K and the m x m matrix A = S K (K + 2*lam*I) S^T.
+
+    A gaussian or ros sketch's dense matrix (for ros, its Hadamard rows) is
+    built once, and A = S K (S K + 2*lam*S)^T is one GEMM; a fresh dense
+    matrix holds S K + 2*lam*S in place.  Sub-sampling gathers rows with
+    :func:`apply_sketch`, and its S K S^T is a gather of columns of S K."""
     if S.n != K.n:
         raise DomainError(f"sketch ambient dimension {S.n} != kernel size {K.n}")
     if S.kind == "subsample":
         SK = apply_sketch(S, K.matrix)
-        return SK, apply_sketch(S, SK.T)
-    # one dense matrix for both products: routing both through apply_sketch
-    # builds the ros Hadamard rows twice, which slowed grid-sweep
-    # arm_ms_p50.ros by 6.5-10.7% on a 2-core OpenBLAS machine
+        # S K S^T gathered, not multiplied, keeps A exactly symmetric
+        return SK, SK @ SK.T + 2.0 * lam * (S.scale * SK[:, S.indices])
     D = _dense(S)
     SK = D @ K.matrix
-    return SK, SK @ D.T
+    if S.kind == "ros":  # rows built for this call: shift in their buffer
+        D *= 2.0 * lam
+        shifted = D
+    else:  # the gaussian operator's own, read-only matrix
+        shifted = 2.0 * lam * D
+    shifted += SK
+    return SK, SK @ shifted.T
 
 
 def _solve_sketched(
-    K: KernelMatrix, rhs: np.ndarray, lam: float, SK: np.ndarray, SKSt: np.ndarray
+    K: KernelMatrix, rhs: np.ndarray, SK: np.ndarray, A: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    A = SK @ SK.T + 2.0 * lam * SKSt
     b = SK @ rhs / np.sqrt(K.n)
     alpha, rank_def = _solve_psd(A, b)
     fitted = np.sqrt(K.n) * (SK.T @ alpha)
@@ -207,8 +212,8 @@ def solve_sketched_krr(K: KernelMatrix, y, S: SketchOperator, lambda_n: float) -
     """Sketched KRR: (S K^2 S^T + 2*lam * S K S^T) a = S K y / sqrt(n)."""
     lam = _check_lambda(lambda_n)
     yv = _check_vector(y, K.n, "y")
-    SK, SKSt = _sketched_normal_system(K, S)
-    alpha, fitted, rank_def = _solve_sketched(K, yv, lam, SK, SKSt)
+    SK, A = _sketched_normal_system(K, S, lam)
+    alpha, fitted, rank_def = _solve_sketched(K, yv, SK, A)
     return FitResult("sketched", alpha, S, lam, fitted, rank_deficient=rank_def)
 
 
@@ -224,9 +229,9 @@ def error_decomposition(
     lam = _check_lambda(lambda_n)
     zv = _check_vector(z_star, K.n, "z_star")
     yv = _check_vector(y, K.n, "y")
-    SK, SKSt = _sketched_normal_system(K, S)
-    _, fitted_hat, _ = _solve_sketched(K, yv, lam, SK, SKSt)
-    _, fitted_dag, _ = _solve_sketched(K, zv, lam, SK, SKSt)
+    SK, A = _sketched_normal_system(K, S, lam)
+    _, fitted_hat, _ = _solve_sketched(K, yv, SK, A)
+    _, fitted_dag, _ = _solve_sketched(K, zv, SK, A)
     approx = empirical_error(fitted_dag, zv)
     est = empirical_error(fitted_dag, fitted_hat)
     total = empirical_error(fitted_hat, zv)
@@ -292,7 +297,8 @@ def solve_nystrom_dual(K: KernelMatrix, y, S: SketchOperator, lambda_n: float) -
     lam = _check_lambda(lambda_n)
     yv = _check_vector(y, K.n, "y")
     n = K.n
-    SK, SKSt = _sketched_normal_system(K, S)
+    SK = apply_sketch(S, K.matrix)
+    SKSt = apply_sketch(S, SK.T)
     gram_pinv, ill = _pinv_psd(0.5 * (SKSt + SKSt.T))
     Ktil = SK.T @ (gram_pinv @ SK)
     A = (n / (2.0 * lam)) * Ktil + n * np.eye(n)

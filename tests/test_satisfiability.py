@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import sobolev_uniform_matrix
+from sketchkrr import satisfiability
 from sketchkrr import (
     ComplexityProfile,
     DomainError,
@@ -23,6 +24,31 @@ def sobolev_setup():
     K = KernelMatrix(sobolev_uniform_matrix(n))
     profile = complexity_profile(K.eigenvalues, n, 1.0)
     return n, K, profile
+
+
+@pytest.fixture(scope="module")
+def sobolev_at():
+    """n -> (K, profile, U, mu) on the uniform grid, with the oracle's own
+    descending dense eigendecomposition, built once per n."""
+    cache = {}
+
+    def get(n):
+        if n not in cache:
+            K = KernelMatrix(sobolev_uniform_matrix(n))
+            mu, U = np.linalg.eigh(K.matrix)
+            cache[n] = K, complexity_profile(K.eigenvalues, n, 1.0), U[:, ::-1], np.clip(mu[::-1], 0.0, None)
+        return cache[n]
+
+    return get
+
+
+def dense_tail_norm(S, U, mu, d) -> float:
+    """||S U2 D2^(1/2)||_2 from the explicit trailing block."""
+    return float(np.linalg.norm((S @ U[:, d:]) * np.sqrt(mu[d:]), 2))
+
+
+# the fewest rows that take the Lanczos route to the tail norm
+WIDE = satisfiability.DENSE_TAIL_MAX_M + 1
 
 
 class TestCheckKSatisfiable:
@@ -87,17 +113,60 @@ class TestCheckKSatisfiable:
             r = check_k_satisfiable(S, K, profile, c_threshold=2.0)
             assert r.passed == (r.lhs_isometry <= 0.5 and r.lhs_tail <= 2.0 * r.delta_n)
 
-    @pytest.mark.parametrize("kind,m", [("gaussian", 1), ("gaussian", 24), ("ros", 100), ("subsample", 64)])
-    def test_tail_norm_matches_dense_svd(self, sobolev_setup, kind, m):
-        n, K, profile = sobolev_setup
-        S = draw_sketch(kind, m, n, 5)
-        mu, U = np.linalg.eigh(K.matrix)
-        U, mu = U[:, ::-1], np.clip(mu[::-1], 0.0, None)
-        d = profile.d_n
-        want = np.linalg.norm((materialize(S) @ U[:, d:]) * np.sqrt(mu[d:]), 2)
+    # the first four take the dense route, the rest the Lanczos route
+    @pytest.mark.parametrize("kind,m,n", [
+        pytest.param("gaussian", 1, 128, id="gaussian-1"),
+        pytest.param("gaussian", 24, 128, id="gaussian-24"),
+        pytest.param("ros", 100, 128, id="ros-100"),
+        pytest.param("subsample", 64, 128, id="subsample-64"),
+        pytest.param("ros", 462, 1024, id="ros-462-n1024"),
+        pytest.param("ros", 924, 1024, id="ros-924-n1024"),
+        pytest.param("gaussian", WIDE, 1024, id="gaussian-wide-n1024"),
+        pytest.param("identity", 256, 256, id="identity-256"),
+    ])
+    def test_tail_norm_matches_dense_svd(self, sobolev_at, kind, m, n):
+        K, profile, U, mu = sobolev_at(n)
+        S = identity_sketch(n) if kind == "identity" else draw_sketch(kind, m, n, 5)
+        want = dense_tail_norm(materialize(S), U, mu, profile.d_n)
         report = check_k_satisfiable(S, K, profile)
         np.testing.assert_allclose(report.lhs_tail, want, rtol=1e-12)
         assert check_k_satisfiable(S, K, profile).lhs_tail == report.lhs_tail
+
+    def test_rows_in_head_span_have_zero_tail(self, sobolev_at):
+        # T = S - (S U1) U1^T vanishes: exactly for zero rows (each Lanczos
+        # step breaks down, until k = m), to rounding for rows R U1^T
+        n = 256
+        K, profile, U, mu = sobolev_at(n)
+        zero = np.zeros((WIDE, n))
+        assert check_k_satisfiable(zero, K, profile).lhs_tail == 0.0 == dense_tail_norm(zero, U, mu, profile.d_n)
+        S = np.random.default_rng(3).standard_normal((WIDE, profile.d_n)) @ K.eigenvectors[:, : profile.d_n].T
+        tail = check_k_satisfiable(S, K, profile).lhs_tail
+        assert tail <= 1e-10
+        np.testing.assert_allclose(tail, dense_tail_norm(S, U, mu, profile.d_n), atol=1e-12)
+
+    def test_equal_rows_give_rank_one_tail(self, sobolev_at):
+        # T K T^T = (t^T K t) 1 1^T has rank one
+        n = 256
+        K, profile, U, mu = sobolev_at(n)
+        S = np.tile(np.random.default_rng(4).standard_normal(n), (WIDE, 1))
+        report = check_k_satisfiable(S, K, profile)
+        np.testing.assert_allclose(report.lhs_tail, dense_tail_norm(S, U, mu, profile.d_n), rtol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("m", [4, WIDE])
+    def test_non_finite_sketch_rejected(self, sobolev_setup, bad, m):
+        n, K, profile = sobolev_setup
+        S = materialize(draw_sketch("gaussian", min(m, n), n, 0))
+        S[1, 2] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            check_k_satisfiable(S, K, profile)
+
+    def test_dense_matrix_argument_is_not_modified(self, sobolev_setup):
+        n, K, profile = sobolev_setup
+        S = materialize(draw_sketch("gaussian", 8, n, 1))
+        before = S.copy()
+        check_k_satisfiable(S, K, profile)
+        np.testing.assert_array_equal(S, before)
 
     def test_wrong_width_rejected(self, sobolev_setup):
         n, K, profile = sobolev_setup
@@ -109,6 +178,30 @@ class TestCheckKSatisfiable:
         other = complexity_profile(K.eigenvalues[:64], 64, 1.0)
         with pytest.raises(DomainError, match=f"n=64.*{n}"):
             check_k_satisfiable(identity_sketch(n), K, other)
+
+
+class TestLanczosTop:
+    @pytest.mark.parametrize("m,rank", [(1, 1), (2, 2), (5, 5), (40, 40), (40, 3), (40, 0)])
+    def test_matches_dense_top_eigenvalue(self, m, rank):
+        G = np.random.default_rng(m + rank).standard_normal((m, rank))
+        A = G @ G.T
+        top = satisfiability._lanczos_top(lambda x: A @ x, m)
+        np.testing.assert_allclose(top, np.linalg.eigvalsh(A)[-1] if rank else 0.0, rtol=1e-12, atol=0.0)
+
+    def test_zero_operator_breaks_down_until_k_equals_m(self):
+        # every step breaks down (beta = 0) and continues from a fresh
+        # vector orthogonal to the basis, so the m products see an
+        # orthonormal basis of R^m
+        m = 7
+        seen = []
+
+        def apply(x):
+            seen.append(x.copy())
+            return np.zeros(m)
+
+        assert satisfiability._lanczos_top(apply, m) == 0.0
+        Q = np.array(seen)
+        np.testing.assert_allclose(Q @ Q.T, np.eye(m), atol=1e-14)
 
 
 class TestRecommendedSketchDim:

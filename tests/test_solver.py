@@ -27,6 +27,7 @@ from sketchkrr import (
     zero_noise_objective,
 )
 from sketchkrr.bench import _trial_streams
+from sketchkrr.solver import _sketched_normal_system
 
 
 def sobolev_instance(n, seed, sigma=1.0):
@@ -157,6 +158,20 @@ class TestSolveSketchedKrr:
         best = np.linalg.lstsq(M, c, rcond=None)[0]
         excess = np.sum((M @ fit.coefficients - c) ** 2) / np.sum((M @ best - c) ** 2) - 1.0
         assert excess < 0.5
+
+    @pytest.mark.parametrize("kind", ["gaussian", "ros", "subsample"])
+    def test_normal_matrix_matches_dense_products(self, kind):
+        # A = S K (K + 2 lam I) S^T against the dense two-term form
+        n, lam = 40, 0.07
+        K, _, _, _ = sobolev_instance(n, 13)
+        S = draw_sketch(kind, 9, n, 2)
+        D = materialize(S)
+        SK, A = _sketched_normal_system(K, S, lam)
+        want = D @ K.matrix @ K.matrix @ D.T + 2.0 * lam * (D @ K.matrix @ D.T)
+        assert rel_dev(SK, D @ K.matrix) <= 1e-14
+        assert np.abs(A - want).max() <= 1e-14 * np.abs(want).max()
+        if kind == "subsample":
+            np.testing.assert_array_equal(A, A.T)
 
     def test_span_completeness_full_gaussian_sketch(self):
         K, _, _, y = sobolev_instance(24, 9)
