@@ -9,10 +9,16 @@ and trace (no full eigendecomposition; see :mod:`sketchkrr.complexity`),
 sets the regularization (default 2 * delta_n^2) by rule, and fits every
 arm on that same data.  The ``uniform_grid`` design's points do not
 depend on the seed, so its kernel matrix, profile and regularization are
-computed once per n and only the sample is drawn per trial.  The arms
-differ only in the sketch: each draws it from its own trial seed, derived
-injectively from (base_seed, n, sketch kind, trial index) and recorded in
-the CSV ``seed`` column.  Each arm sets the projection dimension m by rule,
+computed once per n and only the sample is drawn per trial.  Its exact
+arm factors K + 2*lambda*I once per n to keep: trial 0 factors inside
+``solve_krr`` and drops the factor, as every trial of a random design
+does, and trial 1's exact arm makes the factor that it and every later
+trial of that n solve with, O(n^2) instead of O(n^3), with the same bits
+as a fresh factorization.  A factorization that fails fails the exact
+arm alone, and the next trial tries again.  The arms differ only in the
+sketch: each draws it from its own trial seed, derived injectively from
+(base_seed, n, sketch kind, trial index) and recorded in the CSV
+``seed`` column.  Each arm sets the projection dimension m by rule,
 solves, and records the squared empirical prediction error against the
 stored f* values, together with the rescaled error (error times the
 kernel's known rate factor: n^(2/3) for sobolev1, n/sqrt(ln n) for the
@@ -26,8 +32,10 @@ rows, and any other exception is a bug and propagates.  Wall-clock timing
 is off by default because measured times would break the byte-identical
 reproducibility of the output; pass ``timing=True`` (or ``--timing`` on
 the CLI) to record real milliseconds.  The time of a trial's shared work
-is then charged to its first arm's row, so the rows sum to the sweep's
-time.
+is then charged to its first arm's row, and the kept factor's time to the
+exact row that makes it, so the rows sum to the sweep's time.  After that
+row a grid exact row's ``wall_time_ms`` is a triangular solve, not the
+O(n^3) cost of exact KRR: per-n cost comparisons belong to random designs.
 """
 
 from __future__ import annotations
@@ -45,6 +53,8 @@ from .kernels import DesignPoints, KernelMatrix, KernelSpec, build_kernel_matrix
 from .sketch import SketchOperator, draw_sketch
 from .solver import (
     RegressionSample,
+    _factor_krr,
+    _ShiftedFactor,
     empirical_error,
     solve_krr,
     solve_sketched_krr,
@@ -272,12 +282,14 @@ _TRIAL_ERRORS = (DomainError, NumericalError, np.linalg.LinAlgError)
 @dataclass(frozen=True)
 class _SharedInputs:
     """What every arm of one (n, trial) fits on: the dataset, K, its
-    profile (None for sigma = 0) and the regularization."""
+    profile (None for sigma = 0) and the regularization, plus the exact
+    arm's kept Cholesky factor of K + 2*lam*I on a grid (else None)."""
 
     sample: RegressionSample
     K: KernelMatrix
     profile: ComplexityProfile | None
     lam: float
+    factor: _ShiftedFactor | None = None
 
 
 def _shared_inputs(
@@ -306,7 +318,8 @@ def run_error_vs_n(config: ExperimentConfig, timing: bool = False) -> list[Trial
     records: list[TrialRecord] = []
     for n in config.n_grid:
         # uniform_grid points do not depend on the seed: one K, profile and
-        # regularization per n, shared by every trial
+        # regularization per n, shared by every trial, and from the second
+        # trial on one kept factor for the exact arm
         grid = None
         for trial in range(config.trials):
             start = time.perf_counter() if timing else 0.0
@@ -322,6 +335,12 @@ def run_error_vs_n(config: ExperimentConfig, timing: bool = False) -> list[Trial
                 record = _marker_row(n, kind, trial, seed)
                 if shared is not None:
                     try:
+                        if kind == "exact" and trial > 0 and grid is shared and grid.factor is None:
+                            # trial 0 factors inside solve_krr and frees the
+                            # factor: one kept from trial 0 on stays live while
+                            # that trial's sketched arms first touch their BLAS
+                            # and heap pages, +1.3% peak RSS at n = 1024
+                            grid = shared = replace(grid, factor=_factor_krr(grid.K, grid.lam))
                         record = _fit_arm(config, shared, n, kind, trial, seed)
                     except _TRIAL_ERRORS:
                         pass
@@ -344,7 +363,7 @@ def _fit_arm(
     sample, K, profile, lam = shared.sample, shared.K, shared.profile, shared.lam
     if kind == "exact":
         m = n
-        fit = solve_krr(K, sample.y, lam)
+        fit = solve_krr(K, sample.y, lam, _factor=shared.factor)
     else:
         S = _arm_sketch(config, profile, n, kind, seed)
         m = S.m

@@ -6,8 +6,11 @@ With the 1/n-scaled kernel matrix K, the exact coefficient vector solves
 
 whose stationarity condition is K[(K + 2*lam*I) w - y/sqrt(n)] = 0; the
 shifted system (K + 2*lam*I) w = y/sqrt(n) is solved directly (positive
-definite for lam > 0).  The fitted function is f(.) = (1/sqrt(n)) *
-sum_i w_i kernel(., x_i), so the training-point values are sqrt(n) * K w.
+definite for lam > 0): one O(n^3) Cholesky factorization, then O(n^2)
+triangular solves.  A sweep on a fixed design keeps the factor and pays
+only the solves in later trials (see :func:`solve_krr`).  The fitted
+function is f(.) = (1/sqrt(n)) * sum_i w_i kernel(., x_i), so the
+training-point values are sqrt(n) * K w.
 
 The sketched program restricts w to the row span of an m x n sketch S,
 w = S^T a, giving the m-dimensional normal equations
@@ -160,15 +163,47 @@ def _pinv_psd(A: np.ndarray) -> tuple[np.ndarray, bool]:
     return pinv, bool(keep.sum() < A.shape[0])
 
 
-def solve_krr(K: KernelMatrix, y, lambda_n: float) -> FitResult:
-    """Exact kernel ridge regression: (K + 2*lam*I) w = y / sqrt(n)."""
-    lam = _check_lambda(lambda_n)
-    yv = _check_vector(y, K.n, "y")
+@dataclass(frozen=True)
+class _ShiftedFactor:
+    """Cholesky factor of K + 2*lam*I, with the K and lam it was made for."""
+
+    K: KernelMatrix
+    lam: float
+    cho: tuple[np.ndarray, bool]
+
+
+def _factor_krr(K: KernelMatrix, lam: float) -> _ShiftedFactor:
+    """Factor the exact system K + 2*lam*I, the O(n^3) step of :func:`solve_krr`."""
     try:
-        c = cho_factor_shifted(K.matrix, 2.0 * lam)
-        omega = sla.cho_solve(c, yv / np.sqrt(K.n), check_finite=False)
+        return _ShiftedFactor(K, lam, cho_factor_shifted(K.matrix, 2.0 * lam))
     except np.linalg.LinAlgError as exc:  # unreachable for lam > 0 and PSD K
         raise NumericalError(f"shifted kernel system could not be solved: {exc}") from exc
+
+
+def solve_krr(
+    K: KernelMatrix, y, lambda_n: float, *, _factor: _ShiftedFactor | None = None
+) -> FitResult:
+    """Exact kernel ridge regression: (K + 2*lam*I) w = y / sqrt(n).
+
+    Factors K + 2*lam*I by Cholesky, O(n^3), then solves with the factor,
+    O(n^2).  ``_factor`` is for the sweep (:mod:`sketchkrr.bench`) alone:
+    a factor from :func:`_factor_krr` for this same K and lambda_n, kept
+    across the trials of a fixed design that share them, so that a call
+    pays only the triangular solves and the matvec for the fitted values,
+    with the same bits as a fresh factorization.  Such a call's time is
+    therefore not the O(n^3) cost of exact KRR.  A factor made for another
+    K (another instance, even with equal values) or lambda_n raises
+    :class:`DomainError`.
+    """
+    lam = _check_lambda(lambda_n)
+    yv = _check_vector(y, K.n, "y")
+    if _factor is None:
+        _factor = _factor_krr(K, lam)
+    elif _factor.K is not K:
+        raise DomainError("factor was made for another kernel matrix")
+    elif _factor.lam != lam:
+        raise DomainError(f"factor was made for lambda_n={_factor.lam!r}, not {lam!r}")
+    omega = sla.cho_solve(_factor.cho, yv / np.sqrt(K.n), check_finite=False)
     fitted = np.sqrt(K.n) * (K.matrix @ omega)
     return FitResult("exact", omega, None, lam, fitted)
 

@@ -307,6 +307,107 @@ class TestPairedArms:
             assert r.wall_time_ms == pytest.approx(want, abs=1e-6)
 
 
+class TestGridExactFactor:
+    """A uniform grid's exact arm factors K + 2*lam*I at most twice per n
+    (trial 0's own, then the one kept from trial 1 on); a random design
+    factors once per trial."""
+
+    @staticmethod
+    def count_factorizations(monkeypatch):
+        import sketchkrr.solver as solver
+
+        calls = []
+        original = solver.cho_factor_shifted
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "cho_factor_shifted", counted)
+        return calls
+
+    @pytest.mark.parametrize("trials", [1, 2, 4])
+    def test_grid_factors_at_most_twice_per_n_with_unchanged_bits(self, monkeypatch, trials):
+        import sketchkrr.bench as bench
+        from sketchkrr import build_kernel_matrix, empirical_error, solve_krr
+
+        solves = []
+        original = bench.solve_krr
+
+        def recording(K, y, lambda_n, **kwargs):
+            fit = original(K, y, lambda_n, **kwargs)
+            solves.append(fit)
+            return fit
+
+        monkeypatch.setattr(bench, "solve_krr", recording)
+        factorizations = self.count_factorizations(monkeypatch)
+        cfg = small_config(kernel=KernelSpec.gaussian(0.25), n_grid=(8, 40),
+                           sketch_kinds=("exact", "gaussian"), trials=trials)
+        records = run_error_vs_n(cfg)
+        assert factorizations == [n for n in cfg.n_grid for _ in range(min(trials, 2))]
+        exact = [r for r in records if r.sketch == "exact"]
+        assert len(solves) == len(exact) == len(cfg.n_grid) * trials
+        for r, kept in zip(exact, solves):
+            sample = generate_data(cfg, r.n, _data_seed(cfg.base_seed, r.n, r.trial))
+            K = build_kernel_matrix(cfg.kernel, sample.pts)
+            fresh = solve_krr(K, sample.y, r.lambda_n)
+            np.testing.assert_array_equal(kept.fitted, fresh.fitted)
+            assert r.error == empirical_error(fresh.fitted, sample.fstar)
+
+    def test_random_design_factors_once_per_trial(self, monkeypatch):
+        factorizations = self.count_factorizations(monkeypatch)
+        cfg = small_config(design="irregular", kernel=KernelSpec.gaussian(0.25),
+                           sketch_kinds=("exact", "gaussian"), n_grid=(16, 40))
+        run_error_vs_n(cfg)
+        assert factorizations == [n for n in cfg.n_grid for _ in range(cfg.trials)]
+
+    def test_sweep_without_exact_arm_factors_nothing(self, monkeypatch):
+        factorizations = self.count_factorizations(monkeypatch)
+        run_error_vs_n(small_config(sketch_kinds=("gaussian", "ros")))
+        assert factorizations == []
+
+    def test_failing_factorization_marks_only_exact_rows(self, monkeypatch):
+        import sketchkrr.solver as solver
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("injected")
+
+        monkeypatch.setattr(solver, "cho_factor_shifted", failing)
+        cfg = small_config(sketch_kinds=("exact", "gaussian", "ros"), trials=4)
+        records = run_error_vs_n(cfg)
+        assert len(records) == len(cfg.n_grid) * len(cfg.sketch_kinds) * cfg.trials
+        for r in records:
+            if r.sketch == "exact":
+                assert math.isnan(r.error)
+            else:
+                assert math.isfinite(r.error) and math.isfinite(r.rescaled_error)
+
+    def test_grid_timing_charges_the_factor_to_the_row_that_builds_it(self, monkeypatch):
+        import types
+
+        import sketchkrr.bench as bench
+
+        # a clock that advances 1 ms per reading and 5 s per kept factor
+        clock = [0.0]
+        original = bench._factor_krr
+
+        def perf_counter():
+            clock[0] += 1e-3
+            return clock[0]
+
+        def slow_factor(*args, **kwargs):
+            clock[0] += 5.0
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "time", types.SimpleNamespace(perf_counter=perf_counter))
+        monkeypatch.setattr(bench, "_factor_krr", slow_factor)
+        cfg = small_config(n_grid=(8,), sketch_kinds=("gaussian", "exact"), trials=3)
+        records = run_error_vs_n(cfg, timing=True)
+        for r in records:
+            want = 5001.0 if (r.sketch, r.trial) == ("exact", 1) else 1.0
+            assert r.wall_time_ms == pytest.approx(want, abs=1e-6)
+
+
 class TestCsv:
     def test_header_names_record_fields_in_order(self):
         names = [f.name for f in dataclasses.fields(TrialRecord)]

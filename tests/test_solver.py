@@ -27,7 +27,7 @@ from sketchkrr import (
     zero_noise_objective,
 )
 from sketchkrr.bench import _trial_streams
-from sketchkrr.solver import _sketched_normal_system
+from sketchkrr.solver import _factor_krr, _sketched_normal_system
 
 
 def sobolev_instance(n, seed, sigma=1.0):
@@ -100,6 +100,26 @@ class TestSolveKrr:
             solve_krr(K, y, np.inf)
         with pytest.raises(DomainError, match="lambda_n"):
             solve_sketched_krr(K, y, draw_sketch("gaussian", 2, 5, 1), np.inf)
+
+    def test_kept_factor_reproduces_a_fresh_solve_bit_for_bit(self):
+        K, _, _, y = sobolev_instance(30, 7)
+        factor = _factor_krr(K, 0.02)
+        fresh = solve_krr(K, y, 0.02)
+        for rhs in (y, -2.0 * y):  # one factor, many right-hand sides
+            kept = solve_krr(K, rhs, 0.02, _factor=factor)
+            want = solve_krr(K, rhs, 0.02)
+            np.testing.assert_array_equal(kept.coefficients, want.coefficients)
+            np.testing.assert_array_equal(kept.fitted, want.fitted)
+        np.testing.assert_array_equal(solve_krr(K, y, 0.02, _factor=factor).fitted, fresh.fitted)
+
+    def test_factor_made_for_another_kernel_or_lambda_is_rejected(self):
+        K, _, _, y = sobolev_instance(12, 8)
+        factor = _factor_krr(K, 0.02)
+        # same values, another matrix: the factor is tied to the instance
+        with pytest.raises(DomainError, match="another kernel matrix"):
+            solve_krr(KernelMatrix(K.matrix), y, 0.02, _factor=factor)
+        with pytest.raises(DomainError, match="lambda_n=0.02, not 0.03"):
+            solve_krr(K, y, 0.03, _factor=factor)
 
 
 class TestSolveSketchedKrr:
