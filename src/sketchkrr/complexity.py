@@ -19,21 +19,22 @@ mu_{k+1} <= delta^2,
     sum_j min(delta^2, mu_j) = sum_{j<=k} min(delta^2, mu_j) + (tr K - sum_{j<=k} mu_j).
 
 ``complexity_profile`` given a :class:`KernelMatrix` therefore works from
-a head spectrum: the top k Ritz values of a randomized subspace iteration
-(Halko, Martinsson and Tropp 2011) with a fixed seed, O(n^2 k) per
-multiplication by K, with an error estimate for each value.  It starts at
-k = 8 and doubles k until the k-th Ritz value plus its error estimate is
-at most delta_n^2 / 2 and the error estimates of the leading d_n + 1
-values are within 1e-10 * delta_n^2; once 4k exceeds n it uses the full
-spectrum of ``K.eig()``.  A matrix from ``build_kernel_matrix`` is PSD
+a head spectrum: the k Ritz values of a fixed-seed randomized block Krylov
+space of K (Halko, Martinsson and Tropp 2011; Musco and Musco 2015), with
+an error estimate for each value.  The space grows, never restarting, by
+one block of 8 columns and one O(n^2 * 8) product with K at a time, so k
+= 8, 16, 24, ..., until the k-th Ritz value plus its error estimate is at
+most delta_n^2 / 2 and the error estimates of the leading d_n + 1 values
+are within 1e-10 * delta_n^2.  Once k would pass both n/4 and 48, or at
+once if 32 > n, it uses the full spectrum of ``K.eig()``.  A matrix from ``build_kernel_matrix`` is PSD
 at working precision by construction (its docstring gives the argument)
 and is not checked again; for any other matrix, after the first head, K +
 1e-10 * theta_1 * I must have a Cholesky factor, or the profile raises
-:class:`NumericalError`.  The result depends only on
-(K, n, sigma), and n must be the size of K.  The error estimates are
-a-posteriori (their quadratic term divides by gaps between Ritz values,
-not between eigenvalues), so this path estimates delta_n and d_n rather
-than certifying them; the tests check it against dense ``eigvalsh`` (d_n
+:class:`NumericalError`.  The result depends only on (K, n, sigma), and n
+must be the size of K.  The error estimates are a-posteriori (their
+quadratic term divides by gaps between Ritz values, not between
+eigenvalues), so this path estimates delta_n and d_n rather than
+certifying them; the tests check it against dense ``eigvalsh`` (d_n
 exact, delta_n within 1e-9 relative) for three kernels, three designs and
 n from 64 to 1200.
 
@@ -45,11 +46,12 @@ gaussian kernel, ~ n^(-2/3) for the first-order Sobolev kernel).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import cho_factor_shifted
+from ._util import block_krylov, cho_factor_shifted
 from .errors import DomainError, NumericalError
 from .kernels import EIG_CLAMP_REL, KernelMatrix, KernelSpec
 
@@ -66,15 +68,10 @@ __all__ = [
 BISECT_REL_TOL = 1e-10
 BISECT_MAX_STEPS = 200
 
-# head spectrum: first size tried, and the error estimate its leading Ritz
-# values must reach, relative to delta_n^2
+# head spectrum: the eigensolver's block size (the first head's size), and
+# the error estimate its leading Ritz values must reach, relative to delta_n^2
 HEAD_START = 8
 RITZ_REL_TOL = 1e-10
-
-# the head's subspace iteration: a fixed start, so that it is a pure
-# function of K, and a fixed number of multiplications by K beyond the first
-HEAD_SEED = 20150123
-HEAD_POWER_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -182,56 +179,34 @@ def _matrix_profile(K: KernelMatrix, n: int, sigma: float) -> tuple[float, int]:
         raise DomainError(f"profile size n={n} does not match the kernel matrix size {K.n}")
     matrix = K.matrix
     trace = float(np.trace(matrix))
-    k = HEAD_START
-    while 4 * k <= K.n:
-        theta, bounds = _ritz_head(matrix, k)
-        # K is the same for every k: one PSD check suffices, and none for
+    # heads of k = 8, 16, ... while 4k <= n or k <= 48 (sobolev1 at n = 64
+    # needs six blocks to settle), and none if 4 HEAD_START > n
+    blocks = max(n // (4 * HEAD_START), 6) if 4 * HEAD_START <= n else 0
+    heads = block_krylov(lambda X: matrix @ X, n, HEAD_START)
+    for theta, residuals in itertools.islice(heads, blocks):
+        # K is the same for every head: one PSD check suffices, and none for
         # a matrix PSD by construction (see build_kernel_matrix)
-        if k == HEAD_START and not K._proven:
-            _check_psd(matrix, float(theta[0]))
+        if theta.size == HEAD_START and not K._proven:
+            _check_psd(matrix, max(float(theta[0]), 0.0))
+        # error estimates: the residual, or residual^2 / gap to the nearest
+        # other Ritz value if smaller (see the module docstring)
+        gaps = np.abs(np.diff(theta))
+        gap = np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bounds = np.fmin(residuals, residuals * residuals / gap)
+        # Ritz values never exceed the eigenvalues they approximate, so
+        # trace(K) minus their sum is at least the mass below the head
+        theta = np.clip(theta, 0.0, None)
         delta = _critical_radius(theta, max(trace - float(theta.sum()), 0.0), n, sigma)
         dsq = delta * delta
         d_n = int((theta > dsq).sum())
         if theta[-1] + bounds[-1] <= dsq / 2.0 and (bounds[: d_n + 1] <= RITZ_REL_TOL * dsq).all():
             return delta, d_n
-        k *= 2
-    # the dense spectrum, not a head of size up to n: a head-only profile
-    # ran 2x slower where this fallback fires (sobolev1, n = 1024,
-    # sigma = 0.002: 1.25 s -> 2.48 s on a 2-core OpenBLAS machine)
+    # the dense spectrum: where this fires (sobolev1, n = 1024, sigma = 0.002)
+    # the head settles only at 60 blocks, in 0.84 s; this way takes 0.42 s
     mu = K.eigenvalues
     delta = critical_radius(mu, n, sigma)
     return delta, statistical_dimension(mu, delta)
-
-
-def _ritz_head(matrix: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The top min(k, n) Ritz values of K, descending, and their error bounds.
-
-    A 2k-column Gaussian block with a fixed seed is multiplied by K
-    1 + HEAD_POWER_STEPS times with re-orthonormalization, then
-    Rayleigh-Ritz; the top k of the 2k Ritz values are kept.  ``bounds[j]``
-    estimates the distance from ``values[j]`` to the eigenvalue it
-    approximates: the smaller of the residual norm ||K v_j - values[j] v_j||
-    (some eigenvalue lies within it) and the quadratic bound residual^2 /
-    gap, with gap the distance to the nearest other Ritz value of the block
-    (a gap between Ritz values, not between eigenvalues, so this is an
-    a-posteriori estimate, not a guaranteed bound).  Ritz values never
-    exceed the eigenvalues they approximate, so trace(K) minus their sum is
-    at least the mass of the eigenvalues below the head.
-    """
-    n = matrix.shape[0]
-    Q = np.random.default_rng(HEAD_SEED).standard_normal((n, min(2 * k, n)))
-    for _ in range(HEAD_POWER_STEPS + 1):
-        Q = np.linalg.qr(matrix @ Q)[0]
-    KQ = matrix @ Q
-    theta, W = np.linalg.eigh(Q.T @ KQ)
-    theta, W = theta[::-1], W[:, ::-1]
-    # K (Q W) = (K Q) W, so the residuals need no further product with K
-    residuals = np.linalg.norm(KQ @ W - (Q @ W) * theta, axis=0)
-    gaps = np.abs(np.diff(theta))
-    gap = np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bounds = np.fmin(residuals, residuals * residuals / gap)
-    return np.clip(theta[:k], 0.0, None), bounds[:k]
 
 
 def _check_psd(matrix: np.ndarray, top: float) -> None:

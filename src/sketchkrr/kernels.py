@@ -18,10 +18,9 @@ symmetric, and ``complexity_profile(K)`` checks that it is PSD with one
 Cholesky factorization; a matrix from ``build_kernel_matrix`` is
 symmetric and PSD by construction (its docstring gives the argument) and
 skips both checks.  Two callers need it: the sketch certificate, for the
-eigenvectors, and ``complexity_profile(K)``, which takes ``K.eigenvalues``
-once its head size k passes n / 4 (4k > n); below that the critical
-radius works from a randomized top-k head (see
-:mod:`sketchkrr.complexity`).
+eigenvectors of a nonempty head, and ``complexity_profile(K)``, which
+takes ``K.eigenvalues`` only when its randomized head does not settle
+(see :mod:`sketchkrr.complexity`).
 """
 
 from __future__ import annotations

@@ -15,10 +15,10 @@ T = S - (S U1) U1^T.  Since (I - U1 U1^T) K (I - U1 U1^T) = U2 D2 U2^T,
 
 so neither U2, D2 nor an m x (n - d_n) block is formed.  Narrow sketches
 form the m x m matrix T K T^T and take its top eigenvalue with LAPACK;
-wide ones run a deterministic Lanczos iteration on x -> T (K (T^T x)),
-three matrix-vector products a step.  Both agree with the explicit tail
-block to working precision.  The report always exposes the raw norms so a
-caller can re-threshold.
+wide ones run Lanczos (the profile's block Krylov eigensolver, one column
+per block) on x -> T (K (T^T x)), three matrix-vector products a step.
+Both agree with the explicit tail block to working precision.  The report
+always exposes the raw norms so a caller can re-threshold.
 
 ``recommended_sketch_dim`` gives the projection-dimension rule of thumb,
 m ~ c * d_n for Gaussian sketches and m ~ c * d_n * ln(n)^4 for ROS
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from ._util import ceil_int
+from ._util import block_krylov, ceil_int
 from .complexity import ComplexityProfile
 from .errors import DomainError
 from .kernels import KernelMatrix
@@ -48,24 +48,22 @@ __all__ = [
 DEFAULT_C_THRESHOLD = 4.0
 ISOMETRY_THRESHOLD = 0.5
 
-# Sketches with more rows than this take the tail norm by Lanczos.  The
-# tail step costs, in ms for a gaussian / ros sketch (best of 5, 2-core
-# machine, one OpenBLAS thread):
+# Sketches with more rows than this take the tail norm by block Krylov with
+# one column per block.  The tail step costs, in ms for a gaussian / ros
+# sketch (best of 5, 2-core machine, one OpenBLAS thread):
 #
 #   m                         64     128     192     256      924
 #   sobolev1, n = 1024
-#     dense T K T^T + eigh   4/5     7/8   12/12   18/18  164/145
-#     Lanczos              10/10    10/8   13/11   14/12    23/21
+#     dense T K T^T + eigh   3/3     6/6   13/11   12/13  126/124
+#     block Krylov           8/8    9/10   11/10   10/11    18/20
 #   gaussian h = 0.25, irregular design, n = 1200
-#     dense T K T^T + eigh   6/6   11/11   17/15   25/23  177/165
-#     Lanczos                4/4     5/5     5/6     5/6      9/9
+#     dense T K T^T + eigh   5/5     9/9   14/14   17/18  131/149
+#     block Krylov           4/4     4/4     5/5     6/5      9/9
 #
-# Lanczos needs fewer steps where the tail spectrum decays fast, so the
-# routes cross near m = 192 for sobolev1 and below m = 64 for the gaussian
-# kernel; n/8 = 128 at n = 1024 splits them.
+# The Krylov route needs fewer steps where the tail spectrum decays fast, so
+# the routes cross near m = 192 for sobolev1 and below m = 64 for the
+# gaussian kernel; n/8 = 128 at n = 1024 splits them.
 DENSE_TAIL_MAX_M = 128
-# seed of the Lanczos start vector, fixed so certificates are reproducible
-LANCZOS_SEED = 20150123
 LANCZOS_RTOL = 1e-12
 
 
@@ -89,7 +87,7 @@ def check_k_satisfiable(
     dense matrix with n columns, e.g. the transposed leading eigenvector
     block itself, which passes with both norms zero to rounding.  ``profile``
     must be for K's size n.  An empty head (d_n = 0) makes the isometry
-    condition vacuous.
+    condition vacuous and needs no eigendecomposition of K.
     """
     if not c_threshold > 0.0:
         raise DomainError(f"c_threshold must be > 0, got {c_threshold}")
@@ -106,14 +104,13 @@ def check_k_satisfiable(
     d_n = profile.d_n
     if not 0 <= d_n <= K.n:
         raise DomainError(f"profile d_n={d_n} out of range for n={K.n}")
-    U1 = K.eig()[0][:, :d_n]
-    SU1 = dense @ U1
-    iso = float(np.linalg.norm(SU1.T @ SU1 - np.eye(d_n), 2)) if d_n else 0.0
-    if d_n == K.n:
-        tail = 0.0
-    else:
+    iso = 0.0
+    if d_n:  # with an empty head, T = S and no eigenvector is needed
+        U1 = K.eig()[0][:, :d_n]
+        SU1 = dense @ U1
+        iso = float(np.linalg.norm(SU1.T @ SU1 - np.eye(d_n), 2))
         dense -= SU1 @ U1.T  # T, in place of the sketch's copy
-        tail = math.sqrt(_top_eigenvalue_tkt(dense, K.matrix))
+    tail = 0.0 if d_n == K.n else math.sqrt(_top_eigenvalue_tkt(dense, K.matrix))
     passed = iso <= ISOMETRY_THRESHOLD and tail <= c_threshold * profile.delta_n
     return SatisfiabilityReport(
         lhs_isometry=iso,
@@ -128,52 +125,15 @@ def _top_eigenvalue_tkt(T: np.ndarray, K: np.ndarray) -> float:
     """lambda_max(T K T^T), clamped at zero, for an m x n T and a PSD K."""
     m = T.shape[0]
     if m > DENSE_TAIL_MAX_M:
-        return _lanczos_top(lambda x: T @ (K @ (T.T @ x)), m)
+        # Lanczos: stop at residual <= LANCZOS_RTOL * theta, or once the
+        # basis spans R^m and theta is exact
+        for theta, residuals in block_krylov(lambda x: T @ (K @ (T.T @ x)), m, 1):
+            if residuals[0] <= LANCZOS_RTOL * theta[0] or theta.size == m:
+                return max(float(theta[0]), 0.0)
     A = (T @ K) @ T.T
     top = sla.eigh(A, eigvals_only=True, subset_by_index=[m - 1] * 2,
                    overwrite_a=True, check_finite=False)[0]
     return max(float(top), 0.0)
-
-
-def _lanczos_top(apply, m: int) -> float:
-    """Largest eigenvalue, clamped at zero, of the symmetric PSD m x m
-    operator ``apply``, by Lanczos with full reorthogonalization.
-
-    The start vector comes from LANCZOS_SEED, so reruns are bit-identical.
-    The iteration stops when the top Ritz pair (theta, y) of the k x k
-    tridiagonal has residual beta_k |y_k| <= LANCZOS_RTOL * theta, or at
-    k = m, where the basis spans R^m and theta is exact.  On a breakdown
-    (beta = 0) the Krylov space is invariant but need not hold the top
-    eigenvector, so the iteration continues from a fresh vector orthogonal
-    to the basis.  The basis grows one row a step.
-    """
-    rng = np.random.default_rng(LANCZOS_SEED)
-    Q = np.empty((0, m))
-    alphas: list[float] = []
-    betas: list[float] = []
-    q = rng.standard_normal(m)
-    q /= np.linalg.norm(q)
-    while True:
-        Q = np.vstack((Q, q))
-        w = apply(q)
-        alphas.append(float(q @ w))
-        for _ in range(2):  # twice is enough (Parlett, Kahan)
-            w -= Q.T @ (Q @ w)
-        beta = float(np.linalg.norm(w))
-        k = len(alphas)
-        if beta == 0.0 and k < m:
-            w = rng.standard_normal(m)
-            for _ in range(2):
-                w -= Q.T @ (Q @ w)
-            q = w / np.linalg.norm(w)
-            betas.append(0.0)
-            continue
-        theta, y = sla.eigh_tridiagonal(alphas, betas, select="i", select_range=(k - 1, k - 1))
-        theta = max(float(theta[0]), 0.0)
-        if k == m or beta * abs(y[-1, 0]) <= LANCZOS_RTOL * theta:
-            return theta
-        q = w / beta
-        betas.append(beta)
 
 
 def recommended_sketch_dim(kind: str, d_n: int, n, c: float) -> int:
@@ -183,12 +143,15 @@ def recommended_sketch_dim(kind: str, d_n: int, n, c: float) -> int:
         raise DomainError(f"d_n must be >= 1, got {d_n}")
     if not n >= 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    if not c > 0.0:
-        raise DomainError(f"c must be > 0, got {c}")
+    if not math.isfinite(n):
+        raise DomainError(f"n must be finite, got {n}")
+    if not 0.0 < c < math.inf:
+        raise DomainError(f"c must be finite and > 0, got {c}")
     if kind == "gaussian":
-        m = ceil_int(c * d_n)
+        m = c * d_n
     elif kind == "ros":
-        m = ceil_int(c * d_n * math.log(n) ** 4)
+        m = c * d_n * math.log(n) ** 4
     else:
         raise DomainError(f"no sketch-dimension rule for kind {kind!r}")
-    return max(1, min(m, int(n)))
+    # a product that overflows to inf clamps to n like any other above n
+    return max(1, min(ceil_int(m), int(n))) if m < n else int(n)

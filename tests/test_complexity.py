@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import sketchkrr.complexity as complexity
 from helpers import grid_critical_radius, sobolev_uniform_matrix
+from sketchkrr._util import block_krylov
 from sketchkrr import (
     DesignPoints,
     DomainError,
@@ -174,32 +176,67 @@ def dense_profile(K, n, sigma):
 
 @pytest.fixture
 def head_calls(monkeypatch):
-    """Record the size k of every head the profile builds."""
+    """Record the size k of every head the profile reads from the eigensolver."""
     calls = []
-    original = complexity._ritz_head
+    original = complexity.block_krylov
 
-    def counting(matrix, k):
-        calls.append(k)
-        return original(matrix, k)
+    def counting(apply, n, block):
+        for theta, residuals in original(apply, n, block):
+            calls.append(theta.size)
+            yield theta, residuals
 
-    monkeypatch.setattr(complexity, "_ritz_head", counting)
+    monkeypatch.setattr(complexity, "block_krylov", counting)
     return calls
 
 
 class TestRitzHead:
+    """The eigensolver with the profile's block size, against dense eigvalsh."""
+
     @pytest.mark.parametrize(
         "spec", [KernelSpec.polynomial(2), KernelSpec.gaussian(0.25), KernelSpec.sobolev1()]
     )
     def test_ritz_values_within_bounds_of_dense_eigenvalues(self, spec):
         rng = np.random.default_rng(11)
         K = build_kernel_matrix(spec, DesignPoints(np.sort(rng.uniform(0, 1, 300))))
-        values, bounds = complexity._ritz_head(K.matrix, 8)
         mu = np.clip(np.linalg.eigvalsh(K.matrix)[::-1], 0.0, None)
-        assert values.shape == bounds.shape == (8,)
-        assert (np.diff(values) <= 0).all()
-        # each bound covers the distance to its eigenvalue, up to round-off
         slack = 1e-13 * mu[0]
-        assert (np.abs(values - mu[:8]) <= bounds + slack).all()
+        heads = block_krylov(lambda X: K.matrix @ X, 300, complexity.HEAD_START)
+        for j, (values, residuals) in enumerate(itertools.islice(heads, 6), start=1):
+            assert values.shape == residuals.shape == (j * complexity.HEAD_START,)
+            assert (np.diff(values) <= 0).all()
+            # some eigenvalue lies within each residual, up to round-off
+            nearest = np.abs(values[:, None] - mu[None, :]).min(axis=1)
+            assert (nearest <= residuals + slack).all()
+            if j >= 4:
+                # once the basis holds 4 blocks, the profile's estimates of
+                # the leading 8 cover the distance to their own eigenvalue
+                gaps = np.abs(np.diff(values))
+                gap = np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf])
+                bounds = np.fmin(residuals, residuals * residuals / gap)[:8]
+                assert (np.abs(values[:8] - mu[:8]) <= bounds + slack).all()
+
+    def test_multiplies_each_basis_column_once(self, monkeypatch):
+        # sigma = 0.125 makes d_n = 12 here, so the profile grows the head
+        # past its first block; the Krylov basis is extended, not restarted
+        n = 512
+        blocks, sizes = [], []
+        original = complexity.block_krylov
+
+        def recording(apply, n, block):
+            def counted(X):
+                blocks.append(X.copy())
+                return apply(X)
+
+            for theta, residuals in original(counted, n, block):
+                sizes.append(theta.size)
+                yield theta, residuals
+
+        monkeypatch.setattr(complexity, "block_krylov", recording)
+        prof = complexity_profile(KernelMatrix(sobolev_uniform_matrix(n)), n, 0.125)
+        assert prof.d_n == 12 and len(sizes) >= 2
+        Q = np.hstack(blocks)
+        assert Q.shape == (n, sizes[-1])
+        np.testing.assert_allclose(Q.T @ Q, np.eye(sizes[-1]), atol=1e-14)
 
 
 class TestMatrixProfile:
@@ -217,7 +254,7 @@ class TestMatrixProfile:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # sobolev1 on the irregular design
             K = build_kernel_matrix(spec, generate_data(config, n, n).pts)
-        # sigma = 0.125 makes d_n large enough for sobolev1 to double k
+        # sigma = 0.125 makes d_n large enough for sobolev1 to grow the head
         for sigma in (1.0, 0.125):
             got = complexity_profile(K, n, sigma)
             want = dense_profile(K, n, sigma)
@@ -243,7 +280,7 @@ class TestMatrixProfile:
         monkeypatch.setattr(complexity, "_check_psd", counting)
         K = KernelMatrix(sobolev_uniform_matrix(512))
         complexity_profile(K, 512, 0.125)
-        assert len(head_calls) >= 2  # d_n = 12 here, so k doubled at least once
+        assert len(head_calls) >= 2  # d_n = 12 here, so the head grew at least once
         assert len(checks) == 1
 
     def test_psd_check_only_for_direct_matrices(self, monkeypatch):
@@ -286,12 +323,14 @@ class TestMatrixProfile:
         first = build_kernel_matrix(KernelSpec.gaussian(0.25), pts)
         second = build_kernel_matrix(KernelSpec.gaussian(0.25), pts)
         assert complexity_profile(first, 700, 0.5) == complexity_profile(second, 700, 0.5)
-        np.testing.assert_array_equal(complexity._ritz_head(first.matrix, 1)[0],
-                                      complexity._ritz_head(second.matrix, 1)[0])
+        heads = [block_krylov(lambda X, K=K: K.matrix @ X, 700, 1) for K in (first, second)]
+        for (a, ra), (b, rb) in itertools.islice(zip(*heads), 4):
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(ra, rb)
 
     def test_profile_does_not_depend_on_call_order(self):
         n = 512
         first = KernelMatrix(sobolev_uniform_matrix(n))
         second = KernelMatrix(sobolev_uniform_matrix(n))
-        complexity_profile(first, n, 0.125)  # doubles k on the same K first
+        complexity_profile(first, n, 0.125)  # grows the head on the same K first
         assert complexity_profile(first, n, 1.0) == complexity_profile(second, n, 1.0)

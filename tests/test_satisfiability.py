@@ -5,6 +5,7 @@ import pytest
 
 from helpers import sobolev_uniform_matrix
 from sketchkrr import satisfiability
+from sketchkrr._util import block_krylov
 from sketchkrr import (
     ComplexityProfile,
     DomainError,
@@ -70,11 +71,25 @@ class TestCheckKSatisfiable:
         assert report.lhs_tail <= profile.delta_n
         assert check_k_satisfiable(identity_sketch(n), K, profile, c_threshold=1.0).passed
 
-    def test_empty_head_is_vacuous(self, sobolev_setup):
-        n, K, _ = sobolev_setup
+    def test_empty_head_is_vacuous(self, monkeypatch, sobolev_at):
+        # and needs no eigendecomposition: T = S, so the tail is ||S K^(1/2)||
+        n = 128
+        K, _, U, mu = sobolev_at(n)
+        calls = []
+        original = KernelMatrix.eig
+
+        def spy(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(KernelMatrix, "eig", spy)
         huge = ComplexityProfile(sigma=1.0, delta_n=10.0, delta_n_sq=100.0, d_n=0, n=n)
-        report = check_k_satisfiable(draw_sketch("gaussian", 4, n, 0), K, huge)
-        assert report.lhs_isometry == 0.0
+        for S in (materialize(draw_sketch("gaussian", 4, n, 0)),
+                  np.random.default_rng(2).standard_normal((WIDE, n))):
+            report = check_k_satisfiable(S, K, huge)
+            assert report.lhs_isometry == 0.0
+            np.testing.assert_allclose(report.lhs_tail, dense_tail_norm(S, U, mu, 0), rtol=1e-12)
+        assert calls == []
 
     def test_full_head_has_zero_tail(self, sobolev_setup):
         n, K, _ = sobolev_setup
@@ -133,8 +148,8 @@ class TestCheckKSatisfiable:
         assert check_k_satisfiable(S, K, profile).lhs_tail == report.lhs_tail
 
     def test_rows_in_head_span_have_zero_tail(self, sobolev_at):
-        # T = S - (S U1) U1^T vanishes: exactly for zero rows (each Lanczos
-        # step breaks down, until k = m), to rounding for rows R U1^T
+        # T = S - (S U1) U1^T vanishes: exactly for zero rows (the first
+        # Ritz pair has zero value and residual), to rounding for rows R U1^T
         n = 256
         K, profile, U, mu = sobolev_at(n)
         zero = np.zeros((WIDE, n))
@@ -181,25 +196,30 @@ class TestCheckKSatisfiable:
 
 
 class TestLanczosTop:
+    """The eigensolver with one column per block, as the tail norm drives it."""
+
     @pytest.mark.parametrize("m,rank", [(1, 1), (2, 2), (5, 5), (40, 40), (40, 3), (40, 0)])
-    def test_matches_dense_top_eigenvalue(self, m, rank):
+    def test_matches_dense_top_eigenvalue(self, monkeypatch, m, rank):
+        # T K T^T = G G^T for T = G and K = I, through the Krylov route
+        monkeypatch.setattr(satisfiability, "DENSE_TAIL_MAX_M", 0)
         G = np.random.default_rng(m + rank).standard_normal((m, rank))
-        A = G @ G.T
-        top = satisfiability._lanczos_top(lambda x: A @ x, m)
-        np.testing.assert_allclose(top, np.linalg.eigvalsh(A)[-1] if rank else 0.0, rtol=1e-12, atol=0.0)
+        top = satisfiability._top_eigenvalue_tkt(G, np.eye(rank))
+        np.testing.assert_allclose(top, np.linalg.eigvalsh(G @ G.T)[-1] if rank else 0.0, rtol=1e-12, atol=0.0)
 
     def test_zero_operator_breaks_down_until_k_equals_m(self):
-        # every step breaks down (beta = 0) and continues from a fresh
-        # vector orthogonal to the basis, so the m products see an
-        # orthonormal basis of R^m
+        # every block breaks down and continues from a fresh vector
+        # orthogonal to the basis, so the m products see an orthonormal
+        # basis of R^m
         m = 7
         seen = []
 
-        def apply(x):
-            seen.append(x.copy())
-            return np.zeros(m)
+        def apply(X):
+            seen.append(X[:, 0].copy())
+            return np.zeros_like(X)
 
-        assert satisfiability._lanczos_top(apply, m) == 0.0
+        heads = list(block_krylov(apply, m, 1))
+        assert [theta.size for theta, _ in heads] == list(range(1, m + 1))
+        assert all((theta == 0.0).all() and (res == 0.0).all() for theta, res in heads)
         Q = np.array(seen)
         np.testing.assert_allclose(Q @ Q.T, np.eye(m), atol=1e-14)
 
@@ -229,3 +249,8 @@ class TestRecommendedSketchDim:
             for n in (0, -3):
                 with pytest.raises(DomainError, match=f"n must be >= 1, got {n}"):
                     recommended_sketch_dim(kind, 2, n, 1.0)
+            with pytest.raises(DomainError, match="n must be finite, got inf"):
+                recommended_sketch_dim(kind, 2, math.inf, 1.0)
+            for c in (math.inf, math.nan, 0.0):
+                with pytest.raises(DomainError, match=f"c must be finite and > 0, got {c}"):
+                    recommended_sketch_dim(kind, 2, 10, c)
