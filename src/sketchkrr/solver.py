@@ -17,13 +17,13 @@ w = S^T a, giving the m-dimensional normal equations
 
     (S K^2 S^T + 2*lam * S K S^T) a = S K y / sqrt(n).
 
-A system that Cholesky cannot factor, or that it factors with an
-estimated reciprocal condition number below machine epsilon (numerically
-singular), falls back to the minimum-norm least-squares solution
-(eigenvalues below 1e-12 of the largest truncated) and the result is
-flagged.  The same normal equations with y replaced by the noiseless
-values z* give the zero-noise projected solution, whose fitted values
-split the prediction error into approximation and estimation parts:
+Their matrix A squares the conditioning of the least-squares problem:
+when Cholesky cannot factor A, or estimates its reciprocal condition
+number below machine epsilon, the fit is flagged and solved as a ridge
+system on a pivoted Cholesky factor of C = S K S^T.  The same normal
+equations with y replaced by the noiseless values z* give the zero-noise
+projected solution, whose fitted values split the prediction error into
+approximation and estimation parts:
 
     (1/2) ||fhat - f*||_n^2  <=  ||fdag - f*||_n^2 + ||fdag - fhat||_n^2.
 
@@ -37,6 +37,7 @@ the Nystrom approximation.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,10 +62,6 @@ __all__ = [
     "sketched_krr_objective",
     "zero_noise_objective",
 ]
-
-# singular values below PINV_REL_CUTOFF * largest are truncated
-PINV_REL_CUTOFF = 1e-12
-
 
 @dataclass(frozen=True)
 class RegressionSample:
@@ -98,9 +95,9 @@ class FitResult:
     ``coefficients`` is the n-vector w for variant ``exact`` and the
     m-vector a for variants ``sketched`` / ``nystrom_dual`` (the implied
     expansion weights are then S^T a).  ``fitted`` holds the training-point
-    values of the fitted function.  ``rank_deficient`` is set when a
-    singular or numerically singular system was resolved by minimum-norm
-    pseudo-inversion that truncated directions.
+    values of the fitted function.  ``rank_deficient`` is set on a
+    ``sketched`` fit whose A failed the rcond test and was solved through
+    the factor of C, and on a ``nystrom_dual`` fit whose C was truncated.
     """
 
     variant: str
@@ -130,37 +127,6 @@ def _check_lambda(lambda_n: float) -> float:
     if not (lambda_n > 0.0 and math.isfinite(lambda_n)):
         raise DomainError(f"lambda_n must be finite and > 0, got {lambda_n}")
     return float(lambda_n)
-
-
-def _solve_psd(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Solve A x = b for symmetric PSD A.
-
-    Cholesky on the definite path.  When the factorization fails, or
-    succeeds with an estimated reciprocal condition number below machine
-    epsilon, the minimum-norm least-squares solution from
-    :func:`_pinv_psd`, flagged when truncation removed directions.
-    """
-    try:
-        L, lower = sla.cho_factor(A, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        pass
-    else:
-        # A is symmetric, so A.T (Fortran-ordered, no copy) has the same 1-norm
-        rcond, _ = sla.lapack.dpocon(L, sla.lapack.dlange("1", A.T), uplo="L")
-        if rcond >= np.finfo(np.float64).eps:
-            return sla.cho_solve((L, lower), b, check_finite=False), False
-    pinv, truncated = _pinv_psd(A)
-    return pinv @ b, truncated
-
-
-def _pinv_psd(A: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Pseudo-inverse of a symmetric PSD matrix, eigenvalues at or below
-    PINV_REL_CUTOFF * largest truncated, and whether any were."""
-    w, V = np.linalg.eigh(A)
-    cutoff = PINV_REL_CUTOFF * max(float(w[-1]), 0.0)
-    keep = w > cutoff
-    pinv = (V[:, keep] / w[keep]) @ V[:, keep].T
-    return pinv, bool(keep.sum() < A.shape[0])
 
 
 @dataclass(frozen=True)
@@ -234,22 +200,57 @@ def _sketched_normal_system(
     return SK, SK @ shifted.T
 
 
+def _gram_factor(S: SketchOperator, SK: np.ndarray) -> tuple[np.ndarray, Callable, bool]:
+    """Z^T = L^{-1} P^T S K, the map b -> a = P L^{-T} b, and whether rows were
+    dropped, from LAPACK's pivoted Cholesky P^T C P = L L^T of C = S K S^T.
+
+    ``dpstrf`` keeps the r rows of S (P) before the Schur complement of C
+    falls to its rank tolerance m * eps * max diag C.  On them a^T C a =
+    ||b||^2, so the sketched program is a ridge regression of y / sqrt(n) on
+    Z, with condition number at most 1 + ||K|| / (2*lam); and Ktil = Z Z^T.
+    """
+    L, piv, rank, _ = sla.lapack.dpstrf(apply_sketch(S, SK.T), lower=1)
+    keep, L = piv[:rank] - 1, L[:rank, :rank]
+
+    def lift(b: np.ndarray) -> np.ndarray:
+        a = np.zeros((S.m, *b.shape[1:]))
+        a[keep] = sla.solve_triangular(L, b, trans="T", lower=True, check_finite=False)
+        return a
+
+    return sla.solve_triangular(L, SK[keep], lower=True, check_finite=False), lift, rank < S.m
+
+
 def _solve_sketched(
-    K: KernelMatrix, rhs: np.ndarray, SK: np.ndarray, A: np.ndarray
+    K: KernelMatrix, S: SketchOperator, lam: float, rhs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    b = SK @ rhs / np.sqrt(K.n)
-    alpha, rank_def = _solve_psd(A, b)
-    fitted = np.sqrt(K.n) * (SK.T @ alpha)
-    return alpha, fitted, rank_def
+    """Coefficients, fitted values and fallback flag for ``rhs`` (n or n x k).
+
+    Cholesky of A, unless it fails or ``dpocon`` estimates rcond(A) below
+    machine epsilon; then the ridge system of :func:`_gram_factor`, flagged.
+    """
+    SK, A = _sketched_normal_system(K, S, lam)
+    try:
+        L, lower = sla.cho_factor(A, lower=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        # A is symmetric, so A.T (Fortran-ordered, no copy) has the same 1-norm
+        rcond, _ = sla.lapack.dpocon(L, sla.lapack.dlange("1", A.T), uplo="L")
+        if rcond >= np.finfo(np.float64).eps:
+            alpha = sla.cho_solve((L, lower), SK @ rhs / np.sqrt(K.n), check_finite=False)
+            return alpha, np.sqrt(K.n) * (SK.T @ alpha), False
+    Zt, lift, _ = _gram_factor(S, SK)
+    ridge = sla.cho_factor(Zt @ Zt.T + 2.0 * lam * np.eye(len(Zt)), lower=True, check_finite=False)
+    alpha = lift(sla.cho_solve(ridge, Zt @ rhs / np.sqrt(K.n), check_finite=False))
+    return alpha, np.sqrt(K.n) * (SK.T @ alpha), True
 
 
 def solve_sketched_krr(K: KernelMatrix, y, S: SketchOperator, lambda_n: float) -> FitResult:
     """Sketched KRR: (S K^2 S^T + 2*lam * S K S^T) a = S K y / sqrt(n)."""
     lam = _check_lambda(lambda_n)
     yv = _check_vector(y, K.n, "y")
-    SK, A = _sketched_normal_system(K, S, lam)
-    alpha, fitted, rank_def = _solve_sketched(K, yv, SK, A)
-    return FitResult("sketched", alpha, S, lam, fitted, rank_deficient=rank_def)
+    alpha, fitted, fallback = _solve_sketched(K, S, lam, yv)
+    return FitResult("sketched", alpha, S, lam, fitted, rank_deficient=fallback)
 
 
 def error_decomposition(
@@ -264,9 +265,9 @@ def error_decomposition(
     lam = _check_lambda(lambda_n)
     zv = _check_vector(z_star, K.n, "z_star")
     yv = _check_vector(y, K.n, "y")
-    SK, A = _sketched_normal_system(K, S, lam)
-    _, fitted_hat, _ = _solve_sketched(K, yv, SK, A)
-    _, fitted_dag, _ = _solve_sketched(K, zv, SK, A)
+    # one factorization for both responses
+    _, fitted, _ = _solve_sketched(K, S, lam, np.stack([yv, zv], axis=1))
+    fitted_hat, fitted_dag = fitted.T
     approx = empirical_error(fitted_dag, zv)
     est = empirical_error(fitted_dag, fitted_hat)
     total = empirical_error(fitted_hat, zv)
@@ -323,41 +324,41 @@ def solve_nystrom_dual(K: KernelMatrix, y, S: SketchOperator, lambda_n: float) -
     """Sketched KRR through the dual with the low-rank surrogate
     Ktil = K S^T (S K S^T)^+ S K.
 
-    For a sub-sampling sketch Ktil is the Nystrom approximation of K. The
-    dual solve [(n/(2*lam)) Ktil + n I] xi = y recovers
+    For a sub-sampling sketch Ktil is the Nystrom approximation of K.  It is
+    Z Z^T from the pivoted Cholesky factor of S K S^T (:func:`_gram_factor`),
+    which drops the rows of S below LAPACK's rank tolerance; the fit is then
+    flagged.  The dual solve [(n/(2*lam)) Ktil + n I] xi = y recovers
     a = (sqrt(n)/(2*lam)) (S K S^T)^+ S K xi, whose fitted values coincide
-    with the primal sketched solution.  Severe ill-conditioning of
-    S K S^T is absorbed by the pseudo-inverse and flagged.
+    with the primal sketched solution.
     """
     lam = _check_lambda(lambda_n)
     yv = _check_vector(y, K.n, "y")
     n = K.n
     SK = apply_sketch(S, K.matrix)
-    SKSt = apply_sketch(S, SK.T)
-    gram_pinv, ill = _pinv_psd(0.5 * (SKSt + SKSt.T))
-    Ktil = SK.T @ (gram_pinv @ SK)
-    A = (n / (2.0 * lam)) * Ktil + n * np.eye(n)
+    Zt, lift, truncated = _gram_factor(S, SK)
+    A = (n / (2.0 * lam)) * (Zt.T @ Zt) + n * np.eye(n)
     try:
-        c = sla.cho_factor(0.5 * (A + A.T), lower=True, check_finite=False)
+        c = sla.cho_factor(A, lower=True, check_finite=False)
         xi = sla.cho_solve(c, yv, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Nystrom dual system could not be solved: {exc}") from exc
-    alpha = (np.sqrt(n) / (2.0 * lam)) * (gram_pinv @ (SK @ xi))
+    alpha = lift((np.sqrt(n) / (2.0 * lam)) * (Zt @ xi))
     fitted = np.sqrt(n) * (SK.T @ alpha)
-    return FitResult("nystrom_dual", alpha, S, lam, fitted, rank_deficient=ill)
+    return FitResult("nystrom_dual", alpha, S, lam, fitted, rank_deficient=truncated)
 
 
 def krr_objective(K: KernelMatrix, y, lambda_n: float, omega) -> float:
     """Objective of the exact program at coefficients omega."""
+    lam = _check_lambda(lambda_n)
     yv = _check_vector(y, K.n, "y")
     w = _check_vector(omega, K.n, "omega")
     Kw = K.matrix @ w
-    return float(0.5 * (Kw @ Kw) - Kw @ yv / np.sqrt(K.n) + lambda_n * (w @ Kw))
+    return float(0.5 * (Kw @ Kw) - Kw @ yv / np.sqrt(K.n) + lam * (w @ Kw))
 
 
 def sketched_krr_objective(K: KernelMatrix, y, S: SketchOperator, lambda_n: float, alpha) -> float:
     """Objective of the sketched program at coefficients alpha."""
-    return krr_objective(K, y, lambda_n, apply_sketch_t(S, np.asarray(alpha, dtype=np.float64)))
+    return krr_objective(K, y, lambda_n, apply_sketch_t(S, _check_vector(alpha, S.m, "alpha")))
 
 
 def zero_noise_objective(K: KernelMatrix, z_star, S: SketchOperator, lambda_n: float, alpha) -> float:
@@ -368,7 +369,8 @@ def zero_noise_objective(K: KernelMatrix, z_star, S: SketchOperator, lambda_n: f
     system with y replaced by the true values z*, so its minimizer is
     ``solve_sketched_krr(K, z_star, S, lambda_n).coefficients``.
     """
+    lam = _check_lambda(lambda_n)
     zv = _check_vector(z_star, K.n, "z_star")
-    w = apply_sketch_t(S, np.asarray(alpha, dtype=np.float64))
+    w = apply_sketch_t(S, _check_vector(alpha, S.m, "alpha"))
     r = zv - np.sqrt(K.n) * (K.matrix @ w)
-    return float(r @ r / (2.0 * K.n) + lambda_n * (w @ (K.matrix @ w)))
+    return float(r @ r / (2.0 * K.n) + lam * (w @ (K.matrix @ w)))

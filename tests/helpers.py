@@ -52,3 +52,20 @@ def rel_dev(a, b) -> float:
     b = np.asarray(b, dtype=np.float64)
     scale = max(1.0, float(np.abs(a).max(initial=0.0)), float(np.abs(b).max(initial=0.0)))
     return float(np.abs(a - b).max(initial=0.0)) / scale
+
+
+def sketched_objective_excess(K: np.ndarray, y: np.ndarray, Sd: np.ndarray, lam: float, alpha) -> float:
+    """Relative excess of the sketched objective at ``alpha`` over its minimum.
+
+    The objective is the least-squares ||M a - c||^2 with the stacked factor
+    M = [K S^T; sqrt(2 lam) K^(1/2) S^T] and c = [y / sqrt(n); 0], for the
+    dense sketch ``Sd``; K^(1/2) comes from numpy's ``eigh`` and the minimum
+    from numpy's SVD-based ``lstsq``, not from the normal equations.
+    """
+    n = K.shape[0]
+    mu, U = np.linalg.eigh(K)
+    half = U @ (np.sqrt(np.clip(mu, 0.0, None))[:, None] * (U.T @ Sd.T))
+    M = np.vstack([K @ Sd.T, np.sqrt(2.0 * lam) * half])
+    c = np.concatenate([y / np.sqrt(n), np.zeros(n)])
+    best = np.linalg.lstsq(M, c, rcond=None)[0]
+    return float(np.sum((M @ alpha - c) ** 2) / np.sum((M @ best - c) ** 2) - 1.0)

@@ -1,13 +1,18 @@
+import types
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from helpers import rel_dev
+from helpers import rel_dev, sketched_objective_excess
 from sketchkrr import (
     DesignPoints,
     DomainError,
     ExperimentConfig,
     KernelMatrix,
     KernelSpec,
+    SketchOperator,
     build_kernel_matrix,
     complexity_profile,
     derive_seed,
@@ -26,7 +31,7 @@ from sketchkrr import (
     solve_sketched_krr,
     zero_noise_objective,
 )
-from sketchkrr.bench import _trial_streams
+from sketchkrr.bench import _arm_sketch, _shared_inputs, _trial_streams
 from sketchkrr.solver import _factor_krr, _sketched_normal_system
 
 
@@ -220,6 +225,59 @@ class TestSolveSketchedKrr:
         assert (np.diff(norms) <= 1e-12).all()
 
 
+ORACLE = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+
+
+def benchmark_oracle() -> types.ModuleType:
+    """The benchmark's dense oracle, run from its source text (nothing is
+    imported from or written to the benchmark's directory)."""
+    module = types.ModuleType("benchmark_oracle")
+    exec(compile(ORACLE.read_text(), str(ORACLE), "exec"), module.__dict__)
+    return module
+
+
+@pytest.fixture(scope="module")
+def irregular_fallback_fits():
+    """Sub-sampling fits of the irregular design whose A fails the rcond
+    test: trials 0-39 at n = 64 and 128 of the irregular-design sweep with
+    base seed 606."""
+    config = ExperimentConfig(
+        kernel=KernelSpec.gaussian(0.25), fstar="quad", design="irregular", sigma=0.125,
+        n_grid=(64, 128), sketch_kinds=("subsample",), m_rule="logfour", base_seed=606,
+    )
+    fits = []
+    for n in config.n_grid:
+        for trial in range(40):
+            shared = _shared_inputs(config, n, trial, None)
+            seed = derive_seed(config.base_seed, n, "subsample", trial)
+            S = _arm_sketch(config, shared.profile, n, "subsample", seed)
+            fit = solve_sketched_krr(shared.K, shared.sample.y, S, shared.lam)
+            if fit.rank_deficient:
+                fits.append((shared.K, shared.sample.y, S, shared.lam, fit))
+    assert len(fits) >= 20
+    return fits
+
+
+class TestSingularSketchedFits:
+    def test_fallback_is_near_the_least_squares_optimum(self, irregular_fallback_fits):
+        # the worst excess is 0.037 on these fits (0.40-0.45 for the
+        # minimum-norm pseudo-inverse of A), and 0.054-0.059 at n = 64 and
+        # 128 on 100 trials of the config's own seed
+        for K, y, S, lam, fit in irregular_fallback_fits:
+            Sd = np.zeros((S.m, S.n))
+            Sd[np.arange(S.m), S.indices] = S.scale
+            assert sketched_objective_excess(K.matrix, y, Sd, lam, fit.coefficients) <= 0.1
+
+    def test_fallback_passes_the_benchmark_correctness_gate(self, irregular_fallback_fits):
+        # the check the benchmark applies to every captured sketched fit:
+        # backward error in the normal equations within BACKWARD_TOL, plus
+        # its allowance for a flagged fit
+        captures = [("solver.sketched", (K, y, S, lam), {}, fit)
+                    for K, y, S, lam, fit in irregular_fallback_fits]
+        for name, deviation, tolerance in benchmark_oracle().check_captures(captures):
+            assert deviation <= tolerance, name
+
+
 class TestZeroNoiseAndDecomposition:
     def test_zero_target_gives_zero(self):
         K, _, _, _ = sobolev_instance(12, 13)
@@ -269,6 +327,64 @@ class TestZeroNoiseAndDecomposition:
             lam = float(rng.uniform(1e-4, 0.5))
             approx, est, total = error_decomposition(K, z, y, S, lam)
             assert 0.5 * total <= approx + est + 1e-12
+
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_one_factorization_for_both_responses(self, monkeypatch, singular):
+        # the definite path factors A once; the fallback factors C once (and
+        # the ridge system once).  Sketch rows 0 and 1 pick a repeated design
+        # point, so S K S^T is singular and the fit takes the fallback.
+        calls = []
+        for owner, name in ((sla, "cho_factor"), (sla.lapack, "dpstrf")):
+            def spy(*args, _original=getattr(owner, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, spy)
+        n, lam = 12, 0.05
+        x = np.linspace(0.1, 0.9, n)
+        x[1] = x[0]
+        K = build_kernel_matrix(KernelSpec.sobolev1(), DesignPoints(x))
+        rng = np.random.default_rng(26)
+        z = x - 0.3
+        y = z + rng.standard_normal(n)
+        rows = np.array([0, 1, 5]) if singular else np.arange(3, 6)
+        S = SketchOperator("subsample", 3, n, 0, indices=rows)
+        approx, est, total = error_decomposition(K, z, y, S, lam)
+        assert calls == (["cho_factor", "dpstrf", "cho_factor"] if singular else ["cho_factor"])
+        fit_hat, fit_dag = solve_sketched_krr(K, y, S, lam), solve_sketched_krr(K, z, S, lam)
+        assert fit_hat.rank_deficient == singular
+        assert abs(approx - empirical_error(fit_dag.fitted, z)) <= 1e-12
+        assert abs(est - empirical_error(fit_dag.fitted, fit_hat.fitted)) <= 1e-12
+        assert abs(total - empirical_error(fit_hat.fitted, z)) <= 1e-12
+
+
+class TestObjectiveInputs:
+    # a NaN, infinite or non-positive lambda, or a non-finite alpha, has no
+    # objective value: each is rejected, and alpha under its own name
+    def objectives(self):
+        K, _, z, y = sobolev_instance(10, 25)
+        S = draw_sketch("gaussian", 3, 10, 9)
+        return {
+            "exact": lambda lam, a: krr_objective(K, y, lam, S.matrix.T @ a),
+            "sketched": lambda lam, a: sketched_krr_objective(K, y, S, lam, a),
+            "zero_noise": lambda lam, a: zero_noise_objective(K, z, S, lam, a),
+        }
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -0.1, 0.0])
+    def test_lambda_must_be_finite_and_positive(self, lam):
+        for objective in self.objectives().values():
+            with pytest.raises(DomainError, match="lambda_n must be finite and > 0"):
+                objective(lam, np.ones(3))
+
+    @pytest.mark.parametrize("alpha,message", [
+        ([np.nan, 0.0, 0.0], "alpha must be finite"),
+        ([np.inf, 0.0, 0.0], "alpha must be finite"),
+        (np.ones(4), "alpha must be a length-3 vector"),
+    ])
+    def test_alpha_is_checked_under_its_own_name(self, alpha, message):
+        objectives = self.objectives()
+        for name in ("sketched", "zero_noise"):
+            with pytest.raises(DomainError, match=message):
+                objectives[name](0.1, np.asarray(alpha))
 
 
 class TestPredict:
