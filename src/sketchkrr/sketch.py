@@ -11,9 +11,15 @@ n-dimensional quadratic program to an m-dimensional one.  Three families:
 * ``subsample``: rescaled rows of the identity, sampled without
   replacement; each row is sqrt(n/m) * e_p.
 
-Gaussian and ROS sketches are applied as one dense product with their
-m x n matrix; for ROS the m sampled Hadamard rows are built on each call
-by Sylvester doubling, in O(m * n), and not kept on the operator.
+A Gaussian sketch is applied as one dense product with its m x n matrix.
+A ROS sketch is applied, for m well above sqrt(n_pad), by the Kronecker
+factorization H_{n_pad} = H_{n_pad/b} (x) H_b restricted to the sampled
+rows (the subsampled randomized Hadamard transform of Ailon and Chazelle
+2006, analysed by Tropp 2011): about (u * n + m * n/b) multiply-adds per
+column, with u <= min(m, b) the distinct rows of H_b the sample needs,
+against m * n for the dense rows.  Otherwise, and for S^T and the dense
+matrix, its m sampled Hadamard rows are built on each call by Sylvester
+doubling, in O(m * n), and not kept on the operator.
 Sub-sampling gathers rows.  Operators are immutable and deterministic
 functions of (kind, m, n, seed); applying one to distinct columns is safe
 to parallelize.
@@ -68,11 +74,17 @@ class SketchOperator:
 
 
 def _sample_without_replacement(rng: np.random.Generator, pool_size: int, m: int) -> np.ndarray:
-    # partial Fisher-Yates: only the first m slots are ever finalized
+    # partial Fisher-Yates: only the first m slots are ever finalized.  Slot
+    # i swaps with j_i ~ U[i, pool_size); one call draws every j_i with the
+    # values, and leaves the generator in the state, of one call per slot.
+    # The swaps go through memoryviews: a list of pool_size Python ints
+    # fragmented the small-object heap and raised peak RSS a little per draw.
+    targets = memoryview(rng.integers(np.arange(m), pool_size))
     pool = np.arange(pool_size)
+    slots = memoryview(pool)
     for i in range(m):
-        j = int(rng.integers(i, pool_size))
-        pool[i], pool[j] = pool[j], pool[i]
+        j = targets[i]
+        slots[i], slots[j] = slots[j], slots[i]
     out = pool[:m].copy()
     out.setflags(write=False)
     return out
@@ -141,29 +153,110 @@ def _check_rows(S: SketchOperator, M: np.ndarray) -> np.ndarray:
     return A
 
 
+def _hadamard_rows(rows: np.ndarray, width: int) -> np.ndarray:
+    """Rows ``rows`` of the +-1 Sylvester Hadamard matrix, first ``width`` columns.
+
+    H[i, j] = (-1)^popcount(i & j), doubled one bit of i at a time:
+    H[i, j + h] = H[i, j] * (-1)^(bit b of i) for j < h = 2^b.
+    """
+    # Built in place in the one result: growing it by concatenation left
+    # temporaries of every size on the heap, and the peak RSS of identical
+    # runs then differed by about 5 MB.
+    out = np.empty((len(rows), width))
+    out[:, 0] = 1.0
+    bits = (width - 1).bit_length()
+    flips = 1.0 - 2.0 * ((rows[:, None] >> np.arange(bits)) & 1)
+    for b in range(bits):
+        h = 1 << b
+        np.multiply(out[:, : min(h, width - h)], flips[:, b : b + 1], out=out[:, h : 2 * h])
+    return out
+
+
 def _dense(S: SketchOperator) -> np.ndarray:
     """The m x n matrix of a gaussian or ros sketch."""
     if S.kind == "gaussian":
         return S.matrix
     # The rows are built on each call, not kept on the operator: keeping them
     # raised certify-fit peak_rss_mb from 112.5 to 123.7 MB (2-core machine).
-    #
-    # row i of the Sylvester Hadamard matrix, H[i, j] = (-1)^popcount(i & j),
-    # doubled one bit of i at a time: H[i, j + h] = H[i, j] * (-1)^(bit b of i)
-    # for j < h = 2^b.  Only the first n columns are built, in place in the
-    # one m x n result: growing it by concatenation left temporaries of every
-    # size on the heap, and the peak RSS of identical runs then differed by
-    # about 5 MB.
-    rows = np.empty((S.m, S.n))
-    rows[:, 0] = 1.0
-    h = 1
-    while h < S.n:
-        w = min(h, S.n - h)
-        flip = (1 - 2 * ((S.indices >> (h.bit_length() - 1)) & 1)).astype(np.float64)
-        np.multiply(rows[:, :w], flip[:, None], out=rows[:, h : h + w])
-        h *= 2
+    rows = _hadamard_rows(S.indices, S.n)
     rows *= S.signs[: S.n] * np.sqrt(S.n / (S.m * S.n_pad))
     return rows
+
+
+# Columns of the operand per pass of the ROS transform: its stage-1 and
+# stage-2 buffers and the gathered rows then take about half a MB each at
+# n = 1024, m = 924.  A certify-fit m = 924 fit took 73 / 65 / 64 ms at
+# 32 / 64 / 128 columns (one BLAS thread), with the same peak RSS.
+_ROS_PASS_COLUMNS = 64
+
+
+def _ros_factor(S: SketchOperator) -> int:
+    """b of H_{n_pad} = H_{n_pad/b} (x) H_b: the largest power of two that is
+    at most sqrt(n_pad) and divides n, so that the padding fills whole
+    blocks of b rows (1 for odd n)."""
+    return min(1 << ((S.n_pad.bit_length() - 1) // 2), S.n & -S.n)
+
+
+# The ROS transform is used when its multiply-adds per column,
+# min(m, b) * n + m * n/b, are at most half the dense rows' m * n: its
+# many small products run at about half the rate of one large one.  S K in
+# ms for a sobolev1 K, dense rows / transform (median of 15, 2-core
+# machine, one OpenBLAS thread; * marks the route taken):
+#
+#   m                  11          64          192         462         924
+#   n = 1024, b = 32   1.8*/1.8    2.8*/3.5    9.3/3.6*    22.4/5.1*   35.5/8.5*
+#   n = 1200, b = 16   1.5*/1.4    3.8/2.5*    9.3/3.7*    22.3/6.2*   49.6/13.6*
+#
+# At the sweeps' m = 11 the transform's per-call setup, paid again by the
+# fit's second product S (S K)^T, decides: with every ros sketch on the
+# transform, arm_ms_p50.ros went 1.72 -> 2.06 ms on grid-sweep and
+# 2.40 -> 3.86 ms on random-design-sweep (10 pairs each, none won).
+def _ros_transform_pays(S: SketchOperator) -> bool:
+    b = _ros_factor(S)
+    return 2 * (min(S.m, b) * S.n + S.m * (S.n // b)) <= S.m * S.n
+
+
+def _ros_apply(S: SketchOperator, A: np.ndarray) -> np.ndarray:
+    """S @ A for a ros sketch through H_{n_pad} = H_{n_pad/b} (x) H_b.
+
+    Row i = hi * b + lo of H_{n_pad} is H_{n_pad/b}[hi] (x) H_b[lo], and
+    the padding beyond n is whole blocks of b rows, so with A's rows in
+    n/b blocks of b:
+      stage 1: Z[t, J] = H_b[lo_t] D_J A_J for the u distinct lo values of
+               the sample (D_J: the signs of block J), one batched product;
+      stage 2: (S A)[i] = c * sum_J H_{n_pad/b}[hi_i, J] Z[t_i, J], one
+               batched product over the u groups of rows that share a lo
+               value, each padded to the largest group's size g,
+    with c = sqrt(n / (m * n_pad)).  Both run on ``_ROS_PASS_COLUMNS``
+    columns of A at a time, into buffers reused across the passes.
+    """
+    n, b = S.n, _ros_factor(S)
+    nb = n // b
+    blocks = (A[:, None] if A.ndim == 1 else A).reshape(nb, b, -1)
+    k = blocks.shape[2]
+    # allocated before the temporaries: after them, it raised certify-fit's
+    # peak RSS by about 0.4 MB
+    out = np.empty((S.m, k))
+    lows, group, counts = np.unique(S.indices & (b - 1), return_inverse=True, return_counts=True)
+    u, g = len(lows), int(counts.max())
+    W = _hadamard_rows(lows, b) * S.signs[:n].reshape(nb, 1, b)
+    # row i's slot in the padded (u, g) layout: its group, then its rank there
+    order = np.argsort(group, kind="stable")
+    slot = np.empty(S.m, dtype=np.intp)
+    slot[order] = np.arange(S.m) + np.repeat(np.arange(u) * g - (np.cumsum(counts) - counts), counts)
+    H = np.zeros((u * g, nb))
+    H[slot] = _hadamard_rows(S.indices >> (b.bit_length() - 1), nb)
+    H *= np.sqrt(n / (S.m * S.n_pad))
+    H = H.reshape(u, g, nb)
+
+    cols = min(max(k, 1), _ROS_PASS_COLUMNS)
+    Z, P = np.empty((u, nb, cols)), np.empty((u, g, cols))
+    for c in range(0, k, cols):
+        w = min(cols, k - c)
+        np.matmul(W, blocks[:, :, c : c + w], out=Z[:, :, :w].transpose(1, 0, 2))
+        np.matmul(H, Z[:, :, :w], out=P[:, :, :w])
+        out[:, c : c + w] = P[:, :, :w].reshape(u * g, w)[slot]
+    return out[:, 0] if A.ndim == 1 else out
 
 
 def apply_sketch(S: SketchOperator, M) -> np.ndarray:
@@ -171,6 +264,8 @@ def apply_sketch(S: SketchOperator, M) -> np.ndarray:
     A = _check_rows(S, M)
     if S.kind == "subsample":
         return S.scale * A[S.indices]
+    if S.kind == "ros" and _ros_transform_pays(S):
+        return _ros_apply(S, A)
     return _dense(S) @ A
 
 

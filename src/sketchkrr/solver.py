@@ -46,7 +46,7 @@ import scipy.linalg as sla
 from ._util import cho_factor_shifted
 from .errors import DomainError, NumericalError
 from .kernels import DesignPoints, KernelMatrix, KernelSpec, kernel_eval
-from .sketch import SketchOperator, _dense, apply_sketch, apply_sketch_t
+from .sketch import SketchOperator, apply_sketch, apply_sketch_t
 
 __all__ = [
     "FitResult",
@@ -179,25 +179,28 @@ def _sketched_normal_system(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The m x n product S K and the m x m matrix A = S K (K + 2*lam*I) S^T.
 
-    A gaussian or ros sketch's dense matrix (for ros, its Hadamard rows) is
-    built once, and A = S K (S K + 2*lam*S)^T is one GEMM; a fresh dense
-    matrix holds S K + 2*lam*S in place.  Sub-sampling gathers rows with
-    :func:`apply_sketch`, and its S K S^T is a gather of columns of S K."""
+    S K comes from :func:`apply_sketch`.  A gaussian sketch forms
+    A = S K (S K + 2*lam*S)^T, one GEMM with the operator's own matrix (a
+    fresh matrix holds S K + 2*lam*S).  The others form
+    A = S K (S K)^T + 2*lam * S (S K)^T, the last a second
+    :func:`apply_sketch`, so that no m x n matrix of S is built; for
+    sub-sampling it is a gather, and A is exactly symmetric.
+    """
     if S.n != K.n:
         raise DomainError(f"sketch ambient dimension {S.n} != kernel size {K.n}")
-    if S.kind == "subsample":
-        SK = apply_sketch(S, K.matrix)
-        # S K S^T gathered, not multiplied, keeps A exactly symmetric
-        return SK, SK @ SK.T + 2.0 * lam * (S.scale * SK[:, S.indices])
-    D = _dense(S)
-    SK = D @ K.matrix
-    if S.kind == "ros":  # rows built for this call: shift in their buffer
-        D *= 2.0 * lam
-        shifted = D
-    else:  # the gaussian operator's own, read-only matrix
-        shifted = 2.0 * lam * D
-    shifted += SK
-    return SK, SK @ shifted.T
+    SK = apply_sketch(S, K.matrix)
+    if S.kind == "gaussian":
+        shifted = 2.0 * lam * S.matrix
+        shifted += SK
+        return SK, SK @ shifted.T
+    # For ros at m = 924, n = 1024 (sobolev1, one BLAS thread) this took
+    # 29 ms, the one GEMM S K (S K + 2*lam*S)^T with the dense rows 41 ms;
+    # and the fit holds the m x m C at its peak in place of the m x n rows.
+    C = apply_sketch(S, SK.T)
+    C *= 2.0 * lam
+    A = SK @ SK.T
+    A += C
+    return SK, A
 
 
 def _gram_factor(S: SketchOperator, SK: np.ndarray) -> tuple[np.ndarray, Callable, bool]:
@@ -234,7 +237,8 @@ def _solve_sketched(
     except np.linalg.LinAlgError:
         pass
     else:
-        # A is symmetric, so A.T (Fortran-ordered, no copy) has the same 1-norm
+        # A is symmetric (to rounding for ros), so A.T (Fortran-ordered, no
+        # copy) has the same 1-norm
         rcond, _ = sla.lapack.dpocon(L, sla.lapack.dlange("1", A.T), uplo="L")
         if rcond >= np.finfo(np.float64).eps:
             alpha = sla.cho_solve((L, lower), SK @ rhs / np.sqrt(K.n), check_finite=False)

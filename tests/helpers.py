@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own fast paths: the Hadamard matrix
 is built by Sylvester recursion, the critical radius by brute-force grid
-scan, and the ROS operator by direct matrix assembly.
+scan, the ROS operator by direct matrix assembly, and the sampled rows by
+one generator call per swap.
 """
 
 import numpy as np
@@ -24,6 +25,16 @@ def ros_dense_oracle(S: SketchOperator) -> np.ndarray:
     assert S.kind == "ros"
     H = naive_hadamard(S.n_pad) / np.sqrt(S.n_pad)
     return S.scale * (H[S.indices] * S.signs[None, :])[:, : S.n]
+
+
+def sample_without_replacement_loop(rng: np.random.Generator, pool_size: int, m: int) -> np.ndarray:
+    """Partial Fisher-Yates with one generator call per slot: slot i swaps
+    with j ~ U[i, pool_size), drawn as ``rng.integers(i, pool_size)``."""
+    pool = np.arange(pool_size)
+    for i in range(m):
+        j = int(rng.integers(i, pool_size))
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:m].copy()
 
 
 def grid_critical_radius(mu, n: int, sigma: float, step: float = 1e-6) -> float:

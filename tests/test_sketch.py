@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import naive_hadamard, ros_dense_oracle
+from helpers import naive_hadamard, ros_dense_oracle, sample_without_replacement_loop
 from sketchkrr import (
     DomainError,
     SketchOperator,
@@ -12,6 +12,7 @@ from sketchkrr import (
     identity_sketch,
     materialize,
 )
+from sketchkrr.sketch import _ros_transform_pays, _sample_without_replacement
 
 KINDS = ("gaussian", "ros", "subsample")
 
@@ -64,6 +65,17 @@ class TestDrawSketch:
         scale = np.sqrt(12 / 3)
         assert set(np.unique(dense)) == {0.0, scale}
         assert (np.count_nonzero(dense, axis=1) == 1).all()
+
+    @pytest.mark.parametrize("pool_size, m", [(1, 1), (7, 3), (17, 17), (1024, 11), (1024, 924), (2048, 462)])
+    def test_sampling_matches_one_draw_per_slot(self, pool_size, m):
+        # the same indices, and the generator left in the same state
+        for seed in range(20):
+            want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = sample_without_replacement_loop(want_rng, pool_size, m)
+            got = _sample_without_replacement(got_rng, pool_size, m)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+            assert got_rng.integers(1 << 62) == want_rng.integers(1 << 62)
 
     def test_ros_full_rows_are_orthogonal(self):
         # m = n = n_pad: signed row-sampled Hadamard keeps orthonormal rows
@@ -161,6 +173,34 @@ class TestApplySketch:
         assert np.abs(materialize(S) - dense).max() <= 1e-10
         assert np.abs(apply_sketch(S, M) - dense @ M).max() <= 1e-10
         assert np.abs(apply_sketch_t(S, V) - dense.T @ V).max() <= 1e-10
+
+
+ROS_ORACLE_CASES = sorted(
+    {(n, min(m, n)) for n in (1, 2, 3, 17, 1000, 1024, 1200) for m in (1, 11, 33, 462, n)}
+)
+
+
+class TestRosTransform:
+    @pytest.mark.parametrize("n, m", ROS_ORACLE_CASES, ids=[f"{n}-{m}" for n, m in ROS_ORACLE_CASES])
+    def test_apply_matches_dense_oracle(self, n, m):
+        # a vector, a C-ordered matrix and an F-ordered transposed view, with
+        # 67 columns: more than one pass and a short last one; and no columns
+        rng = np.random.default_rng(n * 7919 + m)
+        S = draw_sketch("ros", m, n, 900 + n + m)
+        dense = ros_dense_oracle(S)
+        operands = (rng.standard_normal(n), rng.standard_normal((n, 67)),
+                    rng.standard_normal((67, n)).T, np.zeros((n, 0)))
+        for X in operands:
+            got = apply_sketch(S, X)
+            assert got.shape == (m, *X.shape[1:])
+            np.testing.assert_allclose(got, dense @ X, rtol=0.0, atol=1e-10)
+
+    def test_oracle_cases_cover_both_routes(self):
+        routes = {_ros_transform_pays(draw_sketch("ros", m, n, 0)) for n, m in ROS_ORACLE_CASES}
+        assert routes == {True, False}
+        for n in (1024, 1200):
+            assert not _ros_transform_pays(draw_sketch("ros", 11, n, 0))
+            assert _ros_transform_pays(draw_sketch("ros", 462, n, 0))
 
 
 class TestIsotropy:

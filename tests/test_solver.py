@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from helpers import rel_dev, sketched_objective_excess
+from helpers import rel_dev, ros_dense_oracle, sketched_objective_excess
 from sketchkrr import (
     DesignPoints,
     DomainError,
@@ -13,6 +13,7 @@ from sketchkrr import (
     KernelMatrix,
     KernelSpec,
     SketchOperator,
+    apply_sketch,
     build_kernel_matrix,
     complexity_profile,
     derive_seed,
@@ -184,12 +185,13 @@ class TestSolveSketchedKrr:
         excess = np.sum((M @ fit.coefficients - c) ** 2) / np.sum((M @ best - c) ** 2) - 1.0
         assert excess < 0.5
 
-    @pytest.mark.parametrize("kind", ["gaussian", "ros", "subsample"])
-    def test_normal_matrix_matches_dense_products(self, kind):
-        # A = S K (K + 2 lam I) S^T against the dense two-term form
+    @pytest.mark.parametrize("kind, m", [("gaussian", 9), ("ros", 9), ("ros", 30), ("subsample", 9)])
+    def test_normal_matrix_matches_dense_products(self, kind, m):
+        # A = S K (K + 2 lam I) S^T against the dense two-term form; ros at
+        # m = 30 takes the two-factor Hadamard transform
         n, lam = 40, 0.07
         K, _, _, _ = sobolev_instance(n, 13)
-        S = draw_sketch(kind, 9, n, 2)
+        S = draw_sketch(kind, m, n, 2)
         D = materialize(S)
         SK, A = _sketched_normal_system(K, S, lam)
         want = D @ K.matrix @ K.matrix @ D.T + 2.0 * lam * (D @ K.matrix @ D.T)
@@ -197,6 +199,39 @@ class TestSolveSketchedKrr:
         assert np.abs(A - want).max() <= 1e-14 * np.abs(want).max()
         if kind == "subsample":
             np.testing.assert_array_equal(A, A.T)
+
+    @pytest.mark.parametrize("kind, m", [("gaussian", 8), ("ros", 8), ("ros", 40), ("subsample", 8)])
+    def test_fit_applies_its_sketch_through_apply_sketch(self, monkeypatch, kind, m):
+        # S K for every kind, and for all but gaussian also S (S K)^T, the
+        # S K S^T of A; the benchmark's tracer times sketch.apply at this name
+        shapes = []
+
+        def spy(S, M):
+            shapes.append(np.shape(M))
+            return apply_sketch(S, M)
+
+        n = 64
+        K, _, _, y = sobolev_instance(n, 21)
+        monkeypatch.setattr("sketchkrr.solver.apply_sketch", spy)
+        fit = solve_sketched_krr(K, y, draw_sketch(kind, m, n, 5), 0.05)
+        assert not fit.rank_deficient
+        assert shapes == [(n, n)] + ([(n, m)] if kind != "gaussian" else [])
+
+    @pytest.mark.parametrize("m", [462, 924])
+    def test_ros_transform_fit_matches_dense_row_normal_equations(self, m):
+        # the paper's lambda = 2 delta_n^2 for sigma = 1, as in the sweeps
+        n = 1024
+        K, _, _, y = sobolev_instance(n, 23)
+        lam = 2.0 * complexity_profile(K, n, 1.0).delta_n_sq
+        S = draw_sketch("ros", m, n, 31 + m)
+        fit = solve_sketched_krr(K, y, S, lam)
+        D = ros_dense_oracle(S)
+        SK = D @ K.matrix
+        A = SK @ (SK + 2.0 * lam * D).T
+        alpha = sla.solve(A, SK @ y / np.sqrt(n), assume_a="pos")
+        want = np.sqrt(n) * (SK.T @ alpha)
+        assert not fit.rank_deficient
+        assert np.abs(fit.fitted - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_span_completeness_full_gaussian_sketch(self):
         K, _, _, y = sobolev_instance(24, 9)
