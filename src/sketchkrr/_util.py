@@ -3,15 +3,26 @@
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 import scipy.linalg as sla
+
+from .errors import DomainError
 
 
 # ceil after snapping to 9 decimals, so float fuzz on exact integers
 # (e.g. 27**(1/3) = 3.0000000000000004) does not bump the result
 def ceil_int(value: float) -> int:
     return math.ceil(round(value, 9))
+
+
+def check_count(value, name: str, low: int) -> int:
+    """``value`` as an int if it is an integer (numpy's too) >= ``low``;
+    otherwise a :class:`DomainError` that names it."""
+    if not (isinstance(value, numbers.Integral) and value >= low):
+        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def cho_factor_shifted(matrix: np.ndarray, shift: float):

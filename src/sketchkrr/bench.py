@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._util import ceil_int
+from ._util import ceil_int, check_count
 from .complexity import ComplexityProfile, complexity_profile
 from .errors import DomainError, NumericalError
 from .kernels import DesignPoints, KernelMatrix, KernelSpec, build_kernel_matrix
@@ -127,9 +127,9 @@ class ExperimentConfig:
             raise DomainError(f"unknown design {self.design!r}")
         if not self.sigma >= 0.0:
             raise DomainError(f"sigma must be >= 0, got {self.sigma}")
-        n_grid = tuple(int(n) for n in self.n_grid)
-        if len(n_grid) == 0 or any(n < 2 for n in n_grid):
-            raise DomainError("n_grid entries must all be >= 2")
+        n_grid = tuple(check_count(n, "n_grid entry", 2) for n in self.n_grid)
+        if len(n_grid) == 0:
+            raise DomainError("n_grid must be nonempty")
         object.__setattr__(self, "n_grid", n_grid)
         kinds = tuple(self.sketch_kinds)
         if len(kinds) == 0 or len(set(kinds)) != len(kinds):
@@ -140,7 +140,9 @@ class ExperimentConfig:
         object.__setattr__(self, "sketch_kinds", kinds)
         if self.m_rule not in M_RULES:
             raise DomainError(f"unknown m_rule {self.m_rule!r}")
-        if self.m_rule == "fixed" and (self.m_fixed is None or self.m_fixed < 1):
+        if self.m_fixed is not None:
+            object.__setattr__(self, "m_fixed", check_count(self.m_fixed, "m_fixed", 1))
+        if self.m_rule == "fixed" and self.m_fixed is None:
             raise DomainError("m_rule 'fixed' needs m_fixed >= 1")
         if self.m_rule == "statdim" and (self.c_statdim is None or not self.c_statdim > 0):
             raise DomainError("m_rule 'statdim' needs c_statdim > 0")
@@ -150,8 +152,7 @@ class ExperimentConfig:
             self.lambda_fixed is None or not self.lambda_fixed > 0
         ):
             raise DomainError("lambda_rule 'fixed' needs lambda_fixed > 0")
-        if self.trials < 1:
-            raise DomainError("trials must be >= 1")
+        object.__setattr__(self, "trials", check_count(self.trials, "trials", 1))
 
 
 @dataclass(frozen=True)

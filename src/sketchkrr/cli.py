@@ -49,7 +49,7 @@ from .bench import (
 )
 from .errors import DomainError
 from .kernels import _KERNEL_KINDS, KernelSpec
-from .satisfiability import check_k_satisfiable
+from .satisfiability import DEFAULT_C_THRESHOLD, check_k_satisfiable
 from .sketch import SKETCH_KINDS
 
 __all__ = ["main", "build_parser"]
@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trial_args(p)
     p.add_argument("--sketch", default="gaussian", choices=_choices(SKETCH_KINDS))
     p.add_argument("--m", type=int, help="projection dimension (default: d_n)")
-    p.add_argument("--c-threshold", type=float, default=4.0)
+    p.add_argument("--c-threshold", type=float, default=DEFAULT_C_THRESHOLD)
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.set_defaults(func=_cmd_check_sketch)
 

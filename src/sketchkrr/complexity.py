@@ -47,11 +47,12 @@ gaussian kernel, ~ n^(-2/3) for the first-order Sobolev kernel).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import block_krylov, cho_factor_shifted
+from ._util import block_krylov, check_count, cho_factor_shifted
 from .errors import DomainError, NumericalError
 from .kernels import EIG_CLAMP_REL, KernelMatrix, KernelSpec
 
@@ -97,8 +98,7 @@ def _check_spectrum(mu_hat) -> np.ndarray:
 def kernel_complexity(mu_hat, n: int, delta: float) -> float:
     """R(delta) = sqrt((1/n) * sum_j min(delta^2, mu_j))."""
     mu = _check_spectrum(mu_hat)
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    check_count(n, "n", 1)
     if not delta >= 0.0:
         raise DomainError(f"delta must be >= 0, got {delta}")
     return float(np.sqrt(np.minimum(delta * delta, mu).sum() / n))
@@ -118,10 +118,9 @@ def critical_radius(mu_hat, n: int, sigma: float) -> float:
 def _critical_radius(mu: np.ndarray, tail: float, n: int, sigma: float) -> float:
     """critical_radius of the spectrum mu followed by eigenvalues of total
     mass ``tail``, each taken to lie below the root's delta^2."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if not sigma > 0.0:
-        raise DomainError(f"sigma must be > 0, got {sigma}")
+    check_count(n, "n", 1)
+    if not 0.0 < sigma < math.inf:
+        raise DomainError(f"sigma must be finite and > 0, got {sigma}")
     if mu.max() == 0.0 and tail == 0.0:
         return 0.0
 

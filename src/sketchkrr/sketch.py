@@ -17,9 +17,9 @@ factorization H_{n_pad} = H_{n_pad/b} (x) H_b restricted to the sampled
 rows (the subsampled randomized Hadamard transform of Ailon and Chazelle
 2006, analysed by Tropp 2011): about (u * n + m * n/b) multiply-adds per
 column, with u <= min(m, b) the distinct rows of H_b the sample needs,
-against m * n for the dense rows.  Otherwise, and for S^T and the dense
-matrix, its m sampled Hadamard rows are built on each call by Sylvester
-doubling, in O(m * n), and not kept on the operator.
+against m * n for the dense rows.  Otherwise its m sampled Hadamard rows
+are built once, at the draw, by Sylvester doubling in O(m * n), and kept
+on the operator; a transform-route sketch builds them for each S^T call.
 Sub-sampling gathers rows.  Operators are immutable and deterministic
 functions of (kind, m, n, seed); applying one to distinct columns is safe
 to parallelize.
@@ -27,10 +27,11 @@ to parallelize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._util import check_count
 from .errors import DomainError
 
 __all__ = [
@@ -53,10 +54,14 @@ _SEED_MASK = (1 << 64) - 1
 class SketchOperator:
     """An m x n random sketch; build with :func:`draw_sketch`.
 
-    Exactly the state that defines the operator is stored: the dense
-    matrix for ``gaussian``, the Rademacher sign vector plus sampled row
-    indices (over the padded length ``n_pad``) for ``ros``, and sampled row
-    indices for ``subsample``.
+    The state that defines the operator is stored: the Rademacher sign
+    vector plus sampled row indices (over the padded length ``n_pad``) for
+    ``ros``, sampled row indices for ``subsample``, and in ``matrix``,
+    read-only, the m x n matrix :func:`apply_sketch` multiplies by: the
+    gaussian one, or a ros sketch's rows where the transform does not pay
+    (always for odd n: 7.4 MB at m = 924, n = 1023).  Transform-route rows
+    are not kept: that raised certify-fit peak_rss_mb from 112.5 to 123.7
+    MB (2-core machine).
     """
 
     kind: str
@@ -94,25 +99,30 @@ def draw_sketch(kind: str, m: int, n: int, seed: int) -> SketchOperator:
     """Draw a sketch operator, deterministic in (kind, m, n, seed)."""
     if kind not in SKETCH_KINDS:
         raise DomainError(f"unknown sketch kind {kind!r}")
-    if not (1 <= m <= n):
+    m, n = check_count(m, "m", 1), check_count(n, "n", 1)
+    if m > n:
         raise DomainError(f"need 1 <= m <= n, got m={m}, n={n}")
     rng = np.random.default_rng(seed & _SEED_MASK)
+    if kind == "subsample":
+        return SketchOperator(kind, m, n, seed, indices=_sample_without_replacement(rng, n, m))
     if kind == "gaussian":
-        mat = rng.normal(0.0, 1.0 / np.sqrt(m), size=(m, n))
-        mat.setflags(write=False)
-        return SketchOperator(kind, m, n, seed, matrix=mat)
-    if kind == "ros":
+        S = SketchOperator(kind, m, n, seed, matrix=rng.normal(0.0, 1.0 / np.sqrt(m), size=(m, n)))
+    else:
         n_pad = 1 << (n - 1).bit_length()
         signs = (2.0 * rng.integers(0, 2, size=n_pad) - 1.0).astype(np.float64)
         signs.setflags(write=False)
         idx = _sample_without_replacement(rng, n_pad, m)
-        return SketchOperator(kind, m, n, seed, signs=signs, indices=idx, n_pad=n_pad)
-    idx = _sample_without_replacement(rng, n, m)
-    return SketchOperator(kind, m, n, seed, indices=idx)
+        S = SketchOperator(kind, m, n, seed, signs=signs, indices=idx, n_pad=n_pad)
+        if _ros_transform_pays(S):
+            return S
+        S = replace(S, matrix=_dense(S))
+    S.matrix.setflags(write=False)
+    return S
 
 
 def identity_sketch(n: int) -> SketchOperator:
     """The n x n identity as a sub-sampling sketch (m = n, unpermuted)."""
+    n = check_count(n, "n", 1)
     idx = np.arange(n)
     idx.setflags(write=False)
     return SketchOperator("subsample", n, n, 0, indices=idx)
@@ -173,11 +183,9 @@ def _hadamard_rows(rows: np.ndarray, width: int) -> np.ndarray:
 
 
 def _dense(S: SketchOperator) -> np.ndarray:
-    """The m x n matrix of a gaussian or ros sketch."""
-    if S.kind == "gaussian":
+    """The stored m x n matrix, or the rows of a transform-route ros sketch."""
+    if S.matrix is not None:
         return S.matrix
-    # The rows are built on each call, not kept on the operator: keeping them
-    # raised certify-fit peak_rss_mb from 112.5 to 123.7 MB (2-core machine).
     rows = _hadamard_rows(S.indices, S.n)
     rows *= S.signs[: S.n] * np.sqrt(S.n / (S.m * S.n_pad))
     return rows
@@ -264,9 +272,9 @@ def apply_sketch(S: SketchOperator, M) -> np.ndarray:
     A = _check_rows(S, M)
     if S.kind == "subsample":
         return S.scale * A[S.indices]
-    if S.kind == "ros" and _ros_transform_pays(S):
-        return _ros_apply(S, A)
-    return _dense(S) @ A
+    if S.matrix is not None:
+        return S.matrix @ A
+    return _ros_apply(S, A)
 
 
 def apply_sketch_t(S: SketchOperator, M) -> np.ndarray:
@@ -289,5 +297,5 @@ def materialize(S: SketchOperator) -> np.ndarray:
         dense = np.zeros((S.m, S.n))
         dense[np.arange(S.m), S.indices] = S.scale
         return dense
-    # the gaussian matrix is the operator's own read-only array
-    return S.matrix.copy() if S.kind == "gaussian" else _dense(S)
+    # a stored matrix is the operator's own read-only array
+    return _dense(S) if S.matrix is None else S.matrix.copy()

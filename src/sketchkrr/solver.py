@@ -174,28 +174,24 @@ def solve_krr(
     return FitResult("exact", omega, None, lam, fitted)
 
 
+def _check_sketch_size(S: SketchOperator, K: KernelMatrix) -> None:
+    if S.n != K.n:
+        raise DomainError(f"sketch ambient dimension {S.n} != kernel size {K.n}")
+
+
 def _sketched_normal_system(
     K: KernelMatrix, S: SketchOperator, lam: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The m x n product S K and the m x m matrix A = S K (K + 2*lam*I) S^T.
 
-    S K comes from :func:`apply_sketch`.  A gaussian sketch forms
-    A = S K (S K + 2*lam*S)^T, one GEMM with the operator's own matrix (a
-    fresh matrix holds S K + 2*lam*S).  The others form
-    A = S K (S K)^T + 2*lam * S (S K)^T, the last a second
-    :func:`apply_sketch`, so that no m x n matrix of S is built; for
-    sub-sampling it is a gather, and A is exactly symmetric.
+    Every family forms A = S K (S K)^T + 2*lam * S (S K)^T, both products
+    of S through :func:`apply_sketch`; for sub-sampling A is exactly
+    symmetric.  Against the one GEMM S K (S K + 2*lam*S)^T with dense ros
+    rows this took 29 against 41 ms at m = 924, n = 1024 (sobolev1, one BLAS
+    thread), and it holds the m x m C at the fit's peak, not m x n rows.
     """
-    if S.n != K.n:
-        raise DomainError(f"sketch ambient dimension {S.n} != kernel size {K.n}")
+    _check_sketch_size(S, K)
     SK = apply_sketch(S, K.matrix)
-    if S.kind == "gaussian":
-        shifted = 2.0 * lam * S.matrix
-        shifted += SK
-        return SK, SK @ shifted.T
-    # For ros at m = 924, n = 1024 (sobolev1, one BLAS thread) this took
-    # 29 ms, the one GEMM S K (S K + 2*lam*S)^T with the dense rows 41 ms;
-    # and the fit holds the m x m C at its peak in place of the m x n rows.
     C = apply_sketch(S, SK.T)
     C *= 2.0 * lam
     A = SK @ SK.T
@@ -237,8 +233,8 @@ def _solve_sketched(
     except np.linalg.LinAlgError:
         pass
     else:
-        # A is symmetric (to rounding for ros), so A.T (Fortran-ordered, no
-        # copy) has the same 1-norm
+        # A is symmetric (to rounding but for sub-sampling), so A.T
+        # (Fortran-ordered, no copy) has the same 1-norm
         rcond, _ = sla.lapack.dpocon(L, sla.lapack.dlange("1", A.T), uplo="L")
         if rcond >= np.finfo(np.float64).eps:
             alpha = sla.cho_solve((L, lower), SK @ rhs / np.sqrt(K.n), check_finite=False)
@@ -337,6 +333,7 @@ def solve_nystrom_dual(K: KernelMatrix, y, S: SketchOperator, lambda_n: float) -
     """
     lam = _check_lambda(lambda_n)
     yv = _check_vector(y, K.n, "y")
+    _check_sketch_size(S, K)
     n = K.n
     SK = apply_sketch(S, K.matrix)
     Zt, lift, truncated = _gram_factor(S, SK)
@@ -362,6 +359,7 @@ def krr_objective(K: KernelMatrix, y, lambda_n: float, omega) -> float:
 
 def sketched_krr_objective(K: KernelMatrix, y, S: SketchOperator, lambda_n: float, alpha) -> float:
     """Objective of the sketched program at coefficients alpha."""
+    _check_sketch_size(S, K)
     return krr_objective(K, y, lambda_n, apply_sketch_t(S, _check_vector(alpha, S.m, "alpha")))
 
 
@@ -373,6 +371,7 @@ def zero_noise_objective(K: KernelMatrix, z_star, S: SketchOperator, lambda_n: f
     system with y replaced by the true values z*, so its minimizer is
     ``solve_sketched_krr(K, z_star, S, lambda_n).coefficients``.
     """
+    _check_sketch_size(S, K)
     lam = _check_lambda(lambda_n)
     zv = _check_vector(z_star, K.n, "z_star")
     w = apply_sketch_t(S, _check_vector(alpha, S.m, "alpha"))

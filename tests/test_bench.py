@@ -73,6 +73,23 @@ class TestConfig:
         with pytest.raises(DomainError, match=field):
             small_config(**overrides)
 
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            ("trials", dict(trials=1.5)),
+            ("m_fixed", dict(m_rule="fixed", m_fixed=2.5)),
+            ("n_grid", dict(n_grid=(64.7,))),
+        ],
+    )
+    def test_counts_must_be_integers(self, field, overrides):
+        # unchecked, a float count fails late in range() or is truncated
+        with pytest.raises(DomainError, match=f"{field}.*must be an integer"):
+            small_config(**overrides)
+
+    def test_numpy_integer_counts_accepted(self):
+        config = small_config(n_grid=(np.int64(8),), trials=np.int32(2), m_rule="fixed", m_fixed=np.int64(3))
+        assert (config.n_grid, config.trials, config.m_fixed) == ((8,), 2, 3)
+
 
 class TestTargetsAndRates:
     def test_fstar_values(self):

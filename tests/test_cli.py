@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sketchkrr import bench, draw_sketch, read_csv
+from sketchkrr import bench, draw_sketch, read_csv, satisfiability
 from sketchkrr.cli import main
 
 CONFIG_TEXT = """\
@@ -227,6 +227,11 @@ class TestCheckSketchAndDemo:
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) >= {"lhs_isometry", "lhs_tail", "delta_n", "c_threshold", "passed"}
+
+    def test_check_sketch_default_threshold(self, capsys):
+        argv = ["check-sketch", "--kernel", "sobolev1", "--n", "64", "--m", "24", "--format", "json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["c_threshold"] == satisfiability.DEFAULT_C_THRESHOLD
 
     def test_demo(self, capsys):
         assert main(["demo-nystrom-failure", "--n", "64", "--m", "4", "--k", "6", "--seed", "1"]) == 0

@@ -52,6 +52,14 @@ class TestKernelComplexity:
         with pytest.raises(DomainError):
             kernel_complexity([-1.0], 1, 0.1)
 
+    @pytest.mark.parametrize("n", [0, 2.5, np.inf, np.nan])
+    def test_n_must_be_an_integer_at_least_one(self, n):
+        with pytest.raises(DomainError, match="n must be an integer >= 1"):
+            kernel_complexity([1.0], n, 1.0)
+
+    def test_numpy_integer_n_accepted(self):
+        assert kernel_complexity([1.0], np.int64(4), 1.0) == kernel_complexity([1.0], 4, 1.0)
+
     def test_monotone_in_delta(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
@@ -96,9 +104,24 @@ class TestCriticalRadius:
             sigma = float(rng.uniform(0.1, 2.0))
             assert critical_radius(mu, n, 2 * sigma) >= critical_radius(mu, n, sigma)
 
-    def test_bad_sigma(self):
-        with pytest.raises(DomainError):
-            critical_radius([1.0], 1, 0.0)
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.inf, np.nan])
+    def test_bad_sigma(self, sigma):
+        # unchecked, an infinite sigma never brackets the root
+        K = KernelMatrix(sobolev_uniform_matrix(64))
+        calls = (
+            lambda: critical_radius([1.0], 1, sigma),
+            lambda: complexity_profile(K, 64, sigma),
+            lambda: rate_exponent_check(KernelSpec.sobolev1(), [64, 128, 256, 512], sigma),
+        )
+        for call in calls:
+            with pytest.raises(DomainError, match="sigma must be finite and > 0"):
+                call()
+
+    @pytest.mark.parametrize("n", [0, 2.5, np.inf])
+    def test_n_must_be_an_integer_at_least_one(self, n):
+        # unchecked, an infinite n makes R vanish and the radius 0.0
+        with pytest.raises(DomainError, match="n must be an integer >= 1"):
+            critical_radius([1.0, 0.5], n, 1.0)
 
 
 class TestStatisticalDimension:

@@ -53,6 +53,17 @@ WIDE = satisfiability.DENSE_TAIL_MAX_M + 1
 
 
 class TestCheckKSatisfiable:
+    @pytest.mark.parametrize("n, m", [(128, 11), (255, WIDE)])
+    def test_leaves_the_sketch_rows_unchanged(self, sobolev_at, n, m):
+        # T is formed in place of a copy, never of the operator's own rows;
+        # both are dense-route ros sketches, the second takes the Lanczos tail
+        K, profile, _, _ = sobolev_at(n)
+        S = draw_sketch("ros", m, n, 8)
+        assert S.matrix is not None
+        before = S.matrix.copy()
+        check_k_satisfiable(S, K, profile)
+        np.testing.assert_array_equal(S.matrix, before)
+
     def test_leading_eigenvector_sketch_is_perfect(self, sobolev_setup):
         n, K, profile = sobolev_setup
         U = K.eigenvectors

@@ -42,6 +42,15 @@ class TestDrawSketch:
         with pytest.raises(DomainError):
             draw_sketch("rademacher", 2, 4, 0)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_counts_must_be_integers(self, kind):
+        with pytest.raises(DomainError, match="m must be an integer"):
+            draw_sketch(kind, 2.5, 64, 0)
+        with pytest.raises(DomainError, match="n must be an integer"):
+            draw_sketch(kind, 2, 64.0, 0)
+        S = draw_sketch(kind, np.int64(5), np.int32(17), 12345)
+        np.testing.assert_array_equal(materialize(S), materialize(draw_sketch(kind, 5, 17, 12345)))
+
     def test_subsample_full_dimension_is_permutation(self):
         n = 9
         S = draw_sketch("subsample", n, n, 3)
@@ -50,8 +59,18 @@ class TestDrawSketch:
         np.testing.assert_array_equal(dense @ dense.T, np.eye(n))
         assert set(np.unique(dense)) == {0.0, 1.0}
 
+    @pytest.mark.parametrize("kind, m", [("gaussian", 11), ("ros", 11), ("ros", 462), ("subsample", 11)])
+    def test_materialize_is_a_new_writable_array(self, kind, m):
+        # the certificate forms T in place of it
+        S = draw_sketch(kind, m, 1024, 4)
+        dense = materialize(S)
+        assert dense.flags.writeable
+        assert S.matrix is None or not np.shares_memory(dense, S.matrix)
+
     def test_identity_sketch(self):
         np.testing.assert_array_equal(materialize(identity_sketch(6)), np.eye(6))
+        with pytest.raises(DomainError, match="n must be an integer"):
+            identity_sketch(2.5)
 
     def test_gaussian_entry_mean(self):
         # CLT bound on the empirical mean of m*n iid N(0, 1/m) entries
@@ -194,6 +213,21 @@ class TestRosTransform:
             got = apply_sketch(S, X)
             assert got.shape == (m, *X.shape[1:])
             np.testing.assert_allclose(got, dense @ X, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("n, m, dense", [
+        (1024, 11, True), (1200, 11, True), (17, 5, True), (1023, 462, True),
+        (1024, 462, False), (1200, 924, False),
+    ])
+    def test_dense_route_keeps_its_rows(self, n, m, dense):
+        # the dense route's rows (always for odd n) are built once at the
+        # draw, read-only; the transform route keeps none
+        S = draw_sketch("ros", m, n, 70 + m)
+        assert _ros_transform_pays(S) is not dense
+        if dense:
+            assert not S.matrix.flags.writeable
+            np.testing.assert_allclose(S.matrix, ros_dense_oracle(S), rtol=0.0, atol=1e-15)
+        else:
+            assert S.matrix is None
 
     def test_oracle_cases_cover_both_routes(self):
         routes = {_ros_transform_pays(draw_sketch("ros", m, n, 0)) for n, m in ROS_ORACLE_CASES}

@@ -202,8 +202,8 @@ class TestSolveSketchedKrr:
 
     @pytest.mark.parametrize("kind, m", [("gaussian", 8), ("ros", 8), ("ros", 40), ("subsample", 8)])
     def test_fit_applies_its_sketch_through_apply_sketch(self, monkeypatch, kind, m):
-        # S K for every kind, and for all but gaussian also S (S K)^T, the
-        # S K S^T of A; the benchmark's tracer times sketch.apply at this name
+        # S K, then S (S K)^T, the S K S^T of A, for every kind; the
+        # benchmark's tracer times sketch.apply at this name
         shapes = []
 
         def spy(S, M):
@@ -215,7 +215,7 @@ class TestSolveSketchedKrr:
         monkeypatch.setattr("sketchkrr.solver.apply_sketch", spy)
         fit = solve_sketched_krr(K, y, draw_sketch(kind, m, n, 5), 0.05)
         assert not fit.rank_deficient
-        assert shapes == [(n, n)] + ([(n, m)] if kind != "gaussian" else [])
+        assert shapes == [(n, n), (n, m)]
 
     @pytest.mark.parametrize("m", [462, 924])
     def test_ros_transform_fit_matches_dense_row_normal_equations(self, m):
@@ -420,6 +420,21 @@ class TestObjectiveInputs:
         for name in ("sketched", "zero_noise"):
             with pytest.raises(DomainError, match=message):
                 objectives[name](0.1, np.asarray(alpha))
+
+    def test_sketch_of_the_wrong_size_is_named(self):
+        # the message of the sketched fit, not numpy's matmul mismatch or a
+        # complaint about omega or the operand
+        K, _, z, y = sobolev_instance(64, 26)
+        S = draw_sketch("gaussian", 3, 32, 9)
+        calls = (
+            lambda: sketched_krr_objective(K, y, S, 0.1, np.ones(3)),
+            lambda: zero_noise_objective(K, z, S, 0.1, np.ones(3)),
+            lambda: solve_nystrom_dual(K, y, S, 0.1),
+            lambda: solve_sketched_krr(K, y, S, 0.1),
+        )
+        for call in calls:
+            with pytest.raises(DomainError, match="sketch ambient dimension 32 != kernel size 64"):
+                call()
 
 
 class TestPredict:
