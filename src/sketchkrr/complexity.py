@@ -112,15 +112,20 @@ def critical_radius(mu_hat, n: int, sigma: float) -> float:
     is bracketed, then bisecting to relative tolerance 1e-10; the returned
     value sits on the feasible side of the bracket.
     """
+    _check_sigma(sigma)
     return _critical_radius(_check_spectrum(mu_hat), 0.0, n, sigma)
+
+
+def _check_sigma(sigma: float) -> None:
+    if not 0.0 < sigma < math.inf:
+        raise DomainError(f"sigma must be finite and > 0, got {sigma}")
 
 
 def _critical_radius(mu: np.ndarray, tail: float, n: int, sigma: float) -> float:
     """critical_radius of the spectrum mu followed by eigenvalues of total
-    mass ``tail``, each taken to lie below the root's delta^2."""
+    mass ``tail``, each taken to lie below the root's delta^2; sigma is
+    checked by the caller."""
     check_count(n, "n", 1)
-    if not 0.0 < sigma < math.inf:
-        raise DomainError(f"sigma must be finite and > 0, got {sigma}")
     if mu.max() == 0.0 and tail == 0.0:
         return 0.0
 
@@ -163,6 +168,7 @@ def complexity_profile(mu_hat, n: int, sigma: float) -> ComplexityProfile:
     """Critical radius and statistical dimension for one spectrum, or for a
     :class:`KernelMatrix` of size n from its head spectrum (see the module
     docstring)."""
+    _check_sigma(sigma)  # before any work on K
     if isinstance(mu_hat, KernelMatrix):
         delta_n, d_n = _matrix_profile(mu_hat, n, sigma)
     else:

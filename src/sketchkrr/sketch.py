@@ -17,10 +17,13 @@ factorization H_{n_pad} = H_{n_pad/b} (x) H_b restricted to the sampled
 rows (the subsampled randomized Hadamard transform of Ailon and Chazelle
 2006, analysed by Tropp 2011): about (u * n + m * n/b) multiply-adds per
 column, with u <= min(m, b) the distinct rows of H_b the sample needs,
-against m * n for the dense rows.  Otherwise its m sampled Hadamard rows
-are built once, at the draw, by Sylvester doubling in O(m * n), and kept
-on the operator; a transform-route sketch builds them for each S^T call.
-Sub-sampling gathers rows.  Operators are immutable and deterministic
+against m * n for the dense rows; S^T runs the same two factors
+transposed, and a caller that applies S and S^T many times (the
+certificate's Lanczos tail) builds the factors once for all of them.
+Otherwise its m sampled Hadamard rows are built once, at the draw, by
+Sylvester doubling in O(m * n), and kept on the operator; a transform-route
+sketch builds its rows only for :func:`materialize`.  Sub-sampling gathers
+rows, and scatters them for S^T.  Operators are immutable and deterministic
 functions of (kind, m, n, seed); applying one to distinct columns is safe
 to parallelize.
 """
@@ -28,6 +31,7 @@ to parallelize.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -57,11 +61,12 @@ class SketchOperator:
     The state that defines the operator is stored: the Rademacher sign
     vector plus sampled row indices (over the padded length ``n_pad``) for
     ``ros``, sampled row indices for ``subsample``, and in ``matrix``,
-    read-only, the m x n matrix :func:`apply_sketch` multiplies by: the
-    gaussian one, or a ros sketch's rows where the transform does not pay
-    (always for odd n: 7.4 MB at m = 924, n = 1023).  Transform-route rows
-    are not kept: that raised certify-fit peak_rss_mb from 112.5 to 123.7
-    MB (2-core machine).
+    read-only, the m x n matrix :func:`apply_sketch` and
+    :func:`apply_sketch_t` multiply by: the gaussian one, or a ros sketch's
+    rows where the transform does not pay (always for odd n: 7.4 MB at
+    m = 924, n = 1023).  A transform-route sketch keeps neither its rows nor
+    its transform's factors, and no apply builds its rows: keeping the rows
+    raised certify-fit peak_rss_mb from 112.5 to 123.7 MB (2-core machine).
     """
 
     kind: str
@@ -115,7 +120,7 @@ def draw_sketch(kind: str, m: int, n: int, seed: int) -> SketchOperator:
         S = SketchOperator(kind, m, n, seed, signs=signs, indices=idx, n_pad=n_pad)
         if _ros_transform_pays(S):
             return S
-        S = replace(S, matrix=_dense(S))
+        S = replace(S, matrix=_ros_rows(S))
     S.matrix.setflags(write=False)
     return S
 
@@ -154,12 +159,12 @@ def fwht(v: np.ndarray, normalized: bool = True) -> np.ndarray:
     return a
 
 
-def _check_rows(S: SketchOperator, M: np.ndarray) -> np.ndarray:
+def _check_rows(M, rows: int, what: str) -> np.ndarray:
     A = np.asarray(M, dtype=np.float64)
     if A.ndim not in (1, 2):
         raise DomainError("operand must be a vector or a matrix")
-    if A.shape[0] != S.n:
-        raise DomainError(f"operand has {A.shape[0]} rows, sketch expects {S.n}")
+    if A.shape[0] != rows:
+        raise DomainError(f"operand has {A.shape[0]} rows, {what} expects {rows}")
     return A
 
 
@@ -182,10 +187,8 @@ def _hadamard_rows(rows: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _dense(S: SketchOperator) -> np.ndarray:
-    """The stored m x n matrix, or the rows of a transform-route ros sketch."""
-    if S.matrix is not None:
-        return S.matrix
+def _ros_rows(S: SketchOperator) -> np.ndarray:
+    """The m x n rows of a ros sketch, a new array."""
     rows = _hadamard_rows(S.indices, S.n)
     rows *= S.signs[: S.n] * np.sqrt(S.n / (S.m * S.n_pad))
     return rows
@@ -224,71 +227,117 @@ def _ros_transform_pays(S: SketchOperator) -> bool:
     return 2 * (min(S.m, b) * S.n + S.m * (S.n // b)) <= S.m * S.n
 
 
-def _ros_apply(S: SketchOperator, A: np.ndarray) -> np.ndarray:
-    """S @ A for a ros sketch through H_{n_pad} = H_{n_pad/b} (x) H_b.
+class _RosTransform:
+    """A transform-route ros sketch's maps through H_{n_pad} = H_{n_pad/b} (x) H_b.
 
     Row i = hi * b + lo of H_{n_pad} is H_{n_pad/b}[hi] (x) H_b[lo], and
-    the padding beyond n is whole blocks of b rows, so with A's rows in
-    n/b blocks of b:
-      stage 1: Z[t, J] = H_b[lo_t] D_J A_J for the u distinct lo values of
-               the sample (D_J: the signs of block J), one batched product;
-      stage 2: (S A)[i] = c * sum_J H_{n_pad/b}[hi_i, J] Z[t_i, J], one
-               batched product over the u groups of rows that share a lo
-               value, each padded to the largest group's size g,
-    with c = sqrt(n / (m * n_pad)).  Both run on ``_ROS_PASS_COLUMNS``
-    columns of A at a time, into buffers reused across the passes.
+    the padding beyond n is whole blocks of b rows, so S restricted to the
+    n/b blocks of b columns factors as
+      W (n/b, u, b): W[J, t] = H_b[lo_t] D_J for the u distinct lo values of
+               the sample (D_J: the signs of block J);
+      H (u, g, n/b): H[t, r] = c * H_{n_pad/b}[hi_i] for the rows i that
+               share lo_t, in rank r, padded with zero rows to the largest
+               group's size g;
+      slot (m,): row i's index t * g + r in the padded (u, g) layout,
+    with c = sqrt(n / (m * n_pad)), so that S[i, J*b + l] = H[t, r, J] W[J, t, l].
+    The factors are built at the first apply, after its output array, and
+    shared by every later one: built before that array, they raised
+    certify-fit's peak RSS by about 0.6 MB (heap layout, same work).
     """
-    n, b = S.n, _ros_factor(S)
-    nb = n // b
-    blocks = (A[:, None] if A.ndim == 1 else A).reshape(nb, b, -1)
-    k = blocks.shape[2]
-    # allocated before the temporaries: after them, it raised certify-fit's
-    # peak RSS by about 0.4 MB
-    out = np.empty((S.m, k))
-    lows, group, counts = np.unique(S.indices & (b - 1), return_inverse=True, return_counts=True)
-    u, g = len(lows), int(counts.max())
-    W = _hadamard_rows(lows, b) * S.signs[:n].reshape(nb, 1, b)
-    # row i's slot in the padded (u, g) layout: its group, then its rank there
-    order = np.argsort(group, kind="stable")
-    slot = np.empty(S.m, dtype=np.intp)
-    slot[order] = np.arange(S.m) + np.repeat(np.arange(u) * g - (np.cumsum(counts) - counts), counts)
-    H = np.zeros((u * g, nb))
-    H[slot] = _hadamard_rows(S.indices >> (b.bit_length() - 1), nb)
-    H *= np.sqrt(n / (S.m * S.n_pad))
-    H = H.reshape(u, g, nb)
 
-    cols = min(max(k, 1), _ROS_PASS_COLUMNS)
-    Z, P = np.empty((u, nb, cols)), np.empty((u, g, cols))
-    for c in range(0, k, cols):
-        w = min(cols, k - c)
-        np.matmul(W, blocks[:, :, c : c + w], out=Z[:, :, :w].transpose(1, 0, 2))
-        np.matmul(H, Z[:, :, :w], out=P[:, :, :w])
-        out[:, c : c + w] = P[:, :, :w].reshape(u * g, w)[slot]
-    return out[:, 0] if A.ndim == 1 else out
+    def __init__(self, S: SketchOperator):
+        self.S = S
+
+    @cached_property
+    def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        S = self.S
+        n, b = S.n, _ros_factor(S)
+        nb = n // b
+        lows, group, counts = np.unique(S.indices & (b - 1), return_inverse=True, return_counts=True)
+        u, g = len(lows), int(counts.max())
+        W = _hadamard_rows(lows, b) * S.signs[:n].reshape(nb, 1, b)
+        order = np.argsort(group, kind="stable")
+        slot = np.empty(S.m, dtype=np.intp)
+        slot[order] = np.arange(S.m) + np.repeat(np.arange(u) * g - (np.cumsum(counts) - counts), counts)
+        H = np.zeros((u * g, nb))
+        H[slot] = _hadamard_rows(S.indices >> (b.bit_length() - 1), nb)
+        H *= np.sqrt(n / (S.m * S.n_pad))
+        return W, H.reshape(u, g, nb), slot
+
+    def forward(self, A: np.ndarray) -> np.ndarray:
+        """S @ A, with A's rows in n/b blocks of b:
+          stage 1: Z[t, J] = W[J, t] A_J, one batched product;
+          stage 2: (S A)[i] = sum_J H[t, r, J] Z[t, J] at slot t * g + r,
+                   one batched product over the u groups.
+        Both run on ``_ROS_PASS_COLUMNS`` columns of A at a time, into
+        buffers reused across the passes.
+        """
+        k = 1 if A.ndim == 1 else A.shape[1]
+        out = np.empty((self.S.m, k))
+        W, H, slot = self.factors
+        (nb, u, b), g = W.shape, H.shape[1]
+        blocks = A.reshape(nb, b, k)
+        cols = min(max(k, 1), _ROS_PASS_COLUMNS)
+        Z, P = np.empty((u, nb, cols)), np.empty((u, g, cols))
+        for c in range(0, k, cols):
+            w = min(cols, k - c)
+            np.matmul(W, blocks[:, :, c : c + w], out=Z[:, :, :w].transpose(1, 0, 2))
+            np.matmul(H, Z[:, :, :w], out=P[:, :, :w])
+            out[:, c : c + w] = P[:, :, :w].reshape(u * g, w)[slot]
+        return out[:, 0] if A.ndim == 1 else out
+
+    def transpose(self, Y: np.ndarray) -> np.ndarray:
+        """S^T @ Y, the two stages of :meth:`forward` transposed and run in
+        reverse: Y's rows scattered into the padded (u, g) layout (its
+        padding stays zero), then H^T per group and W^T per block, on
+        ``_ROS_PASS_COLUMNS`` columns at a time.
+        """
+        k = 1 if Y.ndim == 1 else Y.shape[1]
+        rows = Y.reshape(self.S.m, k)
+        out = np.empty((self.S.n, k))
+        W, H, slot = self.factors
+        (nb, u, b), g = W.shape, H.shape[1]
+        blocks = out.reshape(nb, b, k)
+        cols = min(max(k, 1), _ROS_PASS_COLUMNS)
+        P, Z = np.zeros((u, g, cols)), np.empty((u, nb, cols))
+        scatter = P.reshape(u * g, cols)
+        for c in range(0, k, cols):
+            w = min(cols, k - c)
+            scatter[slot, :w] = rows[:, c : c + w]
+            np.matmul(H.transpose(0, 2, 1), P[:, :, :w], out=Z[:, :, :w])
+            np.matmul(W.transpose(0, 2, 1), Z[:, :, :w].transpose(1, 0, 2), out=blocks[:, :, c : c + w])
+        return out[:, 0] if Y.ndim == 1 else out
+
+
+def _maps(S: SketchOperator):
+    """S's forward and transposed maps, A -> S @ A and Y -> S^T @ Y, for
+    float64 vectors or matrices with n and m rows.  A transform-route ros
+    sketch's two maps share one :class:`_RosTransform`, whose factors are
+    built once for every call of either."""
+    if S.kind == "subsample":
+        def gather(A):
+            return S.scale * A[S.indices]
+
+        def scatter(Y):
+            out = np.zeros((S.n, *Y.shape[1:]))
+            out[S.indices] = S.scale * Y
+            return out
+
+        return gather, scatter
+    if S.matrix is not None:
+        return S.matrix.__matmul__, S.matrix.T.__matmul__
+    transform = _RosTransform(S)
+    return transform.forward, transform.transpose
 
 
 def apply_sketch(S: SketchOperator, M) -> np.ndarray:
     """Compute S @ M for a length-n vector or an (n, k) matrix."""
-    A = _check_rows(S, M)
-    if S.kind == "subsample":
-        return S.scale * A[S.indices]
-    if S.matrix is not None:
-        return S.matrix @ A
-    return _ros_apply(S, A)
+    return _maps(S)[0](_check_rows(M, S.n, "sketch"))
 
 
 def apply_sketch_t(S: SketchOperator, M) -> np.ndarray:
     """Compute S^T @ M for a length-m vector or an (m, k) matrix."""
-    A = np.asarray(M, dtype=np.float64)
-    if A.ndim not in (1, 2):
-        raise DomainError("operand must be a vector or a matrix")
-    if A.shape[0] != S.m:
-        raise DomainError(f"operand has {A.shape[0]} rows, sketch transpose expects {S.m}")
-    if S.kind == "subsample":
-        out = np.zeros((S.n, *A.shape[1:]))
-        out[S.indices] = S.scale * A
-        return out
-    return _dense(S).T @ A
+    return _maps(S)[1](_check_rows(M, S.m, "sketch transpose"))
 
 
 def materialize(S: SketchOperator) -> np.ndarray:
@@ -298,4 +347,4 @@ def materialize(S: SketchOperator) -> np.ndarray:
         dense[np.arange(S.m), S.indices] = S.scale
         return dense
     # a stored matrix is the operator's own read-only array
-    return _dense(S) if S.matrix is None else S.matrix.copy()
+    return _ros_rows(S) if S.matrix is None else S.matrix.copy()

@@ -105,9 +105,17 @@ class TestCriticalRadius:
             assert critical_radius(mu, n, 2 * sigma) >= critical_radius(mu, n, sigma)
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, np.inf, np.nan])
-    def test_bad_sigma(self, sigma):
-        # unchecked, an infinite sigma never brackets the root
+    def test_bad_sigma(self, monkeypatch, sigma):
+        # unchecked, an infinite sigma never brackets the root; checked
+        # first, it costs no head estimate of K
         K = KernelMatrix(sobolev_uniform_matrix(64))
+        heads, original = [], complexity.block_krylov
+
+        def spy(*args):
+            heads.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(complexity, "block_krylov", spy)
         calls = (
             lambda: critical_radius([1.0], 1, sigma),
             lambda: complexity_profile(K, 64, sigma),
@@ -116,6 +124,7 @@ class TestCriticalRadius:
         for call in calls:
             with pytest.raises(DomainError, match="sigma must be finite and > 0"):
                 call()
+        assert heads == []
 
     @pytest.mark.parametrize("n", [0, 2.5, np.inf])
     def test_n_must_be_an_integer_at_least_one(self, n):

@@ -6,10 +6,12 @@ import pytest
 from helpers import sobolev_uniform_matrix
 from sketchkrr import satisfiability
 from sketchkrr._util import block_krylov
+from sketchkrr.sketch import _ros_transform_pays
 from sketchkrr import (
     ComplexityProfile,
     DomainError,
     KernelMatrix,
+    SketchOperator,
     check_k_satisfiable,
     complexity_profile,
     draw_sketch,
@@ -84,8 +86,11 @@ class TestCheckKSatisfiable:
 
     def test_empty_head_is_vacuous(self, monkeypatch, sobolev_at):
         # and needs no eigendecomposition: T = S, so the tail is ||S K^(1/2)||
-        n = 128
-        K, _, U, mu = sobolev_at(n)
+        ros = draw_sketch("ros", WIDE, 1024, 0)
+        assert ros.matrix is None  # the transform route
+        sketches = (materialize(draw_sketch("gaussian", 4, 128, 0)),
+                    np.random.default_rng(2).standard_normal((WIDE, 128)), ros)
+        setups = {n: sobolev_at(n) for n in (128, 1024)}  # the oracle's own eigh
         calls = []
         original = KernelMatrix.eig
 
@@ -94,12 +99,14 @@ class TestCheckKSatisfiable:
             return original(self)
 
         monkeypatch.setattr(KernelMatrix, "eig", spy)
-        huge = ComplexityProfile(sigma=1.0, delta_n=10.0, delta_n_sq=100.0, d_n=0, n=n)
-        for S in (materialize(draw_sketch("gaussian", 4, n, 0)),
-                  np.random.default_rng(2).standard_normal((WIDE, n))):
+        for S in sketches:
+            n = 1024 if S is ros else 128
+            K, _, U, mu = setups[n]
+            huge = ComplexityProfile(sigma=1.0, delta_n=10.0, delta_n_sq=100.0, d_n=0, n=n)
             report = check_k_satisfiable(S, K, huge)
             assert report.lhs_isometry == 0.0
-            np.testing.assert_allclose(report.lhs_tail, dense_tail_norm(S, U, mu, 0), rtol=1e-12)
+            dense = materialize(S) if S is ros else S
+            np.testing.assert_allclose(report.lhs_tail, dense_tail_norm(dense, U, mu, 0), rtol=1e-12)
         assert calls == []
 
     def test_full_head_has_zero_tail(self, sobolev_setup):
@@ -148,6 +155,8 @@ class TestCheckKSatisfiable:
         pytest.param("ros", 462, 1024, id="ros-462-n1024"),
         pytest.param("ros", 924, 1024, id="ros-924-n1024"),
         pytest.param("gaussian", WIDE, 1024, id="gaussian-wide-n1024"),
+        pytest.param("ros", 462, 1200, id="ros-462-n1200"),
+        pytest.param("subsample", WIDE, 1024, id="subsample-wide-n1024"),
         pytest.param("identity", 256, 256, id="identity-256"),
     ])
     def test_tail_norm_matches_dense_svd(self, sobolev_at, kind, m, n):
@@ -187,6 +196,35 @@ class TestCheckKSatisfiable:
         with pytest.raises(DomainError, match="non-finite"):
             check_k_satisfiable(S, K, profile)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_ros_operator_rejected(self, sobolev_at, bad):
+        # a hand-built transform-route operator: the certificate applies it
+        # as a transform and never sees its rows
+        K, profile, _, _ = sobolev_at(1024)
+        drawn = draw_sketch("ros", WIDE, 1024, 0)
+        signs = drawn.signs.copy()
+        signs[2] = bad
+        S = SketchOperator("ros", WIDE, 1024, 0, signs=signs, indices=drawn.indices, n_pad=drawn.n_pad)
+        assert _ros_transform_pays(S)
+        with pytest.raises(DomainError, match="non-finite"):
+            check_k_satisfiable(S, K, profile)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "ros", "subsample"])
+    @pytest.mark.parametrize("m", [satisfiability.DENSE_TAIL_MAX_M, WIDE])
+    def test_materializes_only_for_the_dense_tail(self, monkeypatch, sobolev_at, kind, m):
+        # the benchmark's tracer counts sketchkrr.satisfiability.materialize
+        K, profile, _, _ = sobolev_at(1024)
+        calls, original = [], satisfiability.materialize
+
+        def spy(S):
+            calls.append(S)
+            return original(S)
+
+        monkeypatch.setattr(satisfiability, "materialize", spy)
+        S = draw_sketch(kind, m, 1024, 6)
+        check_k_satisfiable(S, K, profile)
+        assert calls == ([S] if m <= satisfiability.DENSE_TAIL_MAX_M else [])
+
     def test_dense_matrix_argument_is_not_modified(self, sobolev_setup):
         n, K, profile = sobolev_setup
         S = materialize(draw_sketch("gaussian", 8, n, 1))
@@ -210,11 +248,11 @@ class TestLanczosTop:
     """The eigensolver with one column per block, as the tail norm drives it."""
 
     @pytest.mark.parametrize("m,rank", [(1, 1), (2, 2), (5, 5), (40, 40), (40, 3), (40, 0)])
-    def test_matches_dense_top_eigenvalue(self, monkeypatch, m, rank):
+    def test_matches_dense_top_eigenvalue(self, m, rank):
         # T K T^T = G G^T for T = G and K = I, through the Krylov route
-        monkeypatch.setattr(satisfiability, "DENSE_TAIL_MAX_M", 0)
         G = np.random.default_rng(m + rank).standard_normal((m, rank))
-        top = satisfiability._top_eigenvalue_tkt(G, np.eye(rank))
+        K = np.eye(rank)
+        top = satisfiability._top_eigenvalue_tkt(lambda x: G @ (K @ (G.T @ x)), m)
         np.testing.assert_allclose(top, np.linalg.eigvalsh(G @ G.T)[-1] if rank else 0.0, rtol=1e-12, atol=0.0)
 
     def test_zero_operator_breaks_down_until_k_equals_m(self):
@@ -239,8 +277,10 @@ class TestRecommendedSketchDim:
     def test_gaussian_rule(self):
         assert recommended_sketch_dim("gaussian", 5, 100, 2.0) == 10
 
-    def test_ros_log_factor_collapses_at_n_e(self):
-        assert recommended_sketch_dim("ros", 1, math.e, 1.0) == 1
+    def test_ros_log_factor_at_small_n(self):
+        # ln(2)^4 = 0.23 rounds up to one row, ln(3)^4 = 1.46 to two
+        assert recommended_sketch_dim("ros", 1, 2, 1.0) == 1
+        assert recommended_sketch_dim("ros", 1, 3, 1.0) == 2
 
     def test_clamped_to_ambient_dimension(self):
         assert recommended_sketch_dim("gaussian", 50, 50, 2.0) == 50
@@ -257,11 +297,9 @@ class TestRecommendedSketchDim:
         with pytest.raises(DomainError):
             recommended_sketch_dim("subsample", 2, 10, 1.0)
         for kind in ("gaussian", "ros"):
-            for n in (0, -3):
-                with pytest.raises(DomainError, match=f"n must be >= 1, got {n}"):
+            for n in (0, -3, 2.5, math.inf):
+                with pytest.raises(DomainError, match=f"n must be an integer >= 1, got {n}"):
                     recommended_sketch_dim(kind, 2, n, 1.0)
-            with pytest.raises(DomainError, match="n must be finite, got inf"):
-                recommended_sketch_dim(kind, 2, math.inf, 1.0)
             for c in (math.inf, math.nan, 0.0):
                 with pytest.raises(DomainError, match=f"c must be finite and > 0, got {c}"):
                     recommended_sketch_dim(kind, 2, 10, c)

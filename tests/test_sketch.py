@@ -202,17 +202,19 @@ ROS_ORACLE_CASES = sorted(
 class TestRosTransform:
     @pytest.mark.parametrize("n, m", ROS_ORACLE_CASES, ids=[f"{n}-{m}" for n, m in ROS_ORACLE_CASES])
     def test_apply_matches_dense_oracle(self, n, m):
-        # a vector, a C-ordered matrix and an F-ordered transposed view, with
-        # 67 columns: more than one pass and a short last one; and no columns
+        # S and S^T, each on a vector, a C-ordered matrix and an F-ordered
+        # transposed view, with 67 columns: more than one pass and a short
+        # last one; and no columns
         rng = np.random.default_rng(n * 7919 + m)
         S = draw_sketch("ros", m, n, 900 + n + m)
         dense = ros_dense_oracle(S)
-        operands = (rng.standard_normal(n), rng.standard_normal((n, 67)),
-                    rng.standard_normal((67, n)).T, np.zeros((n, 0)))
-        for X in operands:
-            got = apply_sketch(S, X)
-            assert got.shape == (m, *X.shape[1:])
-            np.testing.assert_allclose(got, dense @ X, rtol=0.0, atol=1e-10)
+        for apply, D, rows in ((apply_sketch, dense, n), (apply_sketch_t, dense.T, m)):
+            operands = (rng.standard_normal(rows), rng.standard_normal((rows, 67)),
+                        rng.standard_normal((67, rows)).T, np.zeros((rows, 0)))
+            for X in operands:
+                got = apply(S, X)
+                assert got.shape == (D.shape[0], *X.shape[1:])
+                np.testing.assert_allclose(got, D @ X, rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize("n, m, dense", [
         (1024, 11, True), (1200, 11, True), (17, 5, True), (1023, 462, True),
