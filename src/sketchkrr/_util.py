@@ -25,17 +25,55 @@ def check_count(value, name: str, low: int) -> int:
     return int(value)
 
 
-def cho_factor_shifted(matrix: np.ndarray, shift: float):
-    """Lower Cholesky factor of the symmetric ``matrix + shift * I``, in the
-    ``cho_factor`` form; raises ``numpy.linalg.LinAlgError`` if it is not
+def cho_factor_shifted(matrix: np.ndarray, shift: float) -> np.ndarray:
+    """Lower Cholesky factor L of the symmetric ``matrix + shift * I``, for
+    :func:`solve_factor`; raises ``numpy.linalg.LinAlgError`` if it is not
     positive definite.
 
     The shifted matrix is one Fortran-ordered copy (``matrix.T`` of a
-    symmetric C-ordered matrix copies as one block), factored in place.
+    symmetric C-ordered matrix copies as one block), factored in place by
+    ``cho_factor``; only the lower triangle of L is the factor.
     """
     A = matrix.T.copy(order="F")
     A.ravel(order="F")[:: A.shape[0] + 1] += shift
-    return sla.cho_factor(A, lower=True, overwrite_a=True, check_finite=False)
+    return sla.cho_factor(A, lower=True, overwrite_a=True, check_finite=False)[0]
+
+
+def solve_factor(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with L L^T x = b, for a lower Cholesky factor L from ``cho_factor``
+    (only its lower triangle is read) and b an n-vector or an n x k block.
+
+    Two triangular solves (LAPACK dtrtrs) on L, which ``cho_factor``
+    returns Fortran-ordered, so it is not copied.  With one column they
+    took 0.37 ms at n = 1024 against 0.79 for ``cho_solve`` (potrs); with
+    two, the same time and the same bits (one OpenBLAS thread).  dtrtrs is
+    called directly: at m = 13 two ``solve_triangular`` calls took 25 us,
+    and the two dtrtrs calls in them 3 us.
+    """
+    if not len(L):  # LAPACK rejects the leading dimension 0 of an empty b
+        return np.array(b, dtype=np.float64)
+    z, info = sla.lapack.dtrtrs(L, b, lower=1)
+    if info == 0:
+        z, info = sla.lapack.dtrtrs(L, z, lower=1, trans=1, overwrite_b=1)
+    if info:
+        raise np.linalg.LinAlgError(f"triangular solve failed, dtrtrs info = {info}")
+    return z
+
+
+def symv(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``matrix @ v`` for an exactly symmetric n x n ``matrix``, such as a
+    :class:`KernelMatrix`'s (symmetric by construction or checked so), and
+    an n-vector or one n x 1 column; the result has v's shape.
+
+    BLAS dsymv reads one triangle, of ``matrix.T`` for a C-ordered matrix
+    (Fortran-ordered, so not copied): 0.18 ms at n = 1024 against 0.34 for
+    the two-triangle GEMV of ``@`` (one OpenBLAS thread).  Blocks of
+    columns keep ``@``: dsymm ran 2-8x slower than GEMM for 8-80 columns.
+    """
+    n = matrix.shape[0]
+    if v.shape not in ((n,), (n, 1)):
+        raise ValueError(f"symv takes an ({n},) or ({n}, 1) operand, got {v.shape}")
+    return sla.blas.dsymv(1.0, matrix.T, v.reshape(n)).reshape(v.shape)
 
 
 # seed of block_krylov's start block: profiles and certificates are pure

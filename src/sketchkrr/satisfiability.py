@@ -21,11 +21,12 @@ x -> T (K (T^T x)) with T as an operator on S's own maps,
 
     T^T y = S^T y - U1 (S U1)^T y,   T w = S w - (S U1)(U1^T w),
 
-so a step reads K once and applies S and S^T to one column each: a ROS
-sketch through its fast transform, with no m x n rows, a dense matrix D
-as D @ and D^T @.  S U1 is one apply of the n x d_n block.  Both routes
-agree with the explicit tail block to working precision.  The report
-always exposes the raw norms so a caller can re-threshold.
+so a step reads one triangle of K and applies S and S^T to one column
+each: a ROS sketch through its fast transform, with no m x n rows, a
+dense matrix D as D @ and D^T @.  S U1 is one apply of the n x d_n
+block.  Both routes agree with the explicit tail block to working
+precision.  The report always exposes the raw norms so a caller can
+re-threshold.
 
 ``recommended_sketch_dim`` gives the projection-dimension rule of thumb,
 m ~ c * d_n for Gaussian sketches and m ~ c * d_n * ln(n)^4 for ROS
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from ._util import block_krylov, ceil_int, check_count
+from ._util import block_krylov, ceil_int, check_count, symv
 from .complexity import ComplexityProfile
 from .errors import DomainError
 from .kernels import KernelMatrix
@@ -56,23 +57,24 @@ DEFAULT_C_THRESHOLD = 4.0
 ISOMETRY_THRESHOLD = 0.5
 
 # Sketches with more rows than this take the tail norm by block Krylov with
-# one column per block.  The tail step costs, in ms for a gaussian / ros
-# sketch on a dense T, and for a ros sketch with T as an operator on its
-# transform, factors and S U1 included (best of 5, 2-core machine, one
-# OpenBLAS thread):
+# one column per block, each step reading one triangle of K.  A certificate
+# costs, in ms for a gaussian / ros sketch given as its dense rows, and for a
+# ros sketch with T as an operator on its transform, factors and S U1
+# included (K.eig() cached; best of 5, of 3 for the dense route at m = 924;
+# 2-core machine, one OpenBLAS thread):
 #
 #   m                         64     128     192     256      924
 #   sobolev1, n = 1024
-#     dense T K T^T + eigh   3/3     6/6   13/11   12/13  126/124
-#     block Krylov           8/8    9/10   11/10   10/11    18/20
-#     T as an operator, ros    -       -      10      10        9
+#     dense T K T^T + eigh   4/4     9/9   13/13   20/14  148/156
+#     block Krylov           8/7     9/9   11/10    10/9    20/21
+#     T as an operator, ros    -       -       9       9       11
 #   gaussian h = 0.25, irregular design, n = 1200
-#     dense T K T^T + eigh   5/5     9/9   14/14   17/18  131/149
-#     block Krylov           4/4     4/4     5/5     6/5      9/9
-#     T as an operator, ros    -       -       4       5        6
+#     dense T K T^T + eigh   5/4     9/9   16/14   23/24  178/178
+#     block Krylov           4/4     4/4     5/5     6/6    11/12
+#     T as an operator, ros    -       -       5       5        5
 #
 # The Krylov route needs fewer steps where the tail spectrum decays fast, so
-# the routes cross near m = 192 for sobolev1 and below m = 64 for the
+# the routes cross near m = 128 for sobolev1 and below m = 64 for the
 # gaussian kernel; n/8 = 128 at n = 1024 splits them.  A dense T costs a
 # ros sketch its m x n rows besides (about 5 ms at m = 924, n = 1024); the
 # operator builds none.
@@ -142,7 +144,7 @@ def check_k_satisfiable(
         def apply(x):
             # T (K (T^T x)), with T^T y = S^T y - U1 (S U1)^T y and
             # T w = S w - (S U1)(U1^T w)
-            w = K.matrix @ (transpose(x) - U1 @ (SU1.T @ x))
+            w = symv(K.matrix, transpose(x) - U1 @ (SU1.T @ x))
             return forward(w) - SU1 @ (U1.T @ w)
 
         tail = math.sqrt(_top_eigenvalue_tkt(apply, m))

@@ -6,11 +6,14 @@ With the 1/n-scaled kernel matrix K, the exact coefficient vector solves
 
 whose stationarity condition is K[(K + 2*lam*I) w - y/sqrt(n)] = 0; the
 shifted system (K + 2*lam*I) w = y/sqrt(n) is solved directly (positive
-definite for lam > 0): one O(n^3) Cholesky factorization, then O(n^2)
-triangular solves.  A sweep on a fixed design keeps the factor and pays
-only the solves in later trials (see :func:`solve_krr`).  The fitted
-function is f(.) = (1/sqrt(n)) * sum_i w_i kernel(., x_i), so the
-training-point values are sqrt(n) * K w.
+definite for lam > 0): one O(n^3) Cholesky factorization, then two O(n^2)
+triangular solves with its factor.  A sweep on a fixed design keeps the
+factor and pays only the solves in later trials (see :func:`solve_krr`).
+The fitted function is f(.) = (1/sqrt(n)) * sum_i w_i kernel(., x_i), so
+the training-point values are sqrt(n) * K w, one product that reads one
+triangle of the exactly symmetric K.  Every solve with a Cholesky factor
+here goes through :func:`sketchkrr._util.solve_factor`, and every product
+of K with one vector through :func:`sketchkrr._util.symv`.
 
 The sketched program restricts w to the row span of an m x n sketch S,
 w = S^T a, giving the m-dimensional normal equations
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from ._util import cho_factor_shifted
+from ._util import cho_factor_shifted, solve_factor, symv
 from .errors import DomainError, NumericalError
 from .kernels import DesignPoints, KernelMatrix, KernelSpec, kernel_eval
 from .sketch import SketchOperator, apply_sketch, apply_sketch_t
@@ -135,7 +138,7 @@ class _ShiftedFactor:
 
     K: KernelMatrix
     lam: float
-    cho: tuple[np.ndarray, bool]
+    L: np.ndarray
 
 
 def _factor_krr(K: KernelMatrix, lam: float) -> _ShiftedFactor:
@@ -151,12 +154,16 @@ def solve_krr(
 ) -> FitResult:
     """Exact kernel ridge regression: (K + 2*lam*I) w = y / sqrt(n).
 
-    Factors K + 2*lam*I by Cholesky, O(n^3), then solves with the factor,
-    O(n^2).  ``_factor`` is for the sweep (:mod:`sketchkrr.bench`) alone:
-    a factor from :func:`_factor_krr` for this same K and lambda_n, kept
-    across the trials of a fixed design that share them, so that a call
-    pays only the triangular solves and the matvec for the fitted values,
-    with the same bits as a fresh factorization.  Such a call's time is
+    Factors K + 2*lam*I by Cholesky, O(n^3), then solves with the factor
+    by two triangular solves, O(n^2), and takes the fitted values
+    sqrt(n) K w by one product that reads one triangle of K (BLAS dsymv),
+    O(n^2); they are not formed as y - 2*lam*sqrt(n) w, which loses
+    relative accuracy once lam is well above K's top eigenvalue.
+    ``_factor`` is for the sweep (:mod:`sketchkrr.bench`) alone: a factor
+    from :func:`_factor_krr` for this same K and lambda_n, kept across the
+    trials of a fixed design that share them, so that a call pays only the
+    triangular solves and the product for the fitted values, with the same
+    bits as a fresh factorization.  Such a call's time is
     therefore not the O(n^3) cost of exact KRR.  A factor made for another
     K (another instance, even with equal values) or lambda_n raises
     :class:`DomainError`.
@@ -169,8 +176,8 @@ def solve_krr(
         raise DomainError("factor was made for another kernel matrix")
     elif _factor.lam != lam:
         raise DomainError(f"factor was made for lambda_n={_factor.lam!r}, not {lam!r}")
-    omega = sla.cho_solve(_factor.cho, yv / np.sqrt(K.n), check_finite=False)
-    fitted = np.sqrt(K.n) * (K.matrix @ omega)
+    omega = solve_factor(_factor.L, yv / np.sqrt(K.n))
+    fitted = np.sqrt(K.n) * symv(K.matrix, omega)
     return FitResult("exact", omega, None, lam, fitted)
 
 
@@ -179,27 +186,36 @@ def _check_sketch_size(S: SketchOperator, K: KernelMatrix) -> None:
         raise DomainError(f"sketch ambient dimension {S.n} != kernel size {K.n}")
 
 
+# rows per block of the in-place update A += 2*lam * C: 32 rows of an m x m
+# float64 matrix are 0.24 MB at m = 924
+_ROW_BLOCK = 32
+
+
 def _sketched_normal_system(
     K: KernelMatrix, S: SketchOperator, lam: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The m x n product S K and the m x m matrix A = S K (K + 2*lam*I) S^T.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The m x n product S K and the m x m matrices C = S K S^T and
+    A = S K (K + 2*lam*I) S^T = S K (S K)^T + 2*lam * C.
 
-    Every family forms A = S K (S K)^T + 2*lam * S (S K)^T, both products
-    of S through :func:`apply_sketch`; for sub-sampling A is exactly
-    symmetric.  Against the one GEMM S K (S K + 2*lam*S)^T with dense ros
-    rows this took 29 against 41 ms at m = 924, n = 1024 (sobolev1, one BLAS
-    thread), and it holds the m x m C at the fit's peak, not m x n rows.
+    Every family forms S K and S (S K)^T through :func:`apply_sketch`; for
+    sub-sampling A and C are exactly symmetric.  Against the one GEMM
+    S K (S K + 2*lam*S)^T with dense ros rows this took 29 against 41 ms at
+    m = 924, n = 1024 (sobolev1, one BLAS thread), and it holds the m x m
+    C at the fit's peak, not m x n rows.  C is returned for the fallback
+    (:func:`_gram_factor`), so a flagged fit applies S twice as well.
     """
     _check_sketch_size(S, K)
     SK = apply_sketch(S, K.matrix)
     C = apply_sketch(S, SK.T)
-    C *= 2.0 * lam
     A = SK @ SK.T
-    A += C
-    return SK, A
+    # A += 2*lam * C a block of rows at a time: C stays unscaled, and no
+    # m x m temporary joins the fit's peak
+    for i in range(0, S.m, _ROW_BLOCK):
+        A[i : i + _ROW_BLOCK] += 2.0 * lam * C[i : i + _ROW_BLOCK]
+    return SK, C, A
 
 
-def _gram_factor(S: SketchOperator, SK: np.ndarray) -> tuple[np.ndarray, Callable, bool]:
+def _gram_factor(C: np.ndarray, SK: np.ndarray) -> tuple[np.ndarray, Callable, bool]:
     """Z^T = L^{-1} P^T S K, the map b -> a = P L^{-T} b, and whether rows were
     dropped, from LAPACK's pivoted Cholesky P^T C P = L L^T of C = S K S^T.
 
@@ -208,15 +224,15 @@ def _gram_factor(S: SketchOperator, SK: np.ndarray) -> tuple[np.ndarray, Callabl
     ||b||^2, so the sketched program is a ridge regression of y / sqrt(n) on
     Z, with condition number at most 1 + ||K|| / (2*lam); and Ktil = Z Z^T.
     """
-    L, piv, rank, _ = sla.lapack.dpstrf(apply_sketch(S, SK.T), lower=1)
-    keep, L = piv[:rank] - 1, L[:rank, :rank]
+    L, piv, rank, _ = sla.lapack.dpstrf(C, lower=1)
+    m, keep, L = len(C), piv[:rank] - 1, L[:rank, :rank]
 
     def lift(b: np.ndarray) -> np.ndarray:
-        a = np.zeros((S.m, *b.shape[1:]))
+        a = np.zeros((m, *b.shape[1:]))
         a[keep] = sla.solve_triangular(L, b, trans="T", lower=True, check_finite=False)
         return a
 
-    return sla.solve_triangular(L, SK[keep], lower=True, check_finite=False), lift, rank < S.m
+    return sla.solve_triangular(L, SK[keep], lower=True, check_finite=False), lift, rank < m
 
 
 def _solve_sketched(
@@ -227,21 +243,22 @@ def _solve_sketched(
     Cholesky of A, unless it fails or ``dpocon`` estimates rcond(A) below
     machine epsilon; then the ridge system of :func:`_gram_factor`, flagged.
     """
-    SK, A = _sketched_normal_system(K, S, lam)
+    SK, C, A = _sketched_normal_system(K, S, lam)
+    # A is symmetric (to rounding but for sub-sampling), so A.T, Fortran-
+    # ordered, has A's 1-norm and is factored in place, with no m x m copy
+    norm = sla.lapack.dlange("1", A.T)
     try:
-        L, lower = sla.cho_factor(A, lower=True, check_finite=False)
+        L, _ = sla.cho_factor(A.T, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError:
         pass
     else:
-        # A is symmetric (to rounding but for sub-sampling), so A.T
-        # (Fortran-ordered, no copy) has the same 1-norm
-        rcond, _ = sla.lapack.dpocon(L, sla.lapack.dlange("1", A.T), uplo="L")
+        rcond, _ = sla.lapack.dpocon(L, norm, uplo="L")
         if rcond >= np.finfo(np.float64).eps:
-            alpha = sla.cho_solve((L, lower), SK @ rhs / np.sqrt(K.n), check_finite=False)
+            alpha = solve_factor(L, SK @ rhs / np.sqrt(K.n))
             return alpha, np.sqrt(K.n) * (SK.T @ alpha), False
-    Zt, lift, _ = _gram_factor(S, SK)
-    ridge = sla.cho_factor(Zt @ Zt.T + 2.0 * lam * np.eye(len(Zt)), lower=True, check_finite=False)
-    alpha = lift(sla.cho_solve(ridge, Zt @ rhs / np.sqrt(K.n), check_finite=False))
+    Zt, lift, _ = _gram_factor(C, SK)
+    ridge, _ = sla.cho_factor(Zt @ Zt.T + 2.0 * lam * np.eye(len(Zt)), lower=True, check_finite=False)
+    alpha = lift(solve_factor(ridge, Zt @ rhs / np.sqrt(K.n)))
     return alpha, np.sqrt(K.n) * (SK.T @ alpha), True
 
 
@@ -312,10 +329,10 @@ def solve_dual_krr(K: KernelMatrix, y, lambda_n: float) -> tuple[np.ndarray, np.
     n = K.n
     A = (n / (2.0 * lam)) * K.matrix + n * np.eye(n)
     try:
-        c = sla.cho_factor(A, lower=True, check_finite=False)
-        xi = sla.cho_solve(c, yv, check_finite=False)
+        L, _ = sla.cho_factor(A, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dual system could not be solved: {exc}") from exc
+    xi = solve_factor(L, yv)
     omega = (np.sqrt(n) / (2.0 * lam)) * xi
     return xi, omega
 
@@ -336,13 +353,13 @@ def solve_nystrom_dual(K: KernelMatrix, y, S: SketchOperator, lambda_n: float) -
     _check_sketch_size(S, K)
     n = K.n
     SK = apply_sketch(S, K.matrix)
-    Zt, lift, truncated = _gram_factor(S, SK)
+    Zt, lift, truncated = _gram_factor(apply_sketch(S, SK.T), SK)
     A = (n / (2.0 * lam)) * (Zt.T @ Zt) + n * np.eye(n)
     try:
-        c = sla.cho_factor(A, lower=True, check_finite=False)
-        xi = sla.cho_solve(c, yv, check_finite=False)
+        L, _ = sla.cho_factor(A, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Nystrom dual system could not be solved: {exc}") from exc
+    xi = solve_factor(L, yv)
     alpha = lift((np.sqrt(n) / (2.0 * lam)) * (Zt @ xi))
     fitted = np.sqrt(n) * (SK.T @ alpha)
     return FitResult("nystrom_dual", alpha, S, lam, fitted, rank_deficient=truncated)
@@ -353,7 +370,7 @@ def krr_objective(K: KernelMatrix, y, lambda_n: float, omega) -> float:
     lam = _check_lambda(lambda_n)
     yv = _check_vector(y, K.n, "y")
     w = _check_vector(omega, K.n, "omega")
-    Kw = K.matrix @ w
+    Kw = symv(K.matrix, w)
     return float(0.5 * (Kw @ Kw) - Kw @ yv / np.sqrt(K.n) + lam * (w @ Kw))
 
 
@@ -375,5 +392,6 @@ def zero_noise_objective(K: KernelMatrix, z_star, S: SketchOperator, lambda_n: f
     lam = _check_lambda(lambda_n)
     zv = _check_vector(z_star, K.n, "z_star")
     w = apply_sketch_t(S, _check_vector(alpha, S.m, "alpha"))
-    r = zv - np.sqrt(K.n) * (K.matrix @ w)
-    return float(r @ r / (2.0 * K.n) + lam * (w @ (K.matrix @ w)))
+    Kw = symv(K.matrix, w)
+    r = zv - np.sqrt(K.n) * Kw
+    return float(r @ r / (2.0 * K.n) + lam * (w @ Kw))

@@ -80,3 +80,20 @@ def sketched_objective_excess(K: np.ndarray, y: np.ndarray, Sd: np.ndarray, lam:
     c = np.concatenate([y / np.sqrt(n), np.zeros(n)])
     best = np.linalg.lstsq(M, c, rcond=None)[0]
     return float(np.sum((M @ alpha - c) ** 2) / np.sum((M @ best - c) ** 2) - 1.0)
+
+
+def ridge_fitted_oracle(K: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
+    """K (K + 2 lam I)^{-1} y, the exact KRR fitted values sqrt(n) K w.
+
+    numpy's LU solve of the shifted system, refined with residuals in
+    extended precision (``np.longdouble``), and the product with K taken in
+    extended precision as well: no Cholesky factor and no one-triangle
+    product.
+    """
+    n = K.shape[0]
+    A = K + 2.0 * lam * np.eye(n)
+    Ax, Kx, b = A.astype(np.longdouble), K.astype(np.longdouble), y.astype(np.longdouble)
+    x = np.linalg.solve(A, y).astype(np.longdouble)
+    for _ in range(5):
+        x += np.linalg.solve(A, (b - Ax @ x).astype(np.float64))
+    return (Kx @ x).astype(np.float64)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from helpers import rel_dev, ros_dense_oracle, sketched_objective_excess
+from helpers import rel_dev, ridge_fitted_oracle, ros_dense_oracle, sketched_objective_excess
 from sketchkrr import (
     DesignPoints,
     DomainError,
@@ -108,15 +108,29 @@ class TestSolveKrr:
             solve_sketched_krr(K, y, draw_sketch("gaussian", 2, 5, 1), np.inf)
 
     def test_kept_factor_reproduces_a_fresh_solve_bit_for_bit(self):
-        K, _, _, y = sobolev_instance(30, 7)
-        factor = _factor_krr(K, 0.02)
-        fresh = solve_krr(K, y, 0.02)
-        for rhs in (y, -2.0 * y):  # one factor, many right-hand sides
-            kept = solve_krr(K, rhs, 0.02, _factor=factor)
-            want = solve_krr(K, rhs, 0.02)
-            np.testing.assert_array_equal(kept.coefficients, want.coefficients)
-            np.testing.assert_array_equal(kept.fitted, want.fitted)
-        np.testing.assert_array_equal(solve_krr(K, y, 0.02, _factor=factor).fitted, fresh.fitted)
+        for n in (30, 1200):
+            K, _, _, y = sobolev_instance(n, 7)
+            factor = _factor_krr(K, 0.02)
+            fresh = solve_krr(K, y, 0.02)
+            for rhs in (y, -2.0 * y):  # one factor, many right-hand sides
+                kept = solve_krr(K, rhs, 0.02, _factor=factor)
+                want = solve_krr(K, rhs, 0.02)
+                np.testing.assert_array_equal(kept.coefficients, want.coefficients)
+                np.testing.assert_array_equal(kept.fitted, want.fitted)
+            np.testing.assert_array_equal(solve_krr(K, y, 0.02, _factor=factor).fitted, fresh.fitted)
+
+    @pytest.mark.parametrize("lam", [1e-6, 1e-3, 1.0, 1e6])
+    def test_fitted_values_match_the_refined_oracle(self, lam):
+        # sqrt(n) K w by one-triangle products agrees with K (K + 2 lam I)^{-1} y
+        # to 1e-12 of max |fitted| from lam << mu_1 to lam >> mu_1 (worst seen
+        # 1.8e-13, at lam = 1e-6).  The identity fitted = y - 2 lam sqrt(n) w
+        # loses about 1e-8 at lam = 1e6.  On the gaussian kernel at lam = 1e-6
+        # both gemv and dsymv lose about 1e-11 to cancellation in K w, with w
+        # itself 5e-12 accurate: a limit of the product, not of the route.
+        K, _, _, y = sobolev_instance(100, 3)
+        fitted = solve_krr(K, y, lam).fitted
+        want = ridge_fitted_oracle(K.matrix, y, lam)
+        assert np.abs(fitted - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_factor_made_for_another_kernel_or_lambda_is_rejected(self):
         K, _, _, y = sobolev_instance(12, 8)
@@ -193,12 +207,15 @@ class TestSolveSketchedKrr:
         K, _, _, _ = sobolev_instance(n, 13)
         S = draw_sketch(kind, m, n, 2)
         D = materialize(S)
-        SK, A = _sketched_normal_system(K, S, lam)
-        want = D @ K.matrix @ K.matrix @ D.T + 2.0 * lam * (D @ K.matrix @ D.T)
+        SK, C, A = _sketched_normal_system(K, S, lam)
+        want_C = D @ K.matrix @ D.T
+        want = D @ K.matrix @ K.matrix @ D.T + 2.0 * lam * want_C
         assert rel_dev(SK, D @ K.matrix) <= 1e-14
+        assert np.abs(C - want_C).max() <= 1e-14 * np.abs(want_C).max()
         assert np.abs(A - want).max() <= 1e-14 * np.abs(want).max()
         if kind == "subsample":
             np.testing.assert_array_equal(A, A.T)
+            np.testing.assert_array_equal(C, C.T)
 
     @pytest.mark.parametrize("kind, m", [("gaussian", 8), ("ros", 8), ("ros", 40), ("subsample", 8)])
     def test_fit_applies_its_sketch_through_apply_sketch(self, monkeypatch, kind, m):
@@ -311,6 +328,23 @@ class TestSingularSketchedFits:
                     for K, y, S, lam, fit in irregular_fallback_fits]
         for name, deviation, tolerance in benchmark_oracle().check_captures(captures):
             assert deviation <= tolerance, name
+
+    def test_fallback_applies_its_sketch_twice(self, monkeypatch, irregular_fallback_fits):
+        # S K and S (S K)^T, as on the definite path: the fallback factors the
+        # C = S K S^T that the normal system formed
+        shapes = []
+
+        def spy(S, M):
+            shapes.append(np.shape(M))
+            return apply_sketch(S, M)
+
+        monkeypatch.setattr("sketchkrr.solver.apply_sketch", spy)
+        for K, y, S, lam, fit in irregular_fallback_fits:
+            shapes.clear()
+            again = solve_sketched_krr(K, y, S, lam)
+            assert again.rank_deficient
+            assert shapes == [(S.n, S.n), (S.n, S.m)]
+            np.testing.assert_array_equal(again.coefficients, fit.coefficients)
 
 
 class TestZeroNoiseAndDecomposition:

@@ -1,0 +1,92 @@
+"""Dense-oracle tests of the linear-algebra helpers in ``sketchkrr._util``:
+the solve with a lower Cholesky factor against numpy's LU solve, and the
+one-triangle product against the full GEMV of ``@``."""
+
+import numpy as np
+import pytest
+import scipy.linalg as sla
+
+from sketchkrr import DesignPoints, KernelMatrix, KernelSpec, build_kernel_matrix
+from sketchkrr._util import cho_factor_shifted, solve_factor, symv
+
+EPS = np.finfo(np.float64).eps
+
+
+def sobolev_matrix(n: int, seed: int) -> np.ndarray:
+    x = np.sort(np.random.default_rng(seed).uniform(0.0, 1.0, n))
+    return build_kernel_matrix(KernelSpec.sobolev1(), DesignPoints(x)).matrix
+
+
+class TestSolveFactor:
+    @pytest.mark.parametrize("n", [11, 462, 1200])
+    @pytest.mark.parametrize("shift", [1e-2, 1e-5])
+    def test_matches_dense_solve(self, n, shift):
+        # two backward-stable solves of A x = b differ by about cond(A) * eps
+        # relative to max |x| at most (worst seen: 0.12 of that bound)
+        K = sobolev_matrix(n, n)
+        A = K + shift * np.eye(n)
+        L = cho_factor_shifted(K, shift)
+        tol = np.linalg.cond(A) * EPS
+        rng = np.random.default_rng(n)
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 2))):
+            x, want = solve_factor(L, b), np.linalg.solve(A, b)
+            assert x.shape == b.shape
+            assert np.abs(x - want).max() <= tol * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [11, 462, 1200])
+    def test_two_columns_give_cho_solves_bits(self, n):
+        K = sobolev_matrix(n, n + 1)
+        L = cho_factor_shifted(K, 1e-3)
+        B = np.random.default_rng(n).standard_normal((n, 2))
+        np.testing.assert_array_equal(solve_factor(L, B), sla.cho_solve((L, True), B))
+
+    def test_leaves_its_operands_alone(self):
+        K = sobolev_matrix(40, 2)
+        L = cho_factor_shifted(K, 1e-2)
+        b = np.arange(40.0)
+        L0, b0 = L.copy(), b.copy()
+        solve_factor(L, b)
+        np.testing.assert_array_equal(L, L0)
+        np.testing.assert_array_equal(b, b0)
+
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 2)])
+    def test_empty_system(self, shape):
+        # a sketched fit whose pivoted factor keeps no row solves a 0 x 0 system
+        x = solve_factor(np.empty((0, 0), order="F"), np.empty(shape))
+        assert x.shape == shape
+
+    def test_zero_pivot_is_named(self):
+        L = np.asfortranarray(np.tril(np.ones((4, 4))))
+        L[2, 2] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="info = 3"):
+            solve_factor(L, np.ones(4))
+
+
+class TestSymv:
+    @pytest.fixture(scope="class")
+    def matrices(self):
+        # built (exactly symmetric by construction), checked, and checked
+        # while kept Fortran-ordered
+        x = np.sort(np.random.default_rng(3).uniform(0.0, 1.0, 500))
+        built = build_kernel_matrix(KernelSpec.gaussian(0.25), DesignPoints(x))
+        fortran = np.asfortranarray(built.matrix)
+        return {
+            "built": built,
+            "checked": KernelMatrix(built.matrix),
+            "fortran": KernelMatrix(fortran, copy=False),
+        }
+
+    @pytest.mark.parametrize("which", ["built", "checked", "fortran"])
+    @pytest.mark.parametrize("shape", [(500,), (500, 1)])
+    def test_matches_gemv(self, matrices, which, shape):
+        K = matrices[which]
+        v = np.random.default_rng(7).standard_normal(shape)
+        got, want = symv(K.matrix, v), K.matrix @ v
+        assert got.shape == shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("shape", [(500, 2), (499,), (1, 500), (500, 1, 1)])
+    def test_rejects_other_operands(self, matrices, shape):
+        with pytest.raises(ValueError, match="symv takes"):
+            symv(matrices["built"].matrix, np.ones(shape))
