@@ -41,6 +41,7 @@ O(n^3) cost of exact KRR: per-n cost comparisons belong to random designs.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -417,9 +418,12 @@ def run_nystrom_failure_demo(n: int, m: int, k: int, seed: int) -> NystromFailur
     responses.  Sensitivities are measured by bumping the block-2 responses
     by one and refitting with the same sketches.
     """
-    if not (1 <= m <= n):
+    n, m, k = check_count(n, "n", 1), check_count(m, "m", 1), check_count(k, "k", 1)
+    if not isinstance(seed, numbers.Integral):
+        raise DomainError(f"seed must be an integer, got {seed!r}")
+    if m > n:
         raise DomainError(f"need 1 <= m <= n, got m={m}, n={n}")
-    if not (1 <= k <= n - 1):
+    if k > n - 1:
         raise DomainError(f"need 1 <= k <= n - 1, got k={k}")
     if k > ceil_int((n / m) * math.log(2.0)):
         raise DomainError(

@@ -7,11 +7,13 @@ complexity at level delta is the truncated-eigenvalue sum
 
 which is nondecreasing in delta while R(delta)/delta is nonincreasing.  The
 critical radius delta_n is the smallest delta > 0 with
-R(delta)/delta <= delta/sigma; because the left side decreases and the
-right side increases, it is found by bracketing then bisection.  The
-statistical dimension d_n counts the eigenvalues exceeding delta_n^2 and
-plays the role of an effective degrees-of-freedom (and of the target
-sketch size).
+R(delta)/delta <= delta/sigma.  It has a closed form: with t = delta^2,
+n R(delta)^2 is the lower envelope min_k (k t + s_k) of one line per
+eigenvalue count k, s_k being the mass of the eigenvalues after the k-th
+largest, so delta_n^2 is the least over k of the positive root of
+n t^2 = sigma^2 (k t + s_k), exact to rounding.  The statistical
+dimension d_n counts the eigenvalues exceeding delta_n^2 and plays the role
+of an effective degrees-of-freedom (and of the target sketch size).
 
 Of a kernel matrix only the top eigenvalues and trace(K) are needed: with
 mu_{k+1} <= delta^2,
@@ -66,9 +68,6 @@ __all__ = [
     "rate_exponent_check",
 ]
 
-BISECT_REL_TOL = 1e-10
-BISECT_MAX_STEPS = 200
-
 # head spectrum: the eigensolver's block size (the first head's size), and
 # the error estimate its leading Ritz values must reach, relative to delta_n^2
 HEAD_START = 8
@@ -108,9 +107,9 @@ def critical_radius(mu_hat, n: int, sigma: float) -> float:
     """Smallest delta > 0 with R(delta)/delta <= delta/sigma.
 
     Returns 0.0 for an all-zero spectrum (the inequality then holds for
-    every positive delta).  Found by halving/doubling until the sign change
-    is bracketed, then bisecting to relative tolerance 1e-10; the returned
-    value sits on the feasible side of the bracket.
+    every positive delta).  delta_n^2 is the least root of one quadratic per
+    eigenvalue count (see the module docstring), so the result is exact to
+    rounding; the spectrum need not be sorted.
     """
     _check_sigma(sigma)
     return _critical_radius(_check_spectrum(mu_hat), 0.0, n, sigma)
@@ -124,38 +123,21 @@ def _check_sigma(sigma: float) -> None:
 def _critical_radius(mu: np.ndarray, tail: float, n: int, sigma: float) -> float:
     """critical_radius of the spectrum mu followed by eigenvalues of total
     mass ``tail``, each taken to lie below the root's delta^2; sigma is
-    checked by the caller."""
+    checked by the caller.
+
+    With t = delta^2 and mu sorted descending, n R(delta)^2 = min_k (k t +
+    s_k) over k = 0..len(mu), s_k = tail + sum_{j>k} mu_j, so t is feasible
+    once sigma^2 (k t + s_k) <= n t^2 for one k: delta_n^2 is the least of
+    the positive roots sigma (sigma k + sqrt(sigma^2 k^2 + 4 n s_k)) / (2n).
+    """
     check_count(n, "n", 1)
-    if mu.max() == 0.0 and tail == 0.0:
-        return 0.0
-
-    def excess(delta: float) -> float:
-        # R(delta)/delta - delta/sigma; strictly decreasing in delta
-        return np.sqrt((np.minimum(delta * delta, mu).sum() + tail) / n) / delta - delta / sigma
-
-    lo = min(sigma, 1e-3)
-    while excess(lo) <= 0.0:
-        lo /= 2.0
-        if lo < 1e-300:
-            return 0.0
-    hi = lo
-    doublings = 0
-    while excess(hi) > 0.0:
-        hi *= 2.0
-        doublings += 1
-        if doublings > BISECT_MAX_STEPS:
-            raise NumericalError("critical radius bracketing did not terminate")
-    for _ in range(BISECT_MAX_STEPS):
-        if hi - lo <= BISECT_REL_TOL * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    else:
-        raise NumericalError("critical radius bisection did not converge")
-    return hi
+    s = np.cumsum(np.r_[tail, np.sort(mu)])[::-1]
+    sk = sigma * np.arange(s.size)
+    # hypot squares nothing; for a huge sigma the roots of k >= 1 overflow
+    # to inf and drop out, while the k = 0 root sigma sqrt(s_0 / n) stays finite
+    with np.errstate(over="ignore"):
+        roots = sigma * (sk + np.hypot(sk, 2.0 * np.sqrt(n * s))) / (2 * n)
+    return float(np.sqrt(roots.min()))
 
 
 def statistical_dimension(mu_hat, delta_n: float) -> int:

@@ -78,6 +78,33 @@ class SketchOperator:
     indices: np.ndarray | None = None
     n_pad: int | None = None
 
+    def __post_init__(self):
+        # O(m) checks of the state against (kind, m, n), so that a hand-built
+        # operator fails here, by name, rather than inside a fit
+        if self.kind not in SKETCH_KINDS:
+            raise DomainError(f"unknown sketch kind {self.kind!r}")
+        m, n = check_count(self.m, "m", 1), check_count(self.n, "n", 1)
+        if self.kind == "gaussian" or self.matrix is not None:
+            self._check_shape("matrix", (m, n))
+        if self.kind == "gaussian":
+            return
+        bound = n
+        if self.kind == "ros":
+            bound = 1 << (n - 1).bit_length()
+            if self.n_pad != bound:
+                raise DomainError(f"ros sketch needs n_pad = {bound} for n = {n}, got {self.n_pad!r}")
+            self._check_shape("signs", (bound,))
+        idx = self._check_shape("indices", (m,))
+        if not np.issubdtype(idx.dtype, np.integer) or idx.min() < 0 or idx.max() >= bound:
+            raise DomainError(f"{self.kind} sketch needs integer indices in [0, {bound})")
+
+    def _check_shape(self, field: str, shape: tuple[int, ...]) -> np.ndarray:
+        value = getattr(self, field)
+        if not isinstance(value, np.ndarray) or value.shape != shape:
+            got = value.shape if isinstance(value, np.ndarray) else type(value).__name__
+            raise DomainError(f"{self.kind} sketch needs {field} of shape {shape}, got {got}")
+        return value
+
     @property
     def scale(self) -> float:
         return float(np.sqrt(self.n / self.m))

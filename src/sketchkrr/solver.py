@@ -329,7 +329,8 @@ def solve_dual_krr(K: KernelMatrix, y, lambda_n: float) -> tuple[np.ndarray, np.
     n = K.n
     A = (n / (2.0 * lam)) * K.matrix + n * np.eye(n)
     try:
-        L, _ = sla.cho_factor(A, lower=True, check_finite=False)
+        # A is exactly symmetric: A.T, Fortran-ordered, is factored in place
+        L, _ = sla.cho_factor(A.T, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dual system could not be solved: {exc}") from exc
     xi = solve_factor(L, yv)
@@ -356,7 +357,8 @@ def solve_nystrom_dual(K: KernelMatrix, y, S: SketchOperator, lambda_n: float) -
     Zt, lift, truncated = _gram_factor(apply_sketch(S, SK.T), SK)
     A = (n / (2.0 * lam)) * (Zt.T @ Zt) + n * np.eye(n)
     try:
-        L, _ = sla.cho_factor(A, lower=True, check_finite=False)
+        # Z^T Z by syrk is exactly symmetric: A.T is factored in place
+        L, _ = sla.cho_factor(A.T, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Nystrom dual system could not be solved: {exc}") from exc
     xi = solve_factor(L, yv)

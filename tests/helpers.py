@@ -2,9 +2,12 @@
 
 These deliberately avoid the library's own fast paths: the Hadamard matrix
 is built by Sylvester recursion, the critical radius by brute-force grid
-scan, the ROS operator by direct matrix assembly, and the sampled rows by
-one generator call per swap.
+scan or by bisection in exact rational arithmetic, the ROS operator by
+direct matrix assembly, and the sampled rows by one generator call per
+swap.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -49,6 +52,34 @@ def grid_critical_radius(mu, n: int, sigma: float, step: float = 1e-6) -> float:
         if ok.any():
             return float(deltas[np.argmax(ok)])
     raise AssertionError("no grid point satisfied the critical inequality")
+
+
+def rational_critical_radius_sq(mu, n: int, sigma: float, tail: float = 0.0) -> Fraction:
+    """delta_n^2 of the spectrum ``mu`` followed by eigenvalue mass ``tail``,
+    by bisection on sigma^2 (sum_j min(t, mu_j) + tail) <= n t^2 in exact
+    rational arithmetic (the float inputs taken as exact).  The result is
+    feasible and exceeds the least feasible t by at most 2^-60 of it."""
+    mus = [Fraction(float(v)) for v in mu]
+    s2, tail = Fraction(float(sigma)) ** 2, Fraction(float(tail))
+
+    def feasible(t: Fraction) -> bool:
+        return s2 * (sum(min(t, v) for v in mus) + tail) <= n * t * t
+
+    if not any(mus) and tail == 0:
+        return Fraction(0)
+    hi = Fraction(1)
+    while not feasible(hi):
+        hi *= 2
+    lo = hi
+    while feasible(lo):
+        lo /= 2
+    while hi - lo > lo / 2**60:
+        mid = (lo + hi) / 2
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def sobolev_uniform_matrix(n: int) -> np.ndarray:

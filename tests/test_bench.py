@@ -637,3 +637,24 @@ class TestNystromFailureDemo:
 
     def test_deterministic(self):
         assert run_nystrom_failure_demo(64, 4, 6, 3) == run_nystrom_failure_demo(64, 4, 6, 3)
+
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            ((256.5, 8, 16, 0), "n must be an integer >= 1, got 256.5"),
+            ((256, 8.0, 16, 0), "m must be an integer >= 1, got 8.0"),
+            ((256, 8, 16.0, 0), "k must be an integer >= 1, got 16.0"),
+            ((256, 8, 0, 0), "k must be an integer >= 1, got 0"),
+            ((256, 8, 16, 1.5), "seed must be an integer, got 1.5"),
+            ((256, 8, 16, "0"), "seed must be an integer, got '0'"),
+        ],
+    )
+    def test_bad_counts_named_before_any_work(self, monkeypatch, args, match):
+        import sketchkrr.bench as bench
+
+        def unexpected(*_):
+            raise AssertionError("the kernel matrix was profiled")
+
+        monkeypatch.setattr(bench, "complexity_profile", unexpected)
+        with pytest.raises(DomainError, match=match):
+            run_nystrom_failure_demo(*args)

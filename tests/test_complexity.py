@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import sketchkrr.complexity as complexity
-from helpers import grid_critical_radius, sobolev_uniform_matrix
+from helpers import grid_critical_radius, rational_critical_radius_sq, sobolev_uniform_matrix
 from sketchkrr._util import block_krylov
 from sketchkrr import (
     DesignPoints,
@@ -106,8 +106,8 @@ class TestCriticalRadius:
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, np.inf, np.nan])
     def test_bad_sigma(self, monkeypatch, sigma):
-        # unchecked, an infinite sigma never brackets the root; checked
-        # first, it costs no head estimate of K
+        # unchecked, an infinite sigma makes the radius NaN; checked first,
+        # it costs no head estimate of K
         K = KernelMatrix(sobolev_uniform_matrix(64))
         heads, original = [], complexity.block_krylov
 
@@ -131,6 +131,49 @@ class TestCriticalRadius:
         # unchecked, an infinite n makes R vanish and the radius 0.0
         with pytest.raises(DomainError, match="n must be an integer >= 1"):
             critical_radius([1.0, 0.5], n, 1.0)
+
+
+class TestClosedForm:
+    """delta_n^2 against bisection in exact rational arithmetic."""
+
+    @staticmethod
+    def spectra(seed, count=40):
+        rng = np.random.default_rng(seed)
+        for i in range(count):
+            mu = 10.0 ** rng.uniform(-12.0, 0.0, rng.integers(1, 41))
+            if i % 4 == 0:
+                mu[: mu.size // 2] = 0.0  # repeated zero eigenvalues
+            yield mu, int(rng.integers(1, 5000)), float(10.0 ** rng.uniform(-3.0, 1.0)), rng
+
+    def test_matches_rational_oracle(self):
+        for mu, n, sigma, _ in self.spectra(40):
+            t = float(rational_critical_radius_sq(mu, n, sigma))
+            assert abs(critical_radius(mu, n, sigma) ** 2 - t) <= 1e-14 * t
+
+    def test_matches_rational_oracle_with_tail(self):
+        # the tail of a Krylov head: mass below delta_n^2 beyond the values
+        for mu, n, sigma, rng in self.spectra(41):
+            tail = float(mu.sum() * 10.0 ** rng.uniform(-6.0, 1.0))
+            t = float(rational_critical_radius_sq(mu, n, sigma, tail))
+            assert abs(complexity._critical_radius(mu, tail, n, sigma) ** 2 - t) <= 1e-14 * t
+
+    def test_unsorted_spectrum(self):
+        for mu, n, sigma, rng in self.spectra(42, count=10):
+            assert critical_radius(rng.permutation(mu), n, sigma) == critical_radius(
+                np.sort(mu)[::-1], n, sigma
+            )
+
+    @pytest.mark.parametrize("sigma", [1e120, 1e200])
+    def test_huge_sigma_takes_the_no_eigenvalue_line(self, sigma):
+        # k = 0 is the least root, delta_n^2 = sigma sqrt(sum(mu) / n); the
+        # roots of k >= 1 exceed sigma^2 k / n (at 1e200 they overflow)
+        d = critical_radius([1.0, 0.5], 4, sigma)
+        assert np.isfinite(d)
+        np.testing.assert_allclose(d * d, sigma * np.sqrt(1.5 / 4), rtol=1e-15)
+
+    def test_all_zero_spectrum_and_tail(self):
+        assert complexity._critical_radius(np.zeros(5), 0.0, 5, 1.0) == 0.0
+        assert critical_radius([0.0], 1, 1e120) == 0.0
 
 
 class TestStatisticalDimension:

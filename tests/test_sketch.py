@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,52 @@ class TestDrawSketch:
         dense = materialize(S)
         np.testing.assert_allclose(dense @ dense.T, np.eye(4), atol=1e-12)
         np.testing.assert_allclose(np.linalg.norm(dense, axis=0), np.ones(4), atol=1e-12)
+
+
+class TestHandBuiltOperator:
+    """The stored state must fit (kind, m, n) when the operator is made."""
+
+    @pytest.mark.parametrize(
+        "kind, fields, match",
+        [
+            ("sparse", {}, "unknown sketch kind 'sparse'"),
+            ("gaussian", {}, r"gaussian sketch needs matrix of shape \(3, 8\), got NoneType"),
+            ("gaussian", {"matrix": np.ones((2, 8))}, r"matrix of shape \(3, 8\), got \(2, 8\)"),
+            ("ros", {}, "ros sketch needs n_pad = 8 for n = 8, got None"),
+            ("ros", {"n_pad": 16}, "n_pad = 8"),
+            ("ros", {"n_pad": 8, "indices": np.arange(3)}, r"signs of shape \(8,\), got NoneType"),
+            ("ros", {"n_pad": 8, "signs": np.ones(7), "indices": np.arange(3)}, r"signs of shape \(8,\)"),
+            ("ros", {"n_pad": 8, "signs": np.ones(8)}, r"indices of shape \(3,\), got NoneType"),
+            ("ros", {"n_pad": 8, "signs": np.ones(8), "indices": np.array([0, 1, 8])}, r"in \[0, 8\)"),
+            (
+                "ros",
+                {"n_pad": 8, "signs": np.ones(8), "indices": np.arange(3), "matrix": np.ones((3, 7))},
+                r"matrix of shape \(3, 8\), got \(3, 7\)",
+            ),
+            ("subsample", {"indices": np.arange(2)}, r"indices of shape \(3,\), got \(2,\)"),
+            ("subsample", {"indices": [0, 1, 2]}, r"indices of shape \(3,\), got list"),
+            ("subsample", {"indices": np.array([0, 1, 8])}, r"subsample sketch needs integer indices in \[0, 8\)"),
+            ("subsample", {"indices": np.array([-1, 1, 2])}, r"in \[0, 8\)"),
+            ("subsample", {"indices": np.array([0.0, 1.0, 2.0])}, "integer indices"),
+        ],
+    )
+    def test_state_that_does_not_fit_is_named(self, kind, fields, match):
+        with pytest.raises(DomainError, match=match):
+            SketchOperator(kind, 3, 8, 0, **fields)
+
+    @pytest.mark.parametrize("m, n", [(3, 2.5), (0, 8)])
+    def test_counts_must_be_integers(self, m, n):
+        with pytest.raises(DomainError, match="must be an integer >= 1"):
+            SketchOperator("subsample", m, n, 0, indices=np.arange(3))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("m, n", [(1, 1), (3, 8), (11, 1024), (924, 1024), (5, 1023)])
+    def test_drawn_operators_pass(self, kind, m, n):
+        S = draw_sketch(kind, m, n, 7)
+        rebuilt = dataclasses.replace(S)  # runs the checks again
+        for field in ("matrix", "signs", "indices"):
+            assert getattr(rebuilt, field) is getattr(S, field)
+        assert dataclasses.replace(identity_sketch(n)).indices.shape == (n,)
 
 
 class TestFwht:

@@ -567,6 +567,26 @@ class TestDualSolvers:
             dual = solve_nystrom_dual(K, y, S, lam)
             assert rel_dev(dual.fitted, primal.fitted) <= 1e-8
 
+    def test_dual_matrices_are_factored_in_place(self, monkeypatch):
+        # both dual matrices are exactly symmetric, so each is factored in
+        # place through its transpose: no second n x n array, and the lower
+        # triangle is bit for bit the factor of a copy of the matrix itself
+        original, seen = sla.cho_factor, []
+
+        def spy(a, **kwargs):
+            matrix = a.T.copy()
+            L, lower = original(a, **kwargs)
+            reference, _ = original(matrix, lower=True)
+            seen.append((np.shares_memory(L, a), np.array_equal(np.tril(L), np.tril(reference))))
+            return L, lower
+
+        monkeypatch.setattr(sla, "cho_factor", spy)
+        K, _, _, y = sobolev_instance(300, 27)
+        solve_dual_krr(K, y, 0.05)
+        solve_nystrom_dual(K, y, draw_sketch("subsample", 40, 300, 1), 0.05)
+        solve_nystrom_dual(K, y, draw_sketch("gaussian", 40, 300, 1), 0.05)
+        assert seen == [(True, True)] * 3
+
     def test_block_diagonal_miss_ignores_second_block(self):
         # kernel = diag(K1, K2); a sketch with rows only in block 1 yields
         # fitted values on block 2 that ignore those responses entirely
