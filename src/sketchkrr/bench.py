@@ -41,13 +41,12 @@ O(n^3) cost of exact KRR: per-n cost comparisons belong to random designs.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._util import ceil_int, check_count
+from ._util import ceil_int, check_count, check_seed
 from .complexity import ComplexityProfile, complexity_profile
 from .errors import DomainError, NumericalError
 from .kernels import DesignPoints, KernelMatrix, KernelSpec, build_kernel_matrix
@@ -154,6 +153,7 @@ class ExperimentConfig:
         ):
             raise DomainError("lambda_rule 'fixed' needs lambda_fixed > 0")
         object.__setattr__(self, "trials", check_count(self.trials, "trials", 1))
+        object.__setattr__(self, "base_seed", check_seed(self.base_seed, "base_seed"))
 
 
 @dataclass(frozen=True)
@@ -217,7 +217,7 @@ def _mix_seed(base_seed: int, *parts: int) -> int:
 
 def derive_seed(base_seed: int, n: int, kind: str, trial: int) -> int:
     """Injectively mix (base_seed, n, kind, trial) into a 64-bit trial seed."""
-    return _mix_seed(base_seed, n, _KIND_CODE[kind], trial)
+    return _mix_seed(check_seed(base_seed, "base_seed"), n, _KIND_CODE[kind], trial)
 
 
 def _trial_streams(seed: int) -> tuple[int, int]:
@@ -241,7 +241,7 @@ def generate_data(config: ExperimentConfig, n: int, seed: int) -> RegressionSamp
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    rng = np.random.default_rng(seed & _MASK64)
+    rng = np.random.default_rng(check_seed(seed) & _MASK64)
     if config.design == "uniform_grid":
         x = np.arange(1, n + 1, dtype=np.float64) / n
     elif config.design == "iid_uniform":
@@ -419,8 +419,7 @@ def run_nystrom_failure_demo(n: int, m: int, k: int, seed: int) -> NystromFailur
     by one and refitting with the same sketches.
     """
     n, m, k = check_count(n, "n", 1), check_count(m, "m", 1), check_count(k, "k", 1)
-    if not isinstance(seed, numbers.Integral):
-        raise DomainError(f"seed must be an integer, got {seed!r}")
+    seed = check_seed(seed)
     if m > n:
         raise DomainError(f"need 1 <= m <= n, got m={m}, n={n}")
     if k > n - 1:

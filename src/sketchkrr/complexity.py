@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import block_krylov, check_count, cho_factor_shifted
+from ._util import block_krylov, check_count, rfp_factor_shifted
 from .errors import DomainError, NumericalError
 from .kernels import EIG_CLAMP_REL, KernelMatrix, KernelSpec
 
@@ -143,6 +143,8 @@ def _critical_radius(mu: np.ndarray, tail: float, n: int, sigma: float) -> float
 def statistical_dimension(mu_hat, delta_n: float) -> int:
     """Number of eigenvalues strictly above delta_n^2 (n if all exceed it)."""
     mu = _check_spectrum(mu_hat)
+    if not (math.isfinite(delta_n) and delta_n >= 0.0):
+        raise DomainError(f"delta_n must be finite and >= 0, got {delta_n!r}")
     return int((mu > delta_n * delta_n).sum())
 
 
@@ -203,7 +205,7 @@ def _check_psd(matrix: np.ndarray, top: float) -> None:
     shift = EIG_CLAMP_REL * top
     if shift > 0.0:
         try:
-            cho_factor_shifted(matrix, shift)
+            rfp_factor_shifted(matrix, shift)
             return
         except np.linalg.LinAlgError:
             pass

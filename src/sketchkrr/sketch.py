@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import check_count
+from ._util import check_count, check_seed
 from .errors import DomainError
 
 __all__ = [
@@ -134,6 +134,7 @@ def draw_sketch(kind: str, m: int, n: int, seed: int) -> SketchOperator:
     m, n = check_count(m, "m", 1), check_count(n, "n", 1)
     if m > n:
         raise DomainError(f"need 1 <= m <= n, got m={m}, n={n}")
+    seed = check_seed(seed)
     rng = np.random.default_rng(seed & _SEED_MASK)
     if kind == "subsample":
         return SketchOperator(kind, m, n, seed, indices=_sample_without_replacement(rng, n, m))

@@ -6,14 +6,17 @@ With the 1/n-scaled kernel matrix K, the exact coefficient vector solves
 
 whose stationarity condition is K[(K + 2*lam*I) w - y/sqrt(n)] = 0; the
 shifted system (K + 2*lam*I) w = y/sqrt(n) is solved directly (positive
-definite for lam > 0): one O(n^3) Cholesky factorization, then two O(n^2)
-triangular solves with its factor.  A sweep on a fixed design keeps the
-factor and pays only the solves in later trials (see :func:`solve_krr`).
+definite for lam > 0): one O(n^3) Cholesky factorization, kept in
+rectangular full packed storage (n (n + 1) / 2 doubles, half of K), then
+O(n^2) triangular passes over its blocks.  A sweep on a fixed design keeps
+the factor and pays only the passes in later trials (see :func:`solve_krr`).
 The fitted function is f(.) = (1/sqrt(n)) * sum_i w_i kernel(., x_i), so
 the training-point values are sqrt(n) * K w, one product that reads one
-triangle of the exactly symmetric K.  Every solve with a Cholesky factor
-here goes through :func:`sketchkrr._util.solve_factor`, and every product
-of K with one vector through :func:`sketchkrr._util.symv`.
+triangle of the exactly symmetric K.  The exact system is factored and
+solved by :func:`sketchkrr._util.rfp_factor_shifted` and
+:func:`sketchkrr._util.rfp_solve`, every other solve with a Cholesky factor
+goes through :func:`sketchkrr._util.solve_factor`, and every product of K
+with one vector through :func:`sketchkrr._util.symv`.
 
 The sketched program restricts w to the row span of an m x n sketch S,
 w = S^T a, giving the m-dimensional normal equations
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from ._util import cho_factor_shifted, solve_factor, symv
+from ._util import rfp_factor_shifted, rfp_solve, solve_factor, symv
 from .errors import DomainError, NumericalError
 from .kernels import DesignPoints, KernelMatrix, KernelSpec, kernel_eval
 from .sketch import SketchOperator, apply_sketch, apply_sketch_t
@@ -134,17 +137,19 @@ def _check_lambda(lambda_n: float) -> float:
 
 @dataclass(frozen=True)
 class _ShiftedFactor:
-    """Cholesky factor of K + 2*lam*I, with the K and lam it was made for."""
+    """Cholesky factor of K + 2*lam*I in RFP storage (see
+    :func:`sketchkrr._util.rfp_factor_shifted`), with the K and lam it was
+    made for."""
 
     K: KernelMatrix
     lam: float
-    L: np.ndarray
+    packed: np.ndarray
 
 
 def _factor_krr(K: KernelMatrix, lam: float) -> _ShiftedFactor:
     """Factor the exact system K + 2*lam*I, the O(n^3) step of :func:`solve_krr`."""
     try:
-        return _ShiftedFactor(K, lam, cho_factor_shifted(K.matrix, 2.0 * lam))
+        return _ShiftedFactor(K, lam, rfp_factor_shifted(K.matrix, 2.0 * lam))
     except np.linalg.LinAlgError as exc:  # unreachable for lam > 0 and PSD K
         raise NumericalError(f"shifted kernel system could not be solved: {exc}") from exc
 
@@ -154,9 +159,9 @@ def solve_krr(
 ) -> FitResult:
     """Exact kernel ridge regression: (K + 2*lam*I) w = y / sqrt(n).
 
-    Factors K + 2*lam*I by Cholesky, O(n^3), then solves with the factor
-    by two triangular solves, O(n^2), and takes the fitted values
-    sqrt(n) K w by one product that reads one triangle of K (BLAS dsymv),
+    Factors K + 2*lam*I by Cholesky into n (n + 1) / 2 doubles, O(n^3),
+    then solves with the factor by triangular passes, O(n^2), and takes
+    the fitted values sqrt(n) K w by one product that reads one triangle of K (BLAS dsymv),
     O(n^2); they are not formed as y - 2*lam*sqrt(n) w, which loses
     relative accuracy once lam is well above K's top eigenvalue.
     ``_factor`` is for the sweep (:mod:`sketchkrr.bench`) alone: a factor
@@ -176,7 +181,7 @@ def solve_krr(
         raise DomainError("factor was made for another kernel matrix")
     elif _factor.lam != lam:
         raise DomainError(f"factor was made for lambda_n={_factor.lam!r}, not {lam!r}")
-    omega = solve_factor(_factor.L, yv / np.sqrt(K.n))
+    omega = rfp_solve(_factor.packed, yv / np.sqrt(K.n))
     fitted = np.sqrt(K.n) * symv(K.matrix, omega)
     return FitResult("exact", omega, None, lam, fitted)
 
@@ -186,33 +191,51 @@ def _check_sketch_size(S: SketchOperator, K: KernelMatrix) -> None:
         raise DomainError(f"sketch ambient dimension {S.n} != kernel size {K.n}")
 
 
-# rows per block of the in-place update A += 2*lam * C: 32 rows of an m x m
-# float64 matrix are 0.24 MB at m = 924
+# rows per block of the 1-norm of A's triangle: 32 rows of an m x m
+# float64 matrix are 0.24 MB at m = 924, where the norm took 0.9 ms against
+# 0.6 for LAPACK's dlange on a full A
 _ROW_BLOCK = 32
 
 
 def _sketched_normal_system(
     K: KernelMatrix, S: SketchOperator, lam: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The m x n product S K and the m x m matrices C = S K S^T and
-    A = S K (K + 2*lam*I) S^T = S K (S K)^T + 2*lam * C.
+    """The m x n product S K, and C = S K S^T and A = S K (K + 2*lam*I) S^T
+    = S K (S K)^T + 2*lam * C in one m x m array G, with C's diagonal.
 
-    Every family forms S K and S (S K)^T through :func:`apply_sketch`; for
-    sub-sampling A and C are exactly symmetric.  Against the one GEMM
-    S K (S K + 2*lam*S)^T with dense ros rows this took 29 against 41 ms at
-    m = 924, n = 1024 (sobolev1, one BLAS thread), and it holds the m x m
-    C at the fit's peak, not m x n rows.  C is returned for the fallback
-    (:func:`_gram_factor`), so a flagged fit applies S twice as well.
+    Every family forms S K and C = S (S K)^T through :func:`apply_sketch`;
+    against the one GEMM S K (S K + 2*lam*S)^T with dense ros rows this
+    took 29 against 41 ms at m = 924, n = 1024 (sobolev1, one BLAS
+    thread).  BLAS dsyrk then writes A over C's upper triangle (C order,
+    diagonal included) in place, so the fit's peak holds S K and the one
+    m x m array.  G's strict lower triangle is still C's, so a flagged fit
+    restores the diagonal and factors C (:func:`_gram_factor`) without
+    applying S a third time.
     """
     _check_sketch_size(S, K)
     SK = apply_sketch(S, K.matrix)
-    C = apply_sketch(S, SK.T)
-    A = SK @ SK.T
-    # A += 2*lam * C a block of rows at a time: C stays unscaled, and no
-    # m x m temporary joins the fit's peak
-    for i in range(0, S.m, _ROW_BLOCK):
-        A[i : i + _ROW_BLOCK] += 2.0 * lam * C[i : i + _ROW_BLOCK]
-    return SK, C, A
+    G = np.ascontiguousarray(apply_sketch(S, SK.T))
+    c_diag = G.diagonal().copy()
+    # G is C-ordered, so G.T is Fortran-ordered and dsyrk writes into it in
+    # place: its lower triangle is G's upper one
+    sla.blas.dsyrk(1.0, SK.T, beta=2.0 * lam, c=G.T, trans=1, lower=1, overwrite_c=1)
+    return SK, G, c_diag
+
+
+def _triangle_norm1(G: np.ndarray) -> float:
+    """1-norm of the symmetric matrix whose upper triangle (C order,
+    diagonal included) is G's, a block of rows at a time: of rows i..i+b,
+    columns i.. hold the triangle's entries, whose column sums add to those
+    columns and, by symmetry, whose row sums add to columns i..i+b."""
+    cols = np.arange(len(G))
+    sums = -np.abs(G.diagonal())  # the diagonal is counted twice below
+    for i in range(0, len(G), _ROW_BLOCK):
+        rows = cols[i : i + _ROW_BLOCK]
+        block = np.abs(G[i : i + _ROW_BLOCK, i:])
+        block[:, : len(rows)][rows < rows[:, None]] = 0.0  # C's entries
+        sums[i:] += block.sum(axis=0)
+        sums[i : i + len(rows)] += block.sum(axis=1)
+    return float(sums.max())
 
 
 def _gram_factor(C: np.ndarray, SK: np.ndarray) -> tuple[np.ndarray, Callable, bool]:
@@ -243,12 +266,12 @@ def _solve_sketched(
     Cholesky of A, unless it fails or ``dpocon`` estimates rcond(A) below
     machine epsilon; then the ridge system of :func:`_gram_factor`, flagged.
     """
-    SK, C, A = _sketched_normal_system(K, S, lam)
-    # A is symmetric (to rounding but for sub-sampling), so A.T, Fortran-
-    # ordered, has A's 1-norm and is factored in place, with no m x m copy
-    norm = sla.lapack.dlange("1", A.T)
+    SK, G, c_diag = _sketched_normal_system(K, S, lam)
+    norm = _triangle_norm1(G)
     try:
-        L, _ = sla.cho_factor(A.T, lower=True, overwrite_a=True, check_finite=False)
+        # G.T, Fortran-ordered, holds A in its lower triangle and is
+        # factored in place, with no m x m copy
+        L, _ = sla.cho_factor(G.T, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError:
         pass
     else:
@@ -256,7 +279,9 @@ def _solve_sketched(
         if rcond >= np.finfo(np.float64).eps:
             alpha = solve_factor(L, SK @ rhs / np.sqrt(K.n))
             return alpha, np.sqrt(K.n) * (SK.T @ alpha), False
-    Zt, lift, _ = _gram_factor(C, SK)
+    # the factorization left G's strict lower triangle, C's, untouched
+    np.fill_diagonal(G, c_diag)
+    Zt, lift, _ = _gram_factor(G, SK)
     ridge, _ = sla.cho_factor(Zt @ Zt.T + 2.0 * lam * np.eye(len(Zt)), lower=True, check_finite=False)
     alpha = lift(solve_factor(ridge, Zt @ rhs / np.sqrt(K.n)))
     return alpha, np.sqrt(K.n) * (SK.T @ alpha), True

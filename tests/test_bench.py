@@ -14,6 +14,7 @@ from sketchkrr import (
     TrialRecord,
     complexity_profile,
     derive_seed,
+    draw_sketch,
     fstar_values,
     generate_data,
     load_config,
@@ -151,6 +152,36 @@ class TestSeedDerivation:
     def test_deterministic(self):
         assert derive_seed(1, 64, "ros", 3) == derive_seed(1, 64, "ros", 3)
         assert derive_seed(1, 64, "ros", 3) != derive_seed(2, 64, "ros", 3)
+
+
+SEED_ENTRIES = {
+    "draw_sketch": lambda seed: draw_sketch("gaussian", 3, 8, seed),
+    "derive_seed": lambda seed: derive_seed(seed, 8, "gaussian", 0),
+    "ExperimentConfig": lambda seed: ExperimentConfig(kernel=KernelSpec.sobolev1(), base_seed=seed),
+    "generate_data": lambda seed: generate_data(small_config(), 8, seed),
+    "run_nystrom_failure_demo": lambda seed: run_nystrom_failure_demo(8, 2, 2, seed),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SEED_ENTRIES))
+class TestSeedsMustBeIntegers:
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3", None, np.float64(4.0)])
+    def test_non_integer_seed_is_named(self, entry, seed):
+        with pytest.raises(DomainError, match=r"seed must be an integer, got"):
+            SEED_ENTRIES[entry](seed)
+
+    @pytest.mark.parametrize("seed", [7, -7, np.int64(7), np.uint64(2**64 - 1)])
+    def test_integer_seeds_are_taken(self, entry, seed):
+        SEED_ENTRIES[entry](seed)
+
+
+
+def test_numpy_integer_seed_gives_the_int_result():
+    assert derive_seed(np.int32(7), 8, "ros", 0) == derive_seed(7, 8, "ros", 0)
+    assert ExperimentConfig(kernel=KernelSpec.sobolev1(), base_seed=np.int64(7)).base_seed == 7
+    np.testing.assert_array_equal(
+        draw_sketch("gaussian", 3, 8, np.int64(7)).matrix, draw_sketch("gaussian", 3, 8, 7).matrix
+    )
 
 
 class TestRunErrorVsN:
@@ -334,13 +365,13 @@ class TestGridExactFactor:
         import sketchkrr.solver as solver
 
         calls = []
-        original = solver.cho_factor_shifted
+        original = solver.rfp_factor_shifted
 
         def counted(*args, **kwargs):
             calls.append(args[0].shape[0])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "cho_factor_shifted", counted)
+        monkeypatch.setattr(solver, "rfp_factor_shifted", counted)
         return calls
 
     @pytest.mark.parametrize("trials", [1, 2, 4])
@@ -389,7 +420,7 @@ class TestGridExactFactor:
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("injected")
 
-        monkeypatch.setattr(solver, "cho_factor_shifted", failing)
+        monkeypatch.setattr(solver, "rfp_factor_shifted", failing)
         cfg = small_config(sketch_kinds=("exact", "gaussian", "ros"), trials=4)
         records = run_error_vs_n(cfg)
         assert len(records) == len(cfg.n_grid) * len(cfg.sketch_kinds) * cfg.trials

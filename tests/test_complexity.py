@@ -186,6 +186,14 @@ class TestStatisticalDimension:
     def test_all_below_gives_zero(self):
         assert statistical_dimension([0.01, 0.005], 0.9) == 0
 
+    @pytest.mark.parametrize("delta_n", [np.nan, -2.0, np.inf, -np.inf])
+    def test_bad_radius_is_rejected(self, delta_n):
+        with pytest.raises(DomainError, match="delta_n must be finite and >= 0"):
+            statistical_dimension([1.0], delta_n)
+
+    def test_zero_radius_counts_the_positive_eigenvalues(self):
+        assert statistical_dimension([1.0, 0.0], 0.0) == 1
+
     def test_profile_consistency(self):
         rng = np.random.default_rng(6)
         for _ in range(40):

@@ -33,7 +33,7 @@ from sketchkrr import (
     zero_noise_objective,
 )
 from sketchkrr.bench import _arm_sketch, _shared_inputs, _trial_streams
-from sketchkrr.solver import _factor_krr, _sketched_normal_system
+from sketchkrr.solver import _factor_krr, _gram_factor, _sketched_normal_system, _triangle_norm1
 
 
 def sobolev_instance(n, seed, sigma=1.0):
@@ -108,7 +108,7 @@ class TestSolveKrr:
             solve_sketched_krr(K, y, draw_sketch("gaussian", 2, 5, 1), np.inf)
 
     def test_kept_factor_reproduces_a_fresh_solve_bit_for_bit(self):
-        for n in (30, 1200):
+        for n in (30, 31, 1200):
             K, _, _, y = sobolev_instance(n, 7)
             factor = _factor_krr(K, 0.02)
             fresh = solve_krr(K, y, 0.02)
@@ -207,15 +207,33 @@ class TestSolveSketchedKrr:
         K, _, _, _ = sobolev_instance(n, 13)
         S = draw_sketch(kind, m, n, 2)
         D = materialize(S)
-        SK, C, A = _sketched_normal_system(K, S, lam)
+        SK, G, c_diag = _sketched_normal_system(K, S, lam)
         want_C = D @ K.matrix @ D.T
         want = D @ K.matrix @ K.matrix @ D.T + 2.0 * lam * want_C
+        C = np.tril(G, -1) + np.diag(c_diag)
         assert rel_dev(SK, D @ K.matrix) <= 1e-14
-        assert np.abs(C - want_C).max() <= 1e-14 * np.abs(want_C).max()
-        assert np.abs(A - want).max() <= 1e-14 * np.abs(want).max()
-        if kind == "subsample":
-            np.testing.assert_array_equal(A, A.T)
-            np.testing.assert_array_equal(C, C.T)
+        # A in G's upper triangle, C in its strict lower one and c_diag
+        assert np.abs(np.triu(G) - np.triu(want)).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(C - np.tril(want_C)).max() <= 1e-14 * np.abs(want_C).max()
+
+    @pytest.mark.parametrize("kind, m", [("gaussian", 9), ("ros", 9), ("ros", 30), ("subsample", 9)])
+    def test_normal_system_keeps_the_applied_c(self, kind, m):
+        # dsyrk writes A over one triangle only: the other one and the kept
+        # diagonal are the bits of S (S K)^T applied afresh
+        n = 40
+        K, _, _, _ = sobolev_instance(n, 14)
+        S = draw_sketch(kind, m, n, 3)
+        _, G, c_diag = _sketched_normal_system(K, S, 0.07)
+        C = apply_sketch(S, apply_sketch(S, K.matrix).T)
+        np.testing.assert_array_equal(np.tril(G, -1), np.tril(C, -1))
+        np.testing.assert_array_equal(c_diag, np.diag(C))
+
+    @pytest.mark.parametrize("m", [1, 2, 11, 31, 32, 33, 100, 924])
+    def test_triangle_norm_is_the_dense_one_norm(self, m):
+        # rows blocked by _ROW_BLOCK = 32: one block, a full one, one more row
+        G = np.random.default_rng(m).standard_normal((m, m))
+        A = np.triu(G) + np.triu(G, 1).T
+        assert _triangle_norm1(G) == pytest.approx(np.abs(A).sum(axis=0).max(), rel=1e-14)
 
     @pytest.mark.parametrize("kind, m", [("gaussian", 8), ("ros", 8), ("ros", 40), ("subsample", 8)])
     def test_fit_applies_its_sketch_through_apply_sketch(self, monkeypatch, kind, m):
@@ -331,20 +349,34 @@ class TestSingularSketchedFits:
 
     def test_fallback_applies_its_sketch_twice(self, monkeypatch, irregular_fallback_fits):
         # S K and S (S K)^T, as on the definite path: the fallback factors the
-        # C = S K S^T that the normal system formed
-        shapes = []
+        # C = S K S^T that the normal system formed, restored from the
+        # triangle A did not overwrite, to the bits of a freshly applied C
+        shapes, factors = [], []
 
         def spy(S, M):
             shapes.append(np.shape(M))
             return apply_sketch(S, M)
 
+        def recording(C, SK):
+            factors.append(_gram_factor(C, SK))
+            return factors[-1]
+
         monkeypatch.setattr("sketchkrr.solver.apply_sketch", spy)
+        monkeypatch.setattr("sketchkrr.solver._gram_factor", recording)
         for K, y, S, lam, fit in irregular_fallback_fits:
             shapes.clear()
+            factors.clear()
             again = solve_sketched_krr(K, y, S, lam)
             assert again.rank_deficient
             assert shapes == [(S.n, S.n), (S.n, S.m)]
             np.testing.assert_array_equal(again.coefficients, fit.coefficients)
+            SK = apply_sketch(S, K.matrix)
+            (Zt, lift, dropped), = factors
+            fresh_Zt, fresh_lift, fresh_dropped = _gram_factor(apply_sketch(S, SK.T), SK)
+            np.testing.assert_array_equal(Zt, fresh_Zt)
+            b = np.arange(1.0, len(Zt) + 1)
+            np.testing.assert_array_equal(lift(b), fresh_lift(b))
+            assert dropped == fresh_dropped
 
 
 class TestZeroNoiseAndDecomposition:

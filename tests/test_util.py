@@ -1,13 +1,14 @@
 """Dense-oracle tests of the linear-algebra helpers in ``sketchkrr._util``:
-the solve with a lower Cholesky factor against numpy's LU solve, and the
-one-triangle product against the full GEMV of ``@``."""
+the Cholesky factor in rectangular full packed storage and its solve against
+numpy's Cholesky and LU solve, the solve with a full lower Cholesky factor,
+and the one-triangle product against the full GEMV of ``@``."""
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from sketchkrr import DesignPoints, KernelMatrix, KernelSpec, build_kernel_matrix
-from sketchkrr._util import cho_factor_shifted, solve_factor, symv
+from sketchkrr._util import rfp_factor_shifted, rfp_solve, solve_factor, symv
 
 EPS = np.finfo(np.float64).eps
 
@@ -15,6 +16,77 @@ EPS = np.finfo(np.float64).eps
 def sobolev_matrix(n: int, seed: int) -> np.ndarray:
     x = np.sort(np.random.default_rng(seed).uniform(0.0, 1.0, n))
     return build_kernel_matrix(KernelSpec.sobolev1(), DesignPoints(x)).matrix
+
+
+def unpack(packed: np.ndarray, n: int) -> np.ndarray:
+    """The full lower triangle of an RFP array from ``rfp_factor_shifted``."""
+    full, info = sla.lapack.dtfttr(n, packed, transr="T", uplo="L")
+    assert info == 0
+    return np.tril(full)
+
+
+# both parities, the one-entry factor and the sizes of the sweeps
+RFP_SIZES = [1, 2, 7, 8, 40, 1023, 1024]
+
+
+class TestRfpFactor:
+    @pytest.mark.parametrize("n", RFP_SIZES)
+    @pytest.mark.parametrize("shift", [1e-2, 1e-5])
+    def test_factor_matches_numpy_cholesky(self, n, shift):
+        K = sobolev_matrix(n, n)
+        A = K + shift * np.eye(n)
+        L, want = unpack(rfp_factor_shifted(K, shift), n), np.linalg.cholesky(A)
+        assert np.abs(L - want).max() <= np.linalg.cond(A) * EPS * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", RFP_SIZES)
+    @pytest.mark.parametrize("shift", [1e-2, 1e-5])
+    def test_solve_matches_dense_solve(self, n, shift):
+        # two backward-stable solves of A x = b differ by about cond(A) * eps
+        # relative to max |x| at most
+        K = sobolev_matrix(n, n)
+        A = K + shift * np.eye(n)
+        packed = rfp_factor_shifted(K, shift)
+        tol = np.linalg.cond(A) * EPS
+        rng = np.random.default_rng(n)
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 2))):
+            x, want = rfp_solve(packed, b), np.linalg.solve(A, b)
+            assert x.shape == b.shape
+            assert np.abs(x - want).max() <= tol * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", RFP_SIZES)
+    def test_shift_lands_on_the_diagonal_positions(self, n):
+        # dtrttf of a matrix labelled by flat position places each label;
+        # the factor of 0 + 4 I is 2 exactly where the diagonal labels land
+        labels = np.arange(n * n, dtype=np.float64).reshape(n, n)
+        placed, _ = sla.lapack.dtrttf(labels, transr="T", uplo="L")
+        on_diagonal = np.isin(placed, np.arange(n) * (n + 1))
+        packed = rfp_factor_shifted(np.zeros((n, n)), 4.0)
+        np.testing.assert_array_equal(packed, np.where(on_diagonal, 2.0, 0.0))
+
+    @pytest.mark.parametrize("n", [1, 7, 8])
+    def test_zero_pivot_raises(self, n):
+        with pytest.raises(np.linalg.LinAlgError, match="dpftrf info = 1"):
+            rfp_factor_shifted(np.zeros((n, n)), 0.0)
+        indefinite = np.eye(n)
+        indefinite[-1, -1] = -1.0
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            rfp_factor_shifted(indefinite, 0.5)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_leaves_its_operands_alone(self, n):
+        K = sobolev_matrix(n, 2)
+        K0 = K.copy()
+        packed = rfp_factor_shifted(K, 1e-2)
+        b = np.arange(float(n))
+        packed0, b0 = packed.copy(), b.copy()
+        rfp_solve(packed, b)
+        np.testing.assert_array_equal(K, K0)
+        np.testing.assert_array_equal(packed, packed0)
+        np.testing.assert_array_equal(b, b0)
+
+
+def cho_lower(K: np.ndarray, shift: float) -> np.ndarray:
+    return sla.cho_factor(K + shift * np.eye(len(K)), lower=True)[0]
 
 
 class TestSolveFactor:
@@ -25,7 +97,7 @@ class TestSolveFactor:
         # relative to max |x| at most (worst seen: 0.12 of that bound)
         K = sobolev_matrix(n, n)
         A = K + shift * np.eye(n)
-        L = cho_factor_shifted(K, shift)
+        L = cho_lower(K, shift)
         tol = np.linalg.cond(A) * EPS
         rng = np.random.default_rng(n)
         for b in (rng.standard_normal(n), rng.standard_normal((n, 2))):
@@ -36,13 +108,13 @@ class TestSolveFactor:
     @pytest.mark.parametrize("n", [11, 462, 1200])
     def test_two_columns_give_cho_solves_bits(self, n):
         K = sobolev_matrix(n, n + 1)
-        L = cho_factor_shifted(K, 1e-3)
+        L = cho_lower(K, 1e-3)
         B = np.random.default_rng(n).standard_normal((n, 2))
         np.testing.assert_array_equal(solve_factor(L, B), sla.cho_solve((L, True), B))
 
     def test_leaves_its_operands_alone(self):
         K = sobolev_matrix(40, 2)
-        L = cho_factor_shifted(K, 1e-2)
+        L = cho_lower(K, 1e-2)
         b = np.arange(40.0)
         L0, b0 = L.copy(), b.copy()
         solve_factor(L, b)
