@@ -120,18 +120,22 @@ def solve_factor(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def symv(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``matrix @ v`` for an exactly symmetric n x n ``matrix``, such as a
-    :class:`KernelMatrix`'s (symmetric by construction or checked so), and
-    an n-vector or one n x 1 column; the result has v's shape.
+    :class:`KernelMatrix`'s, and an n-vector or an n x k block, in v's
+    shape; every product with a kernel matrix goes through here.
 
-    BLAS dsymv reads one triangle, of ``matrix.T`` for a C-ordered matrix
-    (Fortran-ordered, so not copied): 0.18 ms at n = 1024 against 0.34 for
-    the two-triangle GEMV of ``@`` (one OpenBLAS thread).  Blocks of
-    columns keep ``@``: dsymm ran 2-8x slower than GEMM for 8-80 columns.
+    BLAS dsymv takes one column, reading one triangle of ``matrix.T``
+    (Fortran-ordered for a C-ordered matrix, so not copied): 0.18 ms at n =
+    1024 against 0.34 for ``@``.  A block is ``(v.T @ matrix).T``, a GEMM
+    that reads a C-ordered matrix by rows: 1.09 against 1.18 ms for ``matrix
+    @ v`` at n = 1200, k = 8, 16.6 against 24.6 at n = 4096 (best of 7; dsymm
+    ran 2-8x slower than GEMM for 8-80 columns; one OpenBLAS thread).
     """
     n = matrix.shape[0]
-    if v.shape not in ((n,), (n, 1)):
-        raise ValueError(f"symv takes an ({n},) or ({n}, 1) operand, got {v.shape}")
-    return sla.blas.dsymv(1.0, matrix.T, v.reshape(n)).reshape(v.shape)
+    if v.ndim not in (1, 2) or v.shape[0] != n:
+        raise ValueError(f"symv takes an ({n},) or ({n}, k) operand, got {v.shape}")
+    if v.ndim == 1 or v.shape[1] == 1:
+        return sla.blas.dsymv(1.0, matrix.T, v.reshape(n)).reshape(v.shape)
+    return (v.T @ matrix).T
 
 
 # seed of block_krylov's start block: profiles and certificates are pure

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import block_krylov, check_count, rfp_factor_shifted
+from ._util import block_krylov, check_count, rfp_factor_shifted, symv
 from .errors import DomainError, NumericalError
 from .kernels import EIG_CLAMP_REL, KernelMatrix, KernelSpec
 
@@ -171,7 +171,7 @@ def _matrix_profile(K: KernelMatrix, n: int, sigma: float) -> tuple[float, int]:
     # heads of k = 8, 16, ... while 4k <= n or k <= 48 (sobolev1 at n = 64
     # needs six blocks to settle), and none if 4 HEAD_START > n
     blocks = max(n // (4 * HEAD_START), 6) if 4 * HEAD_START <= n else 0
-    heads = block_krylov(lambda X: matrix @ X, n, HEAD_START)
+    heads = block_krylov(lambda X: symv(matrix, X), n, HEAD_START)
     for theta, residuals in itertools.islice(heads, blocks):
         # K is the same for every head: one PSD check suffices, and none for
         # a matrix PSD by construction (see build_kernel_matrix)

@@ -13,20 +13,20 @@ T = S - (S U1) U1^T.  Since (I - U1 U1^T) K (I - U1 U1^T) = U2 D2 U2^T,
 
     ||S U2 D2^(1/2)||_op^2 = lambda_max(T K T^T),
 
-so neither U2, D2 nor an m x (n - d_n) block is formed.  Narrow sketches
-materialize S, form T in place of it and the m x m matrix T K T^T, and
-take its top eigenvalue with LAPACK.  Wide ones run Lanczos (the
-profile's block Krylov eigensolver, one column per block) on
-x -> T (K (T^T x)) with T as an operator on S's own maps,
+so neither U2, D2 nor an m x (n - d_n) block is formed.  T is an operator
+on S's own maps, applied as X -> T (K (T^T X)) with
 
-    T^T y = S^T y - U1 (S U1)^T y,   T w = S w - (S U1)(U1^T w),
+    T^T Y = S^T Y - U1 (S U1)^T Y,   T W = S W - (S U1)(U1^T W):
 
-so a step reads one triangle of K and applies S and S^T to one column
-each: a ROS sketch through its fast transform, with no m x n rows, a
-dense matrix D as D @ and D^T @.  S U1 is one apply of the n x d_n
-block.  Both routes agree with the explicit tail block to working
-precision.  The report always exposes the raw norms so a caller can
-re-threshold.
+a ROS sketch through its fast transform, with no m x n rows, a
+sub-sampling sketch by gathering and scattering rows, a dense matrix D
+as D @ and D^T @.  S U1 is one apply of the n x d_n block.  Narrow
+sketches apply it to the m x m identity and take the top eigenvalue of
+the result with LAPACK; wide ones run Lanczos (the profile's block
+Krylov eigensolver, one column per block) on it, so a step reads one
+triangle of K and applies S and S^T to one column each.  Both routes
+agree with the explicit tail block to working precision.  The report
+always exposes the raw norms so a caller can re-threshold.
 
 ``recommended_sketch_dim`` gives the projection-dimension rule of thumb,
 m ~ c * d_n for Gaussian sketches and m ~ c * d_n * ln(n)^4 for ROS
@@ -45,7 +45,8 @@ from ._util import block_krylov, ceil_int, check_count, symv
 from .complexity import ComplexityProfile
 from .errors import DomainError
 from .kernels import KernelMatrix
-from .sketch import SketchOperator, _maps, materialize
+# materialize is not called here, but the benchmark's tracer patches it here
+from .sketch import SketchOperator, _maps, materialize  # noqa: F401
 
 __all__ = [
     "SatisfiabilityReport",
@@ -57,27 +58,26 @@ DEFAULT_C_THRESHOLD = 4.0
 ISOMETRY_THRESHOLD = 0.5
 
 # Sketches with more rows than this take the tail norm by block Krylov with
-# one column per block, each step reading one triangle of K.  A certificate
-# costs, in ms for a gaussian / ros sketch given as its dense rows, and for a
-# ros sketch with T as an operator on its transform, factors and S U1
-# included (K.eig() cached; best of 5, of 3 for the dense route at m = 924;
-# 2-core machine, one OpenBLAS thread):
+# one column per block, each step reading one triangle of K; narrower ones
+# apply T K T^T to the m x m identity and call eigh.  A certificate costs, in
+# ms for a gaussian sketch / a ros sketch given as its dense rows / a ros
+# operator on its transform (- where the transform does not pay), factors
+# and S U1 included (K.eig() cached; best of 5, of 3 for the dense route at
+# m = 924; 2-core machine, one OpenBLAS thread):
 #
-#   m                         64     128     192     256      924
+#   m                    64        128       192        256         924
 #   sobolev1, n = 1024
-#     dense T K T^T + eigh   4/4     9/9   13/13   20/14  148/156
-#     block Krylov           8/7     9/9   11/10    10/9    20/21
-#     T as an operator, ros    -       -       9       9       11
+#     T K T^T I + eigh   4/5/-     9/9/9     15/15/12   21/21/17    203/182/130
+#     block Krylov       7/7/-     7/8/8     8/8/8      10/10/9     18/19/10
 #   gaussian h = 0.25, irregular design, n = 1200
-#     dense T K T^T + eigh   5/4     9/9   16/14   23/24  178/178
-#     block Krylov           4/4     4/4     5/5     6/6    11/12
-#     T as an operator, ros    -       -       5       5        5
+#     T K T^T I + eigh   6/5/6     10/10/10  16/16/14   23/25/21    209/216/158
+#     block Krylov       4/3/4     4/4/4     5/5/4      5/5/4       10/10/5
 #
 # The Krylov route needs fewer steps where the tail spectrum decays fast, so
-# the routes cross near m = 128 for sobolev1 and below m = 64 for the
-# gaussian kernel; n/8 = 128 at n = 1024 splits them.  A dense T costs a
-# ros sketch its m x n rows besides (about 5 ms at m = 924, n = 1024); the
-# operator builds none.
+# the routes cross between m = 64 and 128 for sobolev1 and below m = 64 for
+# the gaussian kernel; n/8 = 128 at n = 1024 splits them.  The dense route
+# pays S^T I for a sketch given as its rows, m^2 n multiply-adds: 0.36 ms at
+# m = 80, n = 1024, where a certificate took 4.5 ms forming (S K) S^T.
 DENSE_TAIL_MAX_M = 128
 LANCZOS_RTOL = 1e-12
 
@@ -119,17 +119,11 @@ def check_k_satisfiable(
     d_n = profile.d_n
     if not 0 <= d_n <= K.n:
         raise DomainError(f"profile d_n={d_n} out of range for n={K.n}")
-    lanczos = m > DENSE_TAIL_MAX_M
-    if lanczos:
-        forward, transpose = _maps(S) if operator else (S.__matmul__, S.T.__matmul__)
-        # S^T 1 sums each column of S, so it is finite only if S is (or
-        # unless S's entries are so large that T K T^T would overflow too)
-        with np.errstate(invalid="ignore", over="ignore"):
-            finite = np.isfinite(transpose(np.ones(m))).all()
-    else:
-        # a copy either way: T is formed in place of it
-        S = materialize(S) if operator else S.copy()
-        forward, finite = S.__matmul__, np.isfinite(S).all()
+    forward, transpose = _maps(S) if operator else (S.__matmul__, S.T.__matmul__)
+    # S^T 1 sums each column of S, so it is finite only if S is (or unless
+    # S's entries are so large that T K T^T would overflow too)
+    with np.errstate(invalid="ignore", over="ignore"):
+        finite = np.isfinite(transpose(np.ones(m))).all()
     if not finite:
         raise DomainError("sketch has non-finite entries")
     iso = 0.0
@@ -138,21 +132,21 @@ def check_k_satisfiable(
         U1 = K.eig()[0][:, :d_n]
         SU1 = forward(U1)
         iso = float(np.linalg.norm(SU1.T @ SU1 - np.eye(d_n), 2))
+
+    def apply(X):
+        # T (K (T^T X)), with T^T Y = S^T Y - U1 (S U1)^T Y and
+        # T W = S W - (S U1)(U1^T W)
+        W = symv(K.matrix, transpose(X) - U1 @ (SU1.T @ X))
+        return forward(W) - SU1 @ (U1.T @ W)
+
     if d_n == K.n:
         tail = 0.0
-    elif lanczos:
-        def apply(x):
-            # T (K (T^T x)), with T^T y = S^T y - U1 (S U1)^T y and
-            # T w = S w - (S U1)(U1^T w)
-            w = symv(K.matrix, transpose(x) - U1 @ (SU1.T @ x))
-            return forward(w) - SU1 @ (U1.T @ w)
-
-        tail = math.sqrt(_top_eigenvalue_tkt(apply, m))
-    else:
-        S -= SU1 @ U1.T  # T, in place of the sketch's copy
-        top = sla.eigh((S @ K.matrix) @ S.T, eigvals_only=True, subset_by_index=[m - 1] * 2,
+    elif m <= DENSE_TAIL_MAX_M:
+        top = sla.eigh(apply(np.eye(m)), eigvals_only=True, subset_by_index=[m - 1] * 2,
                        overwrite_a=True, check_finite=False)[0]
         tail = math.sqrt(max(float(top), 0.0))
+    else:
+        tail = math.sqrt(_top_eigenvalue_tkt(apply, m))
     passed = iso <= ISOMETRY_THRESHOLD and tail <= c_threshold * profile.delta_n
     return SatisfiabilityReport(
         lhs_isometry=iso,
@@ -175,8 +169,7 @@ def _top_eigenvalue_tkt(apply, m: int) -> float:
 def recommended_sketch_dim(kind: str, d_n: int, n: int, c: float) -> int:
     """Projection dimension rule: ceil(c * d_n) for gaussian sketches,
     ceil(c * d_n * ln(n)^4) for ros sketches, clamped to [1, n]."""
-    if d_n < 1:
-        raise DomainError(f"d_n must be >= 1, got {d_n}")
+    d_n = check_count(d_n, "d_n", 1)
     n = check_count(n, "n", 1)
     if not 0.0 < c < math.inf:
         raise DomainError(f"c must be finite and > 0, got {c}")

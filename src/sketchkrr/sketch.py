@@ -19,7 +19,7 @@ rows (the subsampled randomized Hadamard transform of Ailon and Chazelle
 column, with u <= min(m, b) the distinct rows of H_b the sample needs,
 against m * n for the dense rows; S^T runs the same two factors
 transposed, and a caller that applies S and S^T many times (the
-certificate's Lanczos tail) builds the factors once for all of them.
+certificate's tail norm) builds the factors once for all of them.
 Otherwise its m sampled Hadamard rows are built once, at the draw, by
 Sylvester doubling in O(m * n), and kept on the operator; a transform-route
 sketch builds its rows only for :func:`materialize`.  Sub-sampling gathers

@@ -333,11 +333,13 @@ def predict(fit: FitResult, spec: KernelSpec, train: DesignPoints, query) -> np.
 
 
 def empirical_error(fhat_vals, fstar_vals) -> float:
-    """Squared empirical error (1/n) sum_i (fhat(x_i) - f*(x_i))^2."""
+    """Squared empirical error (1/n) sum_i (fhat(x_i) - f*(x_i))^2 of finite values."""
     a = np.asarray(fhat_vals, dtype=np.float64)
     b = np.asarray(fstar_vals, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or a.size < 1:
         raise DomainError(f"value vectors must share a 1-D shape, got {a.shape} and {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DomainError("value vectors must be finite")
     d = a - b
     return float(d @ d / a.size)
 

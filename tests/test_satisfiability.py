@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import sobolev_uniform_matrix
-from sketchkrr import satisfiability
+from sketchkrr import satisfiability, sketch
 from sketchkrr._util import block_krylov
 from sketchkrr.sketch import _ros_transform_pays
 from sketchkrr import (
@@ -57,8 +57,8 @@ WIDE = satisfiability.DENSE_TAIL_MAX_M + 1
 class TestCheckKSatisfiable:
     @pytest.mark.parametrize("n, m", [(128, 11), (255, WIDE)])
     def test_leaves_the_sketch_rows_unchanged(self, sobolev_at, n, m):
-        # T is formed in place of a copy, never of the operator's own rows;
-        # both are dense-route ros sketches, the second takes the Lanczos tail
+        # T is applied through the sketch's maps and never written; both are
+        # ros sketches with stored rows, the second takes the Lanczos tail
         K, profile, _, _ = sobolev_at(n)
         S = draw_sketch("ros", m, n, 8)
         assert S.matrix is not None
@@ -146,12 +146,14 @@ class TestCheckKSatisfiable:
             r = check_k_satisfiable(S, K, profile, c_threshold=2.0)
             assert r.passed == (r.lhs_isometry <= 0.5 and r.lhs_tail <= 2.0 * r.delta_n)
 
-    # the first four take the dense route, the rest the Lanczos route
+    # the first five take the dense route, the rest the Lanczos route;
+    # ros-64-n1200 is a transform-route sketch, with no stored rows
     @pytest.mark.parametrize("kind,m,n", [
         pytest.param("gaussian", 1, 128, id="gaussian-1"),
         pytest.param("gaussian", 24, 128, id="gaussian-24"),
         pytest.param("ros", 100, 128, id="ros-100"),
         pytest.param("subsample", 64, 128, id="subsample-64"),
+        pytest.param("ros", 64, 1200, id="ros-64-n1200"),
         pytest.param("ros", 462, 1024, id="ros-462-n1024"),
         pytest.param("ros", 924, 1024, id="ros-924-n1024"),
         pytest.param("gaussian", WIDE, 1024, id="gaussian-wide-n1024"),
@@ -211,19 +213,25 @@ class TestCheckKSatisfiable:
 
     @pytest.mark.parametrize("kind", ["gaussian", "ros", "subsample"])
     @pytest.mark.parametrize("m", [satisfiability.DENSE_TAIL_MAX_M, WIDE])
-    def test_materializes_only_for_the_dense_tail(self, monkeypatch, sobolev_at, kind, m):
-        # the benchmark's tracer counts sketchkrr.satisfiability.materialize
+    def test_never_builds_the_sketch_rows(self, monkeypatch, sobolev_at, kind, m):
+        # both routes apply S through its maps; the benchmark's tracer
+        # counts sketchkrr.satisfiability.materialize
         K, profile, _, _ = sobolev_at(1024)
-        calls, original = [], satisfiability.materialize
-
-        def spy(S):
-            calls.append(S)
-            return original(S)
-
-        monkeypatch.setattr(satisfiability, "materialize", spy)
         S = draw_sketch(kind, m, 1024, 6)
+
+        def forbidden(S):
+            raise AssertionError("the certificate built the sketch's rows")
+
+        monkeypatch.setattr(satisfiability, "materialize", forbidden)
+        monkeypatch.setattr(sketch, "_ros_rows", forbidden)
         check_k_satisfiable(S, K, profile)
-        assert calls == ([S] if m <= satisfiability.DENSE_TAIL_MAX_M else [])
+
+    @pytest.mark.parametrize("m", [24, WIDE])
+    def test_operator_and_its_matrix_agree_bitwise(self, sobolev_at, m):
+        # a gaussian operator's maps are its matrix's own products
+        K, profile, _, _ = sobolev_at(1024)
+        S = draw_sketch("gaussian", m, 1024, 9)
+        assert check_k_satisfiable(S, K, profile) == check_k_satisfiable(S.matrix, K, profile)
 
     def test_dense_matrix_argument_is_not_modified(self, sobolev_setup):
         n, K, profile = sobolev_setup
@@ -291,9 +299,13 @@ class TestRecommendedSketchDim:
         expected = math.ceil(c * d * math.log(n) ** 4)
         assert recommended_sketch_dim("ros", d, n, c) == min(expected, n)
 
+    @pytest.mark.parametrize("d_n", [0, -1, 2.5, 2.0, math.inf, math.nan])
+    @pytest.mark.parametrize("kind", ["gaussian", "ros"])
+    def test_rejects_non_count_d_n(self, kind, d_n):
+        with pytest.raises(DomainError, match=f"d_n must be an integer >= 1, got {d_n}"):
+            recommended_sketch_dim(kind, d_n, 100, 2.0)
+
     def test_rejects_bad_inputs(self):
-        with pytest.raises(DomainError):
-            recommended_sketch_dim("gaussian", 0, 10, 1.0)
         with pytest.raises(DomainError):
             recommended_sketch_dim("subsample", 2, 10, 1.0)
         for kind in ("gaussian", "ros"):

@@ -553,6 +553,13 @@ class TestEmpiricalError:
         with pytest.raises(DomainError):
             empirical_error([1.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_non_finite_values_rejected(self, bad, first):
+        values = ([bad, 1.0], [0.0, 1.0])
+        with pytest.raises(DomainError, match="finite"):
+            empirical_error(*(values if first else values[::-1]))
+
 
 class TestDualSolvers:
     def test_scalar_dual_identities(self):

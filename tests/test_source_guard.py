@@ -1,11 +1,16 @@
-"""No module of the package solves with a Cholesky factor through LAPACK's
-potrs, which scipy's ``cho_solve`` calls.
+"""Source guards, each parsing every module of the package without
+importing it.
 
-With one right-hand side potrs took about twice as long as the two
-triangular solves of ``sketchkrr._util.solve_factor`` (0.79 against
-0.37 ms at n = 1024, one OpenBLAS thread), so every solve with a kept
-factor goes through that helper.  This test parses each module's source,
-without importing it, and names every use of ``cho_solve`` or ``potrs``.
+No module solves with a Cholesky factor through LAPACK's potrs, which
+scipy's ``cho_solve`` calls.  With one right-hand side potrs took about
+twice as long as the two triangular solves of
+``sketchkrr._util.solve_factor`` (0.79 against 0.37 ms at n = 1024, one
+OpenBLAS thread), so every solve with a kept factor goes through that
+helper.
+
+No module but ``_util.py`` multiplies a kernel matrix with ``@``: every
+product with K goes through ``sketchkrr._util.symv``, the one place that
+knows how K is stored and read.
 """
 
 import ast
@@ -15,6 +20,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sketchkrr"
 BANNED = {"cho_solve", "potrs", "dpotrs"}
+KERNEL_NAMES = {"matrix", "K"}
 
 
 def potrs_uses(source: str) -> list[int]:
@@ -54,3 +60,54 @@ def test_no_module_solves_through_potrs(module):
 )
 def test_guard_sees_each_spelling(source):
     assert potrs_uses(source)
+
+
+def kernel_products(source: str) -> list[int]:
+    """Lines of ``source`` with a ``@`` or ``@=`` one of whose operands is
+    spelled ``matrix``, ``K`` or ``<x>.matrix``, transposed or not."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            operands = (node.left, node.right)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.MatMult):
+            operands = (node.target, node.value)
+        else:
+            continue
+        if any(_is_kernel(operand) for operand in operands):
+            lines.append(node.lineno)
+    return lines
+
+
+def _is_kernel(node: ast.AST) -> bool:
+    while isinstance(node, ast.Attribute) and node.attr == "T":
+        node = node.value
+    if isinstance(node, ast.Name):
+        return node.id in KERNEL_NAMES
+    return isinstance(node, ast.Attribute) and node.attr == "matrix"
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p for p in PACKAGE.glob("*.py") if p.name != "_util.py"), ids=lambda p: p.name
+)
+def test_no_module_multiplies_a_kernel_matrix_with_matmul(module):
+    assert kernel_products(module.read_text()) == [], f"{module.name} multiplies K with @; use _util.symv"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "y = matrix @ X\n",
+        "y = K @ v\n",
+        "y = K.matrix @ v\n",
+        "C = (S @ K.matrix) @ S.T\n",
+        "z = v.T @ self.K.matrix.T\n",
+        "X @= matrix\n",
+    ],
+)
+def test_kernel_guard_sees_each_spelling(source):
+    assert kernel_products(source)
+
+
+@pytest.mark.parametrize("source", ["y = S @ x\n", "w = SU1 @ (U1.T @ W)\n", "C = Q.T @ AX\n"])
+def test_kernel_guard_passes_other_products(source):
+    assert kernel_products(source) == []

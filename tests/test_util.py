@@ -150,7 +150,7 @@ class TestSymv:
         }
 
     @pytest.mark.parametrize("which", ["built", "checked", "fortran"])
-    @pytest.mark.parametrize("shape", [(500,), (500, 1)])
+    @pytest.mark.parametrize("shape", [(500,), (500, 1), (500, 2), (500, 8), (500, 56)])
     def test_matches_gemv(self, matrices, which, shape):
         K = matrices[which]
         v = np.random.default_rng(7).standard_normal(shape)
@@ -158,7 +158,7 @@ class TestSymv:
         assert got.shape == shape
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
-    @pytest.mark.parametrize("shape", [(500, 2), (499,), (1, 500), (500, 1, 1)])
+    @pytest.mark.parametrize("shape", [(499,), (1, 500), (500, 1, 1)])
     def test_rejects_other_operands(self, matrices, shape):
         with pytest.raises(ValueError, match="symv takes"):
             symv(matrices["built"].matrix, np.ones(shape))
