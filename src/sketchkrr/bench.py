@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -315,8 +315,26 @@ def _marker_row(n: int, kind: str, trial: int, seed: int) -> TrialRecord:
     )
 
 
-def run_error_vs_n(config: ExperimentConfig, timing: bool = False) -> list[TrialRecord]:
-    """Run the full sweep; one record per (n, kind, trial), sorted in that order."""
+@dataclass
+class _SweepLog:
+    """What a sweep saw besides its records, for the CLI's summary: one line
+    per failure naming its exception (once per trial for a shared step),
+    and the count of sketched fits and of those flagged rank-deficient."""
+
+    failures: list[str] = field(default_factory=list)
+    sketched: int = 0
+    rank_deficient: int = 0
+
+    def failed(self, n: int, trial: int, what: str, exc: Exception) -> None:
+        self.failures.append(f"n={n} trial {trial}, {what}: {type(exc).__name__}: {exc}")
+
+
+def run_error_vs_n(
+    config: ExperimentConfig, timing: bool = False, *, _log: _SweepLog | None = None
+) -> list[TrialRecord]:
+    """Run the full sweep; one record per (n, kind, trial), sorted in that
+    order.  ``_log`` (for the CLI) collects what the records do not say."""
+    log = _SweepLog() if _log is None else _log
     records: list[TrialRecord] = []
     for n in config.n_grid:
         # uniform_grid points do not depend on the seed: one K, profile and
@@ -327,8 +345,9 @@ def run_error_vs_n(config: ExperimentConfig, timing: bool = False) -> list[Trial
             start = time.perf_counter() if timing else 0.0
             try:
                 shared = _shared_inputs(config, n, trial, grid)
-            except _TRIAL_ERRORS:
+            except _TRIAL_ERRORS as exc:
                 shared = None
+                log.failed(n, trial, "every arm", exc)
             else:
                 if config.design == "uniform_grid":
                     grid = shared
@@ -343,9 +362,9 @@ def run_error_vs_n(config: ExperimentConfig, timing: bool = False) -> list[Trial
                             # that trial's sketched arms first touch their BLAS
                             # and heap pages, +1.3% peak RSS at n = 1024
                             grid = shared = replace(grid, factor=_factor_krr(grid.K, grid.lam))
-                        record = _fit_arm(config, shared, n, kind, trial, seed)
-                    except _TRIAL_ERRORS:
-                        pass
+                        record = _fit_arm(config, shared, n, kind, trial, seed, log)
+                    except _TRIAL_ERRORS as exc:
+                        log.failed(n, trial, f"{kind} arm", exc)
                 if timing:
                     # the shared inputs are charged to the trial's first arm
                     now = time.perf_counter()
@@ -360,7 +379,7 @@ def run_error_vs_n(config: ExperimentConfig, timing: bool = False) -> list[Trial
 
 def _fit_arm(
     config: ExperimentConfig, shared: _SharedInputs,
-    n: int, kind: str, trial: int, seed: int,
+    n: int, kind: str, trial: int, seed: int, log: _SweepLog | None = None,
 ) -> TrialRecord:
     sample, K, profile, lam = shared.sample, shared.K, shared.profile, shared.lam
     if kind == "exact":
@@ -370,6 +389,9 @@ def _fit_arm(
         S = _arm_sketch(config, profile, n, kind, seed)
         m = S.m
         fit = solve_sketched_krr(K, sample.y, S, lam)
+        if log is not None:
+            log.sketched += 1
+            log.rank_deficient += fit.rank_deficient
     err = empirical_error(fit.fitted, sample.fstar)
     return TrialRecord(
         n=n, m=m, sketch=kind, trial=trial, seed=seed,

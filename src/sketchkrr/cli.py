@@ -19,8 +19,11 @@ certifies the sketch that ``fit --m-rule fixed --m M`` fits with; without
 Exit codes: 0 success, 2 usage error (also flags or a ``bench`` config
 file that make an invalid kernel or config), 1 runtime error.  A
 one-trial command whose trial fails exits 1 with the reason on stderr;
-``bench`` records a failed trial as a marker row, summarizes failed
-trials on stderr and exits 1 only when every trial failed.
+``bench`` records a failed trial as a marker row and exits 1 only when
+every trial failed.  On stderr it names each failure's exception and
+message (once per trial when the trial's shared data, kernel matrix or
+profile failed, once per arm otherwise), counts the failed rows, and
+counts the sketched fits flagged ``rank_deficient`` when there are any.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .bench import (
     LAMBDA_RULES,
     M_RULES,
     ExperimentConfig,
+    _SweepLog,
     _arm_sketch,
     _fit_arm,
     _shared_inputs,
@@ -155,12 +159,21 @@ def _cmd_bench(args) -> int:
         config = load_config(args.config)
     except DomainError as exc:
         raise _UsageError(str(exc)) from exc
-    records = run_error_vs_n(config, timing=args.timing)
+    log = _SweepLog()
+    records = run_error_vs_n(config, timing=args.timing, _log=log)
     write_csv(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
+    for line in log.failures:
+        print(line, file=sys.stderr)
     failed = sum(math.isnan(r.error) for r in records)
     if failed:
         print(f"{failed} of {len(records)} trials failed (marker rows with NaN error)", file=sys.stderr)
+    if log.rank_deficient:
+        print(
+            f"{log.rank_deficient} of {log.sketched} sketched fits flagged rank_deficient "
+            "(solved through the pivoted Cholesky factor of S K S^T)",
+            file=sys.stderr,
+        )
     return 1 if failed == len(records) else 0
 
 

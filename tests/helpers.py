@@ -10,6 +10,7 @@ swap.
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg as sla
 
 from sketchkrr import SketchOperator
 
@@ -116,15 +117,17 @@ def sketched_objective_excess(K: np.ndarray, y: np.ndarray, Sd: np.ndarray, lam:
 def ridge_fitted_oracle(K: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     """K (K + 2 lam I)^{-1} y, the exact KRR fitted values sqrt(n) K w.
 
-    numpy's LU solve of the shifted system, refined with residuals in
+    One LU factorization of the shifted system in double precision
+    (LAPACK dgetrf through scipy), its solve refined with residuals in
     extended precision (``np.longdouble``), and the product with K taken in
-    extended precision as well: no Cholesky factor and no one-triangle
-    product.
+    extended precision as well: no Cholesky factor, no single precision
+    and no one-triangle product.
     """
     n = K.shape[0]
     A = K + 2.0 * lam * np.eye(n)
+    lu = sla.lu_factor(A)
     Ax, Kx, b = A.astype(np.longdouble), K.astype(np.longdouble), y.astype(np.longdouble)
-    x = np.linalg.solve(A, y).astype(np.longdouble)
+    x = sla.lu_solve(lu, y).astype(np.longdouble)
     for _ in range(5):
-        x += np.linalg.solve(A, (b - Ax @ x).astype(np.float64))
+        x += sla.lu_solve(lu, (b - Ax @ x).astype(np.float64))
     return (Kx @ x).astype(np.float64)

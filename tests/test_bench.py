@@ -25,7 +25,7 @@ from sketchkrr import (
     run_nystrom_failure_demo,
     write_csv,
 )
-from sketchkrr.bench import _data_seed
+from sketchkrr.bench import _SweepLog, _arm_sketch, _data_seed, _shared_inputs
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -358,20 +358,21 @@ class TestPairedArms:
 class TestGridExactFactor:
     """A uniform grid's exact arm factors K + 2*lam*I at most twice per n
     (trial 0's own, then the one kept from trial 1 on); a random design
-    factors once per trial."""
+    factors once per trial.  The spies count the single-precision
+    factorizations, the exact arm's first step."""
 
     @staticmethod
     def count_factorizations(monkeypatch):
         import sketchkrr.solver as solver
 
         calls = []
-        original = solver.rfp_factor_shifted
+        original = solver.single_factor_shifted
 
         def counted(*args, **kwargs):
             calls.append(args[0].shape[0])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "rfp_factor_shifted", counted)
+        monkeypatch.setattr(solver, "single_factor_shifted", counted)
         return calls
 
     @pytest.mark.parametrize("trials", [1, 2, 4])
@@ -420,6 +421,8 @@ class TestGridExactFactor:
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("injected")
 
+        # both precisions fail, so the exact arm has no factor at all
+        monkeypatch.setattr(solver, "single_factor_shifted", failing)
         monkeypatch.setattr(solver, "rfp_factor_shifted", failing)
         cfg = small_config(sketch_kinds=("exact", "gaussian", "ros"), trials=4)
         records = run_error_vs_n(cfg)
@@ -454,6 +457,56 @@ class TestGridExactFactor:
         for r in records:
             want = 5001.0 if (r.sketch, r.trial) == ("exact", 1) else 1.0
             assert r.wall_time_ms == pytest.approx(want, abs=1e-6)
+
+
+class TestSweepLog:
+    """What a sweep reports besides its records: each failure's exception,
+    once per trial for a shared step and once per arm otherwise, and its
+    rank-deficient sketched fits."""
+
+    def test_shared_step_failure_is_named_once_per_trial(self):
+        cfg = small_config(sigma=0.0)  # two_delta_sq needs sigma > 0
+        log = _SweepLog()
+        run_error_vs_n(cfg, _log=log)
+        reason = "DomainError: lambda rule 'two_delta_sq' needs sigma > 0"
+        assert log.failures == [
+            f"n={n} trial {trial}, every arm: {reason}" for n in cfg.n_grid for trial in range(cfg.trials)
+        ]
+
+    def test_arm_failure_is_named_once_per_arm(self, monkeypatch):
+        import sketchkrr.bench as bench
+
+        def failing(*args, **kwargs):
+            raise NumericalError("injected")
+
+        monkeypatch.setattr(bench, "solve_krr", failing)
+        cfg = small_config()
+        log = _SweepLog()
+        run_error_vs_n(cfg, _log=log)
+        assert log.failures == [
+            f"n={n} trial {trial}, exact arm: NumericalError: injected"
+            for n in cfg.n_grid for trial in range(cfg.trials)
+        ]
+        assert (log.sketched, log.rank_deficient) == (len(cfg.n_grid) * cfg.trials, 0)
+
+    def test_rank_deficient_sketched_fits_are_counted(self):
+        from sketchkrr import solve_sketched_krr
+
+        cfg = small_config(
+            kernel=KernelSpec.gaussian(0.25), fstar="quad", design="irregular", sigma=0.125,
+            n_grid=(64,), sketch_kinds=("exact", "subsample"), m_rule="logfour", trials=10,
+            base_seed=606,
+        )
+        log = _SweepLog()
+        records = run_error_vs_n(cfg, _log=log)
+        assert records == run_error_vs_n(cfg)  # the log changes no record
+        flagged = 0
+        for trial in range(cfg.trials):
+            shared = _shared_inputs(cfg, 64, trial, None)
+            S = _arm_sketch(cfg, shared.profile, 64, "subsample", derive_seed(606, 64, "subsample", trial))
+            flagged += solve_sketched_krr(shared.K, shared.sample.y, S, shared.lam).rank_deficient
+        assert flagged > 0
+        assert (log.failures, log.sketched, log.rank_deficient) == ([], cfg.trials, flagged)
 
 
 class TestCsv:

@@ -187,8 +187,11 @@ class TestBench:
         cfg.write_text(CONFIG_TEXT.replace("sigma = 1.0", "sigma = 0"))
         out = tmp_path / "o.csv"
         assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "8 of 8 trials failed" in err
+        # the shared step fails: its reason once per trial, then the count
+        reason = "every arm: DomainError: lambda rule 'two_delta_sq' needs sigma > 0"
+        assert capsys.readouterr().err.splitlines() == [
+            f"n={n} trial {trial}, {reason}" for n in (8, 16) for trial in (0, 1)
+        ] + ["8 of 8 trials failed (marker rows with NaN error)"]
         assert len(read_csv(out)) == 8
 
     def test_some_trials_failing_are_summarized(self, tmp_path, capsys):
@@ -199,7 +202,29 @@ class TestBench:
         cfg = tmp_path / "bench.cfg"
         cfg.write_text(text)
         assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
-        assert "4 of 8 trials failed" in capsys.readouterr().err
+        # the sketched arm fails alone: its reason once per arm, then the count
+        reason = "gaussian arm: DomainError: m rule 'statdim' needs sigma > 0"
+        assert capsys.readouterr().err.splitlines() == [
+            f"n={n} trial {trial}, {reason}" for n in (8, 16) for trial in (0, 1)
+        ] + ["4 of 8 trials failed (marker rows with NaN error)"]
+
+    def test_rank_deficient_fits_are_counted(self, tmp_path, capsys):
+        # sub-sampling on the clustered design: some normal matrices fail the rcond test
+        text = "\n".join([
+            "kernel = gaussian", "bandwidth = 0.25", "fstar = quad", "design = irregular",
+            "sigma = 0.125", "n_grid = 64", "sketches = subsample", "m_rule = logfour",
+            "trials = 10", "seed = 606",
+        ])
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(text + "\n")
+        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
+        [line] = capsys.readouterr().err.splitlines()
+        flagged, rest = line.split(" ", 1)
+        assert 0 < int(flagged) < 10
+        assert rest == (
+            "of 10 sketched fits flagged rank_deficient "
+            "(solved through the pivoted Cholesky factor of S K S^T)"
+        )
 
     def test_missing_config_is_runtime_error(self, tmp_path, capsys):
         assert main(["bench", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o.csv")]) == 1

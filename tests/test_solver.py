@@ -32,7 +32,7 @@ from sketchkrr import (
     solve_sketched_krr,
     zero_noise_objective,
 )
-from sketchkrr.bench import _arm_sketch, _shared_inputs, _trial_streams
+from sketchkrr.bench import _arm_sketch, _data_seed, _shared_inputs, _trial_streams
 from sketchkrr.solver import _factor_krr, _gram_factor, _sketched_normal_system, _triangle_norm1
 
 
@@ -140,6 +140,154 @@ class TestSolveKrr:
             solve_krr(KernelMatrix(K.matrix), y, 0.02, _factor=factor)
         with pytest.raises(DomainError, match="lambda_n=0.02, not 0.03"):
             solve_krr(K, y, 0.03, _factor=factor)
+
+
+REFINED_LAMBDAS = [1e-9, 1e-7, 1e-5, 1e-3, 1.0, 1e6]
+
+
+@pytest.fixture(scope="module")
+def kernel_instances():
+    """(K, y) per (kernel, n) on sorted uniform points, built once."""
+    cache = {}
+
+    def instance(spec, n):
+        if (spec, n) not in cache:
+            rng = np.random.default_rng(n)
+            pts = DesignPoints(np.sort(rng.uniform(0.0, 1.0, n)))
+            cache[spec, n] = build_kernel_matrix(spec, pts), pts.x - 0.3 + rng.standard_normal(n)
+        return cache[spec, n]
+
+    return instance
+
+
+@pytest.fixture(scope="module")
+def irregular_1200():
+    """K and y of random-design-sweep's trial 0: gaussian kernel, irregular design, n = 1200."""
+    config = ExperimentConfig(
+        kernel=KernelSpec.gaussian(0.25), fstar="quad", design="irregular", sigma=0.125, n_grid=(1200,)
+    )
+    sample = generate_data(config, 1200, _data_seed(20240809, 1200, 0))
+    return build_kernel_matrix(config.kernel, sample.pts), sample.y
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def oracle_miss(K, y, lam, fit, want=None):
+    """max |fit.fitted - oracle| as a share of n eps ||K + 2 lam I||_F ||w||_inf.
+
+    The stopping test leaves a residual of at most sqrt(n) eps ||K + 2 lam
+    I||_F ||w||_inf, and K (K + 2 lam I)^{-1} has 2-norm below one, so
+    sqrt(n) K w should miss the oracle by at most n times that bound's
+    eps ||K + 2 lam I||_F ||w||_inf, a share of at most one.
+    """
+    if want is None:
+        want = ridge_fitted_oracle(K.matrix, y, lam)
+    norm = np.linalg.norm(K.matrix + 2.0 * lam * np.eye(K.n))
+    bound = K.n * np.finfo(np.float64).eps * norm * np.abs(fit.coefficients).max()
+    return np.abs(fit.fitted - want).max() / bound
+
+
+class TestRefinedExactSolve:
+    """The exact solve factors K + 2*lam*I in single precision and refines
+    with double residuals; where spotrf fails or REFINE_MAX corrections do
+    not converge it factors in double."""
+
+    @pytest.mark.parametrize("lam", REFINED_LAMBDAS)
+    @pytest.mark.parametrize("n", [30, 31, 1200])
+    @pytest.mark.parametrize(
+        "spec", [KernelSpec.sobolev1(), KernelSpec.gaussian(0.25), KernelSpec.polynomial(3)],
+        ids=lambda s: s.kind,
+    )
+    def test_fitted_values_match_the_dense_oracle(self, kernel_instances, spec, n, lam):
+        # the worst of these 54 cases used 0.29 of the bound (gaussian, n =
+        # 31, lam = 1e-5); those on the double route (lam = 1e-9 on the
+        # gaussian and polynomial kernels), 0.015
+        K, y = kernel_instances(spec, n)
+        assert oracle_miss(K, y, lam, solve_krr(K, y, lam)) <= 1.0
+
+    def test_single_precision_factor_failing_takes_the_double_route(self, monkeypatch, irregular_1200):
+        import sketchkrr.solver as solver
+
+        K, y = irregular_1200
+        failed = []
+        original = solver.single_factor_shifted
+
+        def recording(*args, **kwargs):
+            try:
+                return original(*args, **kwargs)
+            except np.linalg.LinAlgError:
+                failed.append(True)
+                raise
+
+        monkeypatch.setattr(solver, "single_factor_shifted", recording)
+        double = count_calls(monkeypatch, solver, "rfp_factor_shifted")
+        single = count_calls(monkeypatch, solver, "single_solve")
+        solve_krr(K, y, 1e-9)  # 2 lam below float32 rounding of K's diagonal
+        assert (failed, double, single) == ([True], ["rfp_factor_shifted"], [])
+
+    def test_refinement_past_its_cap_takes_the_double_route(self, monkeypatch, irregular_1200):
+        import sketchkrr.solver as solver
+
+        K, y = irregular_1200
+        double = count_calls(monkeypatch, solver, "rfp_factor_shifted")
+        single = count_calls(monkeypatch, solver, "single_solve")
+        capped = solve_krr(K, y, 1e-7)
+        assert (len(single), len(double)) == (1 + solver.REFINE_MAX, 1)
+        # with room for them, the refinement converges after 12 corrections
+        monkeypatch.setattr(solver, "REFINE_MAX", 30)
+        single.clear()
+        double.clear()
+        refined = solve_krr(K, y, 1e-7)
+        assert (len(single), len(double)) == (1 + 12, 0)
+        want = ridge_fitted_oracle(K.matrix, y, 1e-7)
+        assert oracle_miss(K, y, 1e-7, capped, want) <= 1.0
+        assert oracle_miss(K, y, 1e-7, refined, want) <= 1.0
+
+    @pytest.mark.parametrize("lam", [1e-9, 1e-7, 0.02])
+    def test_kept_factor_matches_a_fresh_solve_on_every_route(self, irregular_1200, lam):
+        K, y = irregular_1200
+        factor = _factor_krr(K, lam)
+        assert (factor.single is None) == (lam == 1e-9)
+        kept = solve_krr(K, y, lam, _factor=factor)
+        fresh = solve_krr(K, y, lam)
+        np.testing.assert_array_equal(kept.coefficients, fresh.coefficients)
+        np.testing.assert_array_equal(kept.fitted, fresh.fitted)
+
+    @pytest.mark.parametrize("lam", [1e-9, 1e-7, 0.02])
+    def test_outputs_are_double_and_K_is_untouched(self, irregular_1200, lam):
+        K, y = irregular_1200
+        before = K.matrix.copy()
+        fit = solve_krr(K, y, lam)
+        assert fit.coefficients.dtype == fit.fitted.dtype == np.float64
+        np.testing.assert_array_equal(K.matrix, before)
+
+    @pytest.mark.parametrize("lam", [1e-9, 1e-7, 0.02])
+    def test_fresh_solve_allocates_at_most_a_packed_factor(self, irregular_1200, lam):
+        # single route: n^2 floats; double routes: n (n + 1) / 2 doubles,
+        # made after the single-precision copy is gone; plus n-vectors
+        # (about 7 of them at n = 1200)
+        import tracemalloc
+
+        K, y = irregular_1200
+        n = K.n
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            solve_krr(K, y, lam)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * (n + 1) // 2 * 8 + 16 * n * 8
 
 
 class TestSolveSketchedKrr:

@@ -11,6 +11,11 @@ helper.
 No module but ``_util.py`` multiplies a kernel matrix with ``@``: every
 product with K goes through ``sketchkrr._util.symv``, the one place that
 knows how K is stored and read.
+
+No module but ``_util.py`` names LAPACK's single-precision spotrf or
+strtrs, or float32: the exact solve's single-precision factor is made and
+solved there (``single_factor_shifted``, ``single_solve``), and every
+other array of the package stays in double.
 """
 
 import ast
@@ -20,10 +25,11 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sketchkrr"
 BANNED = {"cho_solve", "potrs", "dpotrs"}
+SINGLE_PRECISION = {"spotrf", "strtrs", "float32"}
 KERNEL_NAMES = {"matrix", "K"}
 
 
-def potrs_uses(source: str) -> list[int]:
+def potrs_uses(source: str, banned=BANNED) -> list[int]:
     """Lines of ``source`` that name a banned routine: as a name, an
     attribute, an imported name or a string (``get_lapack_funcs``)."""
     lines = []
@@ -38,7 +44,7 @@ def potrs_uses(source: str) -> list[int]:
             named = {node.value}
         else:
             continue
-        if named & BANNED:
+        if named & banned:
             lines.append(getattr(node, "lineno", 0))
     return lines
 
@@ -60,6 +66,36 @@ def test_no_module_solves_through_potrs(module):
 )
 def test_guard_sees_each_spelling(source):
     assert potrs_uses(source)
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p for p in PACKAGE.glob("*.py") if p.name != "_util.py"), ids=lambda p: p.name
+)
+def test_no_module_but_util_names_single_precision(module):
+    uses = potrs_uses(module.read_text(), SINGLE_PRECISION)
+    assert uses == [], f"{module.name} names single precision; use _util.single_factor_shifted"
+
+
+def test_util_is_where_single_precision_lives():
+    assert potrs_uses((PACKAGE / "_util.py").read_text(), SINGLE_PRECISION)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "a = K.matrix.astype(np.float32)",
+        "a = np.asarray(K.matrix, dtype='float32')",
+        "from numpy import float32",
+        "L, info = sla.lapack.spotrf(a, lower=1)",
+        "from scipy.linalg.lapack import strtrs as solve",
+        "trtrs, = get_lapack_funcs(('strtrs',), (L,))",
+    ],
+)
+def test_single_precision_guard_sees_each_spelling_in_the_solver(line):
+    # a mutation of the solver's own source, made in memory
+    source = (PACKAGE / "solver.py").read_text()
+    assert potrs_uses(source, SINGLE_PRECISION) == []
+    assert potrs_uses(f"{source}\n{line}\n", SINGLE_PRECISION)
 
 
 def kernel_products(source: str) -> list[int]:
