@@ -37,7 +37,7 @@ def rfp_factor_shifted(matrix: np.ndarray, shift: float) -> np.ndarray:
     """Lower Cholesky factor L of the symmetric ``matrix + shift * I`` in
     rectangular full packed (RFP) storage, ``transr='T'``, ``uplo='L'``
     (Gustavson, Wasniewski, Dongarra and Langou, ACM TOMS 2010), for
-    :func:`rfp_solve`; raises ``numpy.linalg.LinAlgError`` if it is not
+    :func:`solve_factor`; raises ``numpy.linalg.LinAlgError`` if it is not
     positive definite.
 
     LAPACK dtrttf packs the lower triangle of ``matrix.T`` (Fortran-ordered
@@ -60,49 +60,12 @@ def rfp_factor_shifted(matrix: np.ndarray, shift: float) -> np.ndarray:
     return arf
 
 
-def rfp_solve(arf: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with L L^T x = b, for L from :func:`rfp_factor_shifted` and b an
-    n-vector or an n x k block.
-
-    With n1 = r = ceil(n / 2) and n2 = n - n1, L = [[L11, 0], [L21, L22]]
-    and the packed array holds three contiguous Fortran blocks of r rows:
-    L11^T (r x r, upper triangle) at offset r for even n and 0 for odd,
-    L22 (lower triangle of an r x n2 block, read with leading dimension r)
-    at offset 0 for even n and 1 for odd, and L21^T (r x n2) after them.
-    Four dtrtrs calls and two products solve on these views with no copy
-    of L: 0.37 ms at n = 1024, against 0.33 for two dtrtrs calls on a
-    full-storage factor and 0.64 for LAPACK's RFP solve dpftrs (one
-    column, one OpenBLAS thread).
-    """
-    n = b.shape[0]
-    if n == 1:  # LAPACK rejects the leading dimension 0 of L22's empty b
-        return b / arf[0] / arf[0]
-    r, even = (n + 1) // 2, 1 - n % 2
-    n2 = n - r
-    U11 = arf[even * r : even * r + r * r].reshape((r, r), order="F")
-    L22 = arf[1 - even : 1 - even + r * n2].reshape((r, n2), order="F")
-    L21t = arf[r * (r + even) :].reshape((r, n2), order="F")
-    x = np.array(b, dtype=np.float64)
-    # dtrtrs solves a contiguous view of x in place, a copy otherwise (an
-    # n x k block's halves), so each result is written back into x
-    x1, x2 = x[:r], x[r:]
-    x1[...], i1 = sla.lapack.dtrtrs(U11, x1, trans=1, overwrite_b=1)
-    x2 -= L21t.T @ x1
-    x2[...], i2 = sla.lapack.dtrtrs(L22, x2, lower=1, overwrite_b=1)
-    x2[...], i3 = sla.lapack.dtrtrs(L22, x2, lower=1, trans=1, overwrite_b=1)
-    x1 -= L21t @ x2
-    x1[...], i4 = sla.lapack.dtrtrs(U11, x1, overwrite_b=1)
-    if i1 or i2 or i3 or i4:
-        raise np.linalg.LinAlgError(f"triangular solve failed, dtrtrs info = {i1 or i2 or i3 or i4}")
-    return x
-
-
 def single_factor_shifted(matrix: np.ndarray, shift: float) -> np.ndarray:
     """Lower Cholesky factor L of the symmetric ``matrix + shift * I`` in
-    single precision, for :func:`single_solve`; raises
+    single precision, for :func:`solve_factor`; raises
     ``numpy.linalg.LinAlgError`` if LAPACK spotrf finds it not positive
     definite at that precision.  Single precision lives in this function
-    and :func:`single_solve` alone.
+    and :func:`solve_factor` alone.
 
     The float32 copy is C-ordered with the diagonal rounded from
     ``diag(matrix) + shift``, and spotrf factors its Fortran-ordered
@@ -119,37 +82,47 @@ def single_factor_shifted(matrix: np.ndarray, shift: float) -> np.ndarray:
     return L
 
 
-def single_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with L L^T x = b, for L from :func:`single_factor_shifted` and an
-    n-vector b: two LAPACK strtrs calls on b rounded to single precision,
-    the result returned in double."""
-    z, info = sla.lapack.strtrs(L, b.astype(np.float32), lower=1, overwrite_b=1)
-    if info == 0:
-        z, info = sla.lapack.strtrs(L, z, lower=1, trans=1, overwrite_b=1)
-    if info:
-        raise np.linalg.LinAlgError(f"triangular solve failed, strtrs info = {info}")
-    return z.astype(np.float64)
-
-
 def solve_factor(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with L L^T x = b, for a lower Cholesky factor L from ``cho_factor``
-    (only its lower triangle is read) and b an n-vector or an n x k block.
+    """x with L L^T x = b in double, for b an n-vector or an n x k block and
+    any lower Cholesky factor L the package makes; every such solve goes
+    through here, which picks the LAPACK routine from L:
 
-    Two triangular solves (LAPACK dtrtrs) on L, which ``cho_factor``
-    returns Fortran-ordered, so it is not copied.  With one column they
-    took 0.37 ms at n = 1024 against 0.79 for ``cho_solve`` (potrs); with
-    two, the same time and the same bits (one OpenBLAS thread).  dtrtrs is
-    called directly: at m = 13 two ``solve_triangular`` calls took 25 us,
-    and the two dtrtrs calls in them 3 us.
+    - a full double factor from ``cho_factor`` (only its lower triangle is
+      read): two triangular solves (dtrtrs) on L, which ``cho_factor``
+      returns Fortran-ordered, so it is not copied.  With one column they
+      took 0.37 ms at n = 1024 against 0.79 for ``cho_solve`` (potrs); with
+      two, the same time and the same bits.  dtrtrs is called directly: at
+      m = 13 two ``solve_triangular`` calls took 25 us, and the two dtrtrs
+      calls in them 3 us.
+    - the float32 factor from :func:`single_factor_shifted`: the same two
+      solves in single precision (strtrs) on b rounded to single.
+    - the packed array from :func:`rfp_factor_shifted`: LAPACK's RFP solve
+      dpftrs.  It took 0.75-1.18 ms at n = 1023-1200, against 0.41-0.67
+      for four dtrtrs calls on views of the packed blocks (best of 25),
+      with which it agreed to 2e-15 relative.  It runs only where the
+      exact solve falls back to a double factor, which no benchmark or
+      config setting reaches, and the factor there costs 20 times as
+      much.  A 1 x 1 factor is divided by directly: there dpftrs missed a
+      dense solve by twice as much.
+
+    Times are at one OpenBLAS thread.
     """
-    if not len(L):  # LAPACK rejects the leading dimension 0 of an empty b
+    if not len(b):  # LAPACK rejects the leading dimension 0 of an empty b
         return np.array(b, dtype=np.float64)
-    z, info = sla.lapack.dtrtrs(L, b, lower=1)
-    if info == 0:
-        z, info = sla.lapack.dtrtrs(L, z, lower=1, trans=1, overwrite_b=1)
+    if L.ndim == 1:
+        if len(b) == 1:
+            return b / L[0] / L[0]
+        x, info = sla.lapack.dpftrs(len(b), L, b, transr="T", uplo="L")
+        routine = "dpftrs"
+    else:
+        trtrs = sla.lapack.strtrs if L.dtype == np.float32 else sla.lapack.dtrtrs
+        x, info = trtrs(L, b.astype(L.dtype, copy=False), lower=1)
+        if info == 0:
+            x, info = trtrs(L, x, lower=1, trans=1, overwrite_b=1)
+        routine = trtrs.__name__
     if info:
-        raise np.linalg.LinAlgError(f"triangular solve failed, dtrtrs info = {info}")
-    return z
+        raise np.linalg.LinAlgError(f"Cholesky solve failed, {routine} info = {info}")
+    return x.astype(np.float64, copy=False)
 
 
 def symv(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:

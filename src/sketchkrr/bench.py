@@ -194,6 +194,7 @@ def fstar_values(name: str, x) -> np.ndarray:
 
 def rate_factor(spec: KernelSpec, n: int) -> float:
     """Known decay rate of the prediction error, used to flatten curves."""
+    n = check_count(n, "n", 2)
     if spec.kind == "sobolev1":
         return float(n) ** (2.0 / 3.0)
     if spec.kind == "gaussian":
@@ -217,6 +218,8 @@ def _mix_seed(base_seed: int, *parts: int) -> int:
 
 def derive_seed(base_seed: int, n: int, kind: str, trial: int) -> int:
     """Injectively mix (base_seed, n, kind, trial) into a 64-bit trial seed."""
+    if kind not in _KIND_CODE:
+        raise DomainError(f"unknown sketch kind {kind!r}; expected one of {ARM_KINDS}")
     return _mix_seed(check_seed(base_seed, "base_seed"), n, _KIND_CODE[kind], trial)
 
 

@@ -234,8 +234,7 @@ def population_eigenvalues(spec: KernelSpec, j_max: int) -> np.ndarray:
     gaussian(h):   exp(-pi * h^2 * j^2).
     sobolev1:      (2 / ((2j - 1) * pi))^2.
     """
-    if j_max < 1:
-        raise DomainError(f"j_max must be >= 1, got {j_max}")
+    j_max = check_count(j_max, "j_max", 1)
     j = np.arange(1, j_max + 1, dtype=np.float64)
     if spec.kind == "polynomial":
         return np.where(j <= spec.degree + 1, 1.0, 0.0)
@@ -252,13 +251,12 @@ def rate_exponent_check(spec: KernelSpec, n_grid, sigma: float) -> float:
     squared critical radius (-1 for polynomial, -2/3 for sobolev1, -1 up to
     a slowly varying factor for gaussian).
     """
-    ns = np.asarray(n_grid, dtype=np.int64)
-    if ns.size < 4 or (np.diff(ns) <= 0).any():
+    ns = [check_count(n, "n", 1) for n in n_grid]
+    if len(ns) < 4 or (np.diff(ns) <= 0).any():
         raise DomainError("n_grid must be increasing with at least 4 entries")
-    log_dsq = np.empty(ns.size)
+    log_dsq = np.empty(len(ns))
     for i, n in enumerate(ns):
-        mu = population_eigenvalues(spec, int(n))
-        delta = critical_radius(mu, int(n), sigma)
+        delta = critical_radius(population_eigenvalues(spec, n), n, sigma)
         log_dsq[i] = np.log(delta * delta)
-    slope = np.polyfit(np.log(ns.astype(np.float64)), log_dsq, 1)[0]
+    slope = np.polyfit(np.log(ns), log_dsq, 1)[0]
     return float(slope)

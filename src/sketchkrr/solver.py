@@ -16,18 +16,17 @@ every benchmark and config setting).  Where single precision cannot factor
 K + 2*lam*I (lam far below K's top eigenvalue), or the refinement does not
 converge within ``REFINE_MAX`` corrections, the system is factored in
 double instead, in rectangular full packed storage (n (n + 1) / 2
-doubles), and solved by triangular passes over its blocks.  A sweep on a
-fixed design keeps the factor and pays only the O(n^2) steps in later
-trials (see :func:`solve_krr`).  The fitted function is f(.) = (1/sqrt(n))
-* sum_i w_i kernel(., x_i), so the training-point values are sqrt(n) * K
-w, one product that reads one triangle of the exactly symmetric K: the
-refinement's last.  The single-precision factor is made and solved by
-:func:`sketchkrr._util.single_factor_shifted` and
-:func:`sketchkrr._util.single_solve`, the double one by
-:func:`sketchkrr._util.rfp_factor_shifted` and
-:func:`sketchkrr._util.rfp_solve`, every other solve with a Cholesky factor
-goes through :func:`sketchkrr._util.solve_factor`, and every product of K
-with one vector through :func:`sketchkrr._util.symv`.
+doubles), and solved by LAPACK's dpftrs.  A sweep on a fixed design keeps
+the factor and pays only the O(n^2) steps in later trials (see
+:func:`solve_krr`).  The fitted function is f(.) = (1/sqrt(n)) * sum_i
+w_i kernel(., x_i), so the training-point values are sqrt(n) * K w, one
+product that reads one triangle of the exactly symmetric K: the
+refinement's last.  The single-precision factor is made by
+:func:`sketchkrr._util.single_factor_shifted`, the double one by
+:func:`sketchkrr._util.rfp_factor_shifted`; every solve with a Cholesky
+factor, of either kind or a full one, goes through
+:func:`sketchkrr._util.solve_factor`, and every product of K with one
+vector through :func:`sketchkrr._util.symv`.
 
 The sketched program restricts w to the row span of an m x n sketch S,
 w = S^T a, giving the m-dimensional normal equations
@@ -61,14 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from ._util import (
-    rfp_factor_shifted,
-    rfp_solve,
-    single_factor_shifted,
-    single_solve,
-    solve_factor,
-    symv,
-)
+from ._util import rfp_factor_shifted, single_factor_shifted, solve_factor, symv
 from .errors import DomainError, NumericalError
 from .kernels import DesignPoints, KernelMatrix, KernelSpec, kernel_eval
 from .sketch import SketchOperator, apply_sketch, apply_sketch_t
@@ -214,7 +206,7 @@ def _refine(factor: _ShiftedFactor, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
         return None
     matrix, lam = factor.K.matrix, factor.lam
     tol = factor.norm * np.finfo(np.float64).eps * math.sqrt(len(b))
-    w = single_solve(factor.single, b)
+    w = solve_factor(factor.single, b)
     for corrections in itertools.count():
         Kw = symv(matrix, w)
         r = b - Kw - 2.0 * lam * w
@@ -222,7 +214,7 @@ def _refine(factor: _ShiftedFactor, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
             return w, Kw
         if corrections == REFINE_MAX:
             return None
-        w += single_solve(factor.single, r)
+        w += solve_factor(factor.single, r)
 
 
 def solve_krr(
@@ -241,16 +233,17 @@ def solve_krr(
     double factor (gaussian kernel, irregular design, one OpenBLAS thread).
     Where the single-precision factorization fails, or the refinement does
     not converge, K + 2*lam*I is factored in double into n (n + 1) / 2
-    doubles instead, the single factor freed first, and solved by
-    triangular passes.
+    doubles instead, the single factor freed first, and solved by LAPACK's
+    RFP solve dpftrs: 0.75-1.18 ms at n = 1023-1200 against 0.41-0.67 for
+    triangular passes over the packed blocks, a cost only this fallback
+    pays, which no benchmark or config setting takes.
     ``_factor`` is for the sweep (:mod:`sketchkrr.bench`) alone: a factor
     from :func:`_factor_krr` for this same K and lambda_n, kept across the
     trials of a fixed design that share them, so that a call pays only the
-    refinement (0.8-1.0 ms at n = 1024, against 0.6 for the double factor's
-    passes), with the same bits as a fresh factorization.  Such a call's
-    time is therefore not the O(n^3) cost of exact KRR.  A factor made for
-    another K (another instance, even with equal values) or lambda_n
-    raises :class:`DomainError`.
+    refinement (0.8-1.0 ms at n = 1024), with the same bits as a fresh
+    factorization.  Such a call's time is therefore not the O(n^3) cost of
+    exact KRR.  A factor made for another K (another instance, even with
+    equal values) or lambda_n raises :class:`DomainError`.
     """
     lam = _check_lambda(lambda_n)
     yv = _check_vector(y, K.n, "y")
@@ -265,13 +258,15 @@ def solve_krr(
     if solved is None:
         packed = _factor.packed
         del _factor  # a fresh single factor goes before the double one comes
-        omega = rfp_solve(_packed_factor(K, lam) if packed is None else packed, b)
+        omega = solve_factor(_packed_factor(K, lam) if packed is None else packed, b)
         solved = omega, symv(K.matrix, omega)
     omega, Kw = solved
     return FitResult("exact", omega, None, lam, np.sqrt(K.n) * Kw)
 
 
 def _check_sketch_size(S: SketchOperator, K: KernelMatrix) -> None:
+    if not isinstance(S, SketchOperator):
+        raise DomainError(f"S must be a SketchOperator, got {type(S).__name__}")
     if S.n != K.n:
         raise DomainError(f"sketch ambient dimension {S.n} != kernel size {K.n}")
 
@@ -429,6 +424,19 @@ def empirical_error(fhat_vals, fstar_vals) -> float:
     return float(d @ d / a.size)
 
 
+def _dual_solve(X: np.ndarray, lam: float, y: np.ndarray, name: str) -> np.ndarray:
+    """xi with [(n/(2*lam)) X + n I] xi = y, for an exactly symmetric n x n
+    X: the matrix is formed once, and its transpose, Fortran-ordered, is
+    factored in place."""
+    n = len(y)
+    A = (n / (2.0 * lam)) * X + n * np.eye(n)
+    try:
+        L, _ = sla.cho_factor(A.T, lower=True, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{name} system could not be solved: {exc}") from exc
+    return solve_factor(L, y)
+
+
 def solve_dual_krr(K: KernelMatrix, y, lambda_n: float) -> tuple[np.ndarray, np.ndarray]:
     """Dual route to exact KRR.
 
@@ -438,15 +446,8 @@ def solve_dual_krr(K: KernelMatrix, y, lambda_n: float) -> tuple[np.ndarray, np.
     """
     lam = _check_lambda(lambda_n)
     yv = _check_vector(y, K.n, "y")
-    n = K.n
-    A = (n / (2.0 * lam)) * K.matrix + n * np.eye(n)
-    try:
-        # A is exactly symmetric: A.T, Fortran-ordered, is factored in place
-        L, _ = sla.cho_factor(A.T, lower=True, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"dual system could not be solved: {exc}") from exc
-    xi = solve_factor(L, yv)
-    omega = (np.sqrt(n) / (2.0 * lam)) * xi
+    xi = _dual_solve(K.matrix, lam, yv, "dual")
+    omega = (np.sqrt(K.n) / (2.0 * lam)) * xi
     return xi, omega
 
 
@@ -467,13 +468,8 @@ def solve_nystrom_dual(K: KernelMatrix, y, S: SketchOperator, lambda_n: float) -
     n = K.n
     SK = apply_sketch(S, K.matrix)
     Zt, lift, truncated = _gram_factor(apply_sketch(S, SK.T), SK)
-    A = (n / (2.0 * lam)) * (Zt.T @ Zt) + n * np.eye(n)
-    try:
-        # Z^T Z by syrk is exactly symmetric: A.T is factored in place
-        L, _ = sla.cho_factor(A.T, lower=True, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Nystrom dual system could not be solved: {exc}") from exc
-    xi = solve_factor(L, yv)
+    # Z^T Z by syrk is exactly symmetric
+    xi = _dual_solve(Zt.T @ Zt, lam, yv, "Nystrom dual")
     alpha = lift((np.sqrt(n) / (2.0 * lam)) * (Zt @ xi))
     fitted = np.sqrt(n) * (SK.T @ alpha)
     return FitResult("nystrom_dual", alpha, S, lam, fitted, rank_deficient=truncated)

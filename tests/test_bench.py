@@ -102,6 +102,12 @@ class TestTargetsAndRates:
         assert rate_factor(KernelSpec.gaussian(0.25), 64) == 64 / math.sqrt(math.log(64))
         assert rate_factor(KernelSpec.polynomial(2), 64) == 64.0
 
+    @pytest.mark.parametrize("n", [1, 0, 64.0, 2.5])
+    def test_rate_factor_needs_an_integer_n_of_two_or_more(self, n):
+        # the gaussian rate divides by log(n), zero at n = 1
+        with pytest.raises(DomainError, match=f"n must be an integer >= 2, got {n!r}"):
+            rate_factor(KernelSpec.gaussian(0.25), n)
+
 
 class TestGenerateData:
     def test_deterministic_in_seed(self):
@@ -152,6 +158,10 @@ class TestSeedDerivation:
     def test_deterministic(self):
         assert derive_seed(1, 64, "ros", 3) == derive_seed(1, 64, "ros", 3)
         assert derive_seed(1, 64, "ros", 3) != derive_seed(2, 64, "ros", 3)
+
+    def test_unknown_kind_is_named(self):
+        with pytest.raises(DomainError, match="unknown sketch kind 'bogus'"):
+            derive_seed(0, 10, "bogus", 0)
 
 
 SEED_ENTRIES = {

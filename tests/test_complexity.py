@@ -228,6 +228,17 @@ class TestPopulationEigenvalues:
         assert (mu >= 0).all()
         assert (np.diff(mu) <= 0).all()
 
+    @pytest.mark.parametrize("j_max", [2.5, 3.0, 0, "3"])
+    def test_j_max_must_be_a_positive_integer(self, j_max):
+        with pytest.raises(DomainError, match=f"j_max must be an integer >= 1, got {j_max!r}"):
+            population_eigenvalues(KernelSpec.sobolev1(), j_max)
+
+    def test_numpy_integer_j_max_is_taken(self):
+        np.testing.assert_array_equal(
+            population_eigenvalues(KernelSpec.sobolev1(), np.int64(5)),
+            population_eigenvalues(KernelSpec.sobolev1(), 5),
+        )
+
 
 class TestRateExponent:
     def test_polynomial_slope_is_minus_one(self):
@@ -239,6 +250,12 @@ class TestRateExponent:
             rate_exponent_check(KernelSpec.sobolev1(), [64, 32, 128, 256], 1.0)
         with pytest.raises(DomainError):
             rate_exponent_check(KernelSpec.sobolev1(), [64, 128, 256], 1.0)
+
+    def test_grid_entries_must_be_integers(self):
+        with pytest.raises(DomainError, match="n must be an integer >= 1, got 10.9"):
+            rate_exponent_check(KernelSpec.sobolev1(), [10.9, 20.2, 40.5, 80.1], 1.0)
+        with pytest.raises(DomainError, match="n must be an integer >= 1, got 0"):
+            rate_exponent_check(KernelSpec.sobolev1(), [0, 20, 40, 80], 1.0)
 
 
 class TestEmpiricalVsPopulation:

@@ -182,6 +182,20 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def count_solves(monkeypatch, module):
+    """The form of each factor that ``module.solve_factor`` is called with,
+    in order: ``single`` (float32), ``packed`` (RFP) or ``full``."""
+    forms = []
+    original = module.solve_factor
+
+    def counted(L, b):
+        forms.append("single" if L.dtype == np.float32 else "packed" if L.ndim == 1 else "full")
+        return original(L, b)
+
+    monkeypatch.setattr(module, "solve_factor", counted)
+    return forms
+
+
 def oracle_miss(K, y, lam, fit, want=None):
     """max |fit.fitted - oracle| as a share of n eps ||K + 2 lam I||_F ||w||_inf.
 
@@ -231,24 +245,26 @@ class TestRefinedExactSolve:
 
         monkeypatch.setattr(solver, "single_factor_shifted", recording)
         double = count_calls(monkeypatch, solver, "rfp_factor_shifted")
-        single = count_calls(monkeypatch, solver, "single_solve")
+        solves = count_solves(monkeypatch, solver)
         solve_krr(K, y, 1e-9)  # 2 lam below float32 rounding of K's diagonal
-        assert (failed, double, single) == ([True], ["rfp_factor_shifted"], [])
+        assert (failed, double, solves) == ([True], ["rfp_factor_shifted"], ["packed"])
 
     def test_refinement_past_its_cap_takes_the_double_route(self, monkeypatch, irregular_1200):
         import sketchkrr.solver as solver
 
         K, y = irregular_1200
         double = count_calls(monkeypatch, solver, "rfp_factor_shifted")
-        single = count_calls(monkeypatch, solver, "single_solve")
+        solves = count_solves(monkeypatch, solver)
         capped = solve_krr(K, y, 1e-7)
-        assert (len(single), len(double)) == (1 + solver.REFINE_MAX, 1)
+        assert (solves.count("single"), len(double)) == (1 + solver.REFINE_MAX, 1)
+        assert solves[-1:] == ["packed"]
         # with room for them, the refinement converges after 12 corrections
         monkeypatch.setattr(solver, "REFINE_MAX", 30)
-        single.clear()
+        solves.clear()
         double.clear()
         refined = solve_krr(K, y, 1e-7)
-        assert (len(single), len(double)) == (1 + 12, 0)
+        assert (solves.count("single"), len(double)) == (1 + 12, 0)
+        assert solves == ["single"] * 13
         want = ridge_fitted_oracle(K.matrix, y, 1e-7)
         assert oracle_miss(K, y, 1e-7, capped, want) <= 1.0
         assert oracle_miss(K, y, 1e-7, refined, want) <= 1.0
@@ -648,6 +664,20 @@ class TestObjectiveInputs:
         )
         for call in calls:
             with pytest.raises(DomainError, match="sketch ambient dimension 32 != kernel size 64"):
+                call()
+
+    @pytest.mark.parametrize("S", [[[1.0]], np.ones((3, 64))], ids=["list", "ndarray"])
+    def test_a_non_sketch_is_named_by_type(self, S):
+        K, _, z, y = sobolev_instance(64, 26)
+        calls = (
+            lambda: solve_sketched_krr(K, y, S, 0.1),
+            lambda: error_decomposition(K, z, y, S, 0.1),
+            lambda: solve_nystrom_dual(K, y, S, 0.1),
+            lambda: sketched_krr_objective(K, y, S, 0.1, np.ones(3)),
+            lambda: zero_noise_objective(K, z, S, 0.1, np.ones(3)),
+        )
+        for call in calls:
+            with pytest.raises(DomainError, match=f"S must be a SketchOperator, got {type(S).__name__}"):
                 call()
 
 

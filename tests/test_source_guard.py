@@ -13,9 +13,15 @@ product with K goes through ``sketchkrr._util.symv``, the one place that
 knows how K is stored and read.
 
 No module but ``_util.py`` names LAPACK's single-precision spotrf or
-strtrs, or float32: the exact solve's single-precision factor is made and
-solved there (``single_factor_shifted``, ``single_solve``), and every
-other array of the package stays in double.
+strtrs, or float32: the exact solve's single-precision factor is made
+there (``single_factor_shifted``) and solved there, and every other array
+of the package stays in double.
+
+No module but ``_util.py`` names LAPACK's triangular or RFP solves (dtrtrs,
+strtrs, dpftrs, spftrs, or ``trtrs`` and ``pftrs`` as ``get_lapack_funcs``
+takes them): every solve L L^T x = b, with a full, single-precision or
+packed factor, goes through ``sketchkrr._util.solve_factor``, which picks
+the routine from the factor.
 """
 
 import ast
@@ -26,6 +32,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sketchkrr"
 BANNED = {"cho_solve", "potrs", "dpotrs"}
 SINGLE_PRECISION = {"spotrf", "strtrs", "float32"}
+FACTOR_SOLVES = {"dtrtrs", "strtrs", "dpftrs", "spftrs", "trtrs", "pftrs"}
 KERNEL_NAMES = {"matrix", "K"}
 
 
@@ -96,6 +103,39 @@ def test_single_precision_guard_sees_each_spelling_in_the_solver(line):
     source = (PACKAGE / "solver.py").read_text()
     assert potrs_uses(source, SINGLE_PRECISION) == []
     assert potrs_uses(f"{source}\n{line}\n", SINGLE_PRECISION)
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p for p in PACKAGE.glob("*.py") if p.name != "_util.py"), ids=lambda p: p.name
+)
+def test_no_module_but_util_names_a_factor_solve(module):
+    uses = potrs_uses(module.read_text(), FACTOR_SOLVES)
+    assert uses == [], f"{module.name} solves with a Cholesky factor; use _util.solve_factor"
+
+
+def test_util_is_where_factor_solves_live():
+    source = (PACKAGE / "_util.py").read_text()
+    for name in ("dtrtrs", "strtrs", "dpftrs"):
+        assert potrs_uses(source, {name}), name
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "x, info = sla.lapack.dpftrs(n, L, b, transr='T', uplo='L')",
+        "x, info = scipy.linalg.lapack.dtrtrs(L, b, lower=1)",
+        "from scipy.linalg.lapack import dtrtrs",
+        "from scipy.linalg.lapack import spftrs as solve",
+        "trtrs, = get_lapack_funcs(('trtrs',), (L,))",
+        "pftrs, = sla.get_lapack_funcs(('pftrs',), (L,))",
+        "solve = getattr(sla.lapack, 'strtrs')",
+    ],
+)
+def test_factor_solve_guard_sees_each_spelling_in_the_solver(line):
+    # a mutation of the solver's own source, made in memory
+    source = (PACKAGE / "solver.py").read_text()
+    assert potrs_uses(source, FACTOR_SOLVES) == []
+    assert potrs_uses(f"{source}\n{line}\n", FACTOR_SOLVES)
 
 
 def kernel_products(source: str) -> list[int]:
