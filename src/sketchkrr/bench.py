@@ -218,8 +218,9 @@ def _mix_seed(base_seed: int, *parts: int) -> int:
 
 def derive_seed(base_seed: int, n: int, kind: str, trial: int) -> int:
     """Injectively mix (base_seed, n, kind, trial) into a 64-bit trial seed."""
-    if kind not in _KIND_CODE:
+    if not isinstance(kind, str) or kind not in _KIND_CODE:
         raise DomainError(f"unknown sketch kind {kind!r}; expected one of {ARM_KINDS}")
+    n, trial = check_count(n, "n", 1), check_count(trial, "trial", 0)
     return _mix_seed(check_seed(base_seed, "base_seed"), n, _KIND_CODE[kind], trial)
 
 
@@ -242,8 +243,7 @@ def generate_data(config: ExperimentConfig, n: int, seed: int) -> RegressionSamp
     ``irregular`` the clustered design with k = ceil(sqrt(n)) points moved
     to 1 + N(0, 1/n) and the remaining n - k drawn from Unif[0, 1/2].
     """
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
+    n = check_count(n, "n", 2)
     rng = np.random.default_rng(check_seed(seed) & _MASK64)
     if config.design == "uniform_grid":
         x = np.arange(1, n + 1, dtype=np.float64) / n

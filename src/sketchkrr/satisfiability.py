@@ -19,14 +19,15 @@ on S's own maps, applied as X -> T (K (T^T X)) with
     T^T Y = S^T Y - U1 (S U1)^T Y,   T W = S W - (S U1)(U1^T W):
 
 a ROS sketch through its fast transform, with no m x n rows, a
-sub-sampling sketch by gathering and scattering rows, a dense matrix D
-as D @ and D^T @.  S U1 is one apply of the n x d_n block.  Narrow
-sketches apply it to the m x m identity and take the top eigenvalue of
-the result with LAPACK; wide ones run Lanczos (the profile's block
-Krylov eigensolver, one column per block) on it, so a step reads one
-triangle of K and applies S and S^T to one column each.  Both routes
-agree with the explicit tail block to working precision.  The report
-always exposes the raw norms so a caller can re-threshold.
+sub-sampling sketch by gathering and scattering rows, and a dense matrix
+D as the gaussian operator on it, by D @ and D^T @.  S U1 is one apply
+of the n x d_n block.  Narrow sketches apply it to the m x m identity
+and take the top eigenvalue of the result with LAPACK; wide ones run
+Lanczos (the profile's block Krylov eigensolver, one column per block)
+on it, so a step reads one triangle of K and applies S and S^T to one
+column each.  Both routes agree with the explicit tail block to working
+precision.  The report always exposes the raw norms so a caller can
+re-threshold.
 
 ``recommended_sketch_dim`` gives the projection-dimension rule of thumb,
 m ~ c * d_n for Gaussian sketches and m ~ c * d_n * ln(n)^4 for ROS
@@ -98,34 +99,28 @@ def check_k_satisfiable(
 ) -> SatisfiabilityReport:
     """Evaluate both conditions for a sketch against a kernel matrix.
 
-    ``S`` may be a :class:`SketchOperator` or any dense matrix with n
-    columns, e.g. the transposed leading eigenvector block itself, which
-    passes with both norms zero to rounding.  ``profile`` must be for K's
-    size n.  An empty head (d_n = 0) makes the isometry condition vacuous
-    and needs no eigendecomposition of K.
+    ``S`` may be a :class:`SketchOperator` or any finite dense matrix with
+    n columns, taken as the gaussian operator on it (e.g. the transposed
+    leading eigenvector block, which passes with both norms zero to
+    rounding).  ``profile`` must be for K's size n.  An empty head (d_n =
+    0) makes the isometry condition vacuous and needs no eigendecomposition
+    of K.
     """
     if not c_threshold > 0.0:
         raise DomainError(f"c_threshold must be > 0, got {c_threshold}")
     if profile.n != K.n:
         raise DomainError(f"profile is for n={profile.n}, kernel size is {K.n}")
-    operator = isinstance(S, SketchOperator)
-    if not operator:
+    if not isinstance(S, SketchOperator):
         S = np.asarray(S, dtype=np.float64)
-        if S.ndim != 2 or S.shape[0] < 1:
-            raise DomainError("sketch must be a matrix with at least one row")
-    m, width = (S.m, S.n) if operator else S.shape
-    if width != K.n:
-        raise DomainError(f"sketch has {width} columns, kernel size is {K.n}")
-    d_n = profile.d_n
+        if S.ndim != 2:
+            raise DomainError("sketch must be a matrix")
+        S = SketchOperator("gaussian", *S.shape, 0, matrix=S)
+    if S.n != K.n:
+        raise DomainError(f"sketch has {S.n} columns, kernel size is {K.n}")
+    d_n, m = profile.d_n, S.m
     if not 0 <= d_n <= K.n:
         raise DomainError(f"profile d_n={d_n} out of range for n={K.n}")
-    forward, transpose = _maps(S) if operator else (S.__matmul__, S.T.__matmul__)
-    # S^T 1 sums each column of S, so it is finite only if S is (or unless
-    # S's entries are so large that T K T^T would overflow too)
-    with np.errstate(invalid="ignore", over="ignore"):
-        finite = np.isfinite(transpose(np.ones(m))).all()
-    if not finite:
-        raise DomainError("sketch has non-finite entries")
+    forward, transpose = _maps(S)
     iso = 0.0
     U1, SU1 = np.empty((K.n, 0)), np.empty((m, 0))  # with an empty head, T = S
     if d_n:

@@ -25,7 +25,7 @@ from sketchkrr import (
     run_nystrom_failure_demo,
     write_csv,
 )
-from sketchkrr.bench import _SweepLog, _arm_sketch, _data_seed, _shared_inputs
+from sketchkrr.bench import _SweepLog, _arm_sketch, _data_seed, _shared_inputs, flatness_ratio
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -139,6 +139,12 @@ class TestGenerateData:
         with pytest.raises(DomainError):
             generate_data(small_config(), 1, 0)
 
+    @pytest.mark.parametrize("n", [1, 10.5, "10", None])
+    def test_n_must_be_an_integer_of_two_or_more(self, n):
+        # unchecked, a float n reached numpy's array shape and raised TypeError
+        with pytest.raises(DomainError, match=f"n must be an integer >= 2, got {n!r}"):
+            generate_data(small_config(), n, 0)
+
 
 class TestSeedDerivation:
     def test_no_collisions_across_config_triples(self):
@@ -162,6 +168,23 @@ class TestSeedDerivation:
     def test_unknown_kind_is_named(self):
         with pytest.raises(DomainError, match="unknown sketch kind 'bogus'"):
             derive_seed(0, 10, "bogus", 0)
+
+    @pytest.mark.parametrize(
+        "n, kind, trial, match",
+        [
+            (10.5, "ros", 0, "n must be an integer >= 1, got 10.5"),
+            (0, "ros", 0, "n must be an integer >= 1, got 0"),
+            (-10, "ros", 0, "n must be an integer >= 1, got -10"),
+            (10, "ros", 1.5, "trial must be an integer >= 0, got 1.5"),
+            (10, "ros", -1, "trial must be an integer >= 0, got -1"),
+            (10, ["ros"], 0, r"unknown sketch kind \['ros'\]"),
+            (10, None, 0, "unknown sketch kind None"),
+        ],
+    )
+    def test_bad_arguments_are_named(self, n, kind, trial, match):
+        # unchecked, these raised a bare TypeError or returned a seed
+        with pytest.raises(DomainError, match=match):
+            derive_seed(0, n, kind, trial)
 
 
 SEED_ENTRIES = {
@@ -752,3 +775,51 @@ class TestNystromFailureDemo:
         monkeypatch.setattr(bench, "complexity_profile", unexpected)
         with pytest.raises(DomainError, match=match):
             run_nystrom_failure_demo(*args)
+
+
+def _write_then_read(path, text):
+    path.write_text(text)
+    return read_csv(path)
+
+
+# Each remaining raise of the module, by the input that reaches it: a
+# callable of a temporary directory, the exception and a pattern of its message.
+BAD_INPUTS = {
+    "config-kernel-not-a-spec": (
+        lambda d: small_config(kernel="sobolev1"), DomainError, "kernel must be a KernelSpec"),
+    "config-unknown-design": (lambda d: small_config(design="grid"), DomainError, "unknown design 'grid'"),
+    "config-negative-sigma": (lambda d: small_config(sigma=-1.0), DomainError, "sigma must be >= 0, got -1.0"),
+    "config-empty-n-grid": (lambda d: small_config(n_grid=()), DomainError, "n_grid must be nonempty"),
+    "config-unknown-kind": (
+        lambda d: small_config(sketch_kinds=("exact", "sparse")), DomainError, "unknown sketch kind 'sparse'"),
+    "config-unknown-m-rule": (lambda d: small_config(m_rule="sqrt"), DomainError, "unknown m_rule 'sqrt'"),
+    "config-statdim-without-c": (
+        lambda d: small_config(m_rule="statdim"), DomainError, "m_rule 'statdim' needs c_statdim > 0"),
+    "config-unknown-lambda-rule": (
+        lambda d: small_config(lambda_rule="cv"), DomainError, "unknown lambda_rule 'cv'"),
+    "fstar-unknown": (lambda d: fstar_values("cubic", [0.5]), DomainError, "unknown fstar 'cubic'"),
+    "nystrom-m-above-n": (
+        lambda d: run_nystrom_failure_demo(8, 9, 1, 0), DomainError, "need 1 <= m <= n, got m=9, n=8"),
+    "nystrom-k-above-n-1": (
+        lambda d: run_nystrom_failure_demo(8, 2, 8, 0), DomainError, "need 1 <= k <= n - 1, got k=8"),
+    "flatness-no-records": (lambda d: flatness_ratio([], "ros"), DomainError, "no records for sketch kind 'ros'"),
+    "csv-write-to-a-directory": (lambda d: write_csv([], d), OSError, "cannot write results to"),
+    "csv-read-missing-file": (lambda d: read_csv(d / "missing.csv"), OSError, "cannot read results from"),
+    "csv-unparsable-field": (
+        lambda d: _write_then_read(d / "bad.csv", f"{CSV_HEADER}\n{','.join(['x'] * 11)}\n"),
+        DomainError, r"bad\.csv: line 2: invalid literal for int\(\)"),
+    "config-line-without-equals": (
+        lambda d: parse_config("kernel sobolev1"), DomainError, "<config>: line 1: expected 'key = value'"),
+    "config-duplicate-key": (
+        lambda d: parse_config("kernel = sobolev1\nkernel = gaussian"), DomainError,
+        "<config>: line 2: duplicate key 'kernel'"),
+    "config-empty-value": (
+        lambda d: parse_config("kernel ="), DomainError, "<config>: line 1: empty value for 'kernel'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_raises_a_named_error(case, tmp_path):
+    call, error, match = BAD_INPUTS[case]
+    with pytest.raises(error, match=match):
+        call(tmp_path)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sketchkrr.complexity as complexity
+import sketchkrr.kernels as kernels
 from helpers import grid_critical_radius, rational_critical_radius_sq, sobolev_uniform_matrix
 from sketchkrr._util import block_krylov
 from sketchkrr import (
@@ -363,6 +364,28 @@ class TestMatrixProfile:
             assert got.delta_n_sq == got.delta_n**2
         assert head_calls and K._eig is None
 
+    @pytest.mark.parametrize("n, heads, d_n", [(128, 3, 43), (256, 4, 52)])
+    def test_head_gives_way_once_d_n_outgrows_its_blocks(self, monkeypatch, head_calls, n, heads, d_n):
+        # at sigma = 0.01 the head's estimate of d_n soon puts HEAD_SPAN
+        # (d_n + 1) past the largest head its blocks allow (6 blocks at
+        # n = 128, 8 at n = 256): it stops there, and the profile takes the
+        # dense spectrum, decomposing K once
+        decompositions = []
+        original = kernels._eigh_descending
+
+        def counting(matrix):
+            decompositions.append(matrix.shape)
+            return original(matrix)
+
+        monkeypatch.setattr(kernels, "_eigh_descending", counting)
+        K = KernelMatrix(sobolev_uniform_matrix(n))
+        got = complexity_profile(K, n, 0.01)
+        assert head_calls == [complexity.HEAD_START * j for j in range(1, heads + 1)]
+        assert decompositions == [(n, n)]
+        want = dense_profile(K, n, 0.01)
+        assert got.d_n == want.d_n == d_n
+        assert abs(got.delta_n - want.delta_n) <= 1e-9 * want.delta_n
+
     def test_dense_fallback_for_small_n(self, head_calls):
         n = 24  # 4 * HEAD_START > n
         K = KernelMatrix(sobolev_uniform_matrix(n))
@@ -434,3 +457,9 @@ class TestMatrixProfile:
         second = KernelMatrix(sobolev_uniform_matrix(n))
         complexity_profile(first, n, 0.125)  # grows the head on the same K first
         assert complexity_profile(first, n, 1.0) == complexity_profile(second, n, 1.0)
+
+
+@pytest.mark.parametrize("spectrum", [[], [[0.5, 0.25]]], ids=["empty", "two-axes"])
+def test_spectrum_of_wrong_shape_rejected(spectrum):
+    with pytest.raises(DomainError, match="spectrum must be a nonempty 1-D sequence"):
+        critical_radius(spectrum, 4, 1.0)

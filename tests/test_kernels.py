@@ -276,3 +276,17 @@ class TestSpectralInvariants:
             )
             mu = K.eigenvalues
             assert (mu > 1e-8 * mu[0]).sum() <= degree + 1
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: KernelSpec("polynomial", degree=2, bandwidth=0.5), "polynomial kernel takes no bandwidth"),
+        (lambda: KernelMatrix(np.ones((2, 3))), "kernel matrix must be square and nonempty"),
+        (lambda: KernelMatrix(np.full((2, 2), np.nan)), "kernel matrix must be finite"),
+    ],
+    ids=["polynomial-bandwidth", "non-square-matrix", "non-finite-matrix"],
+)
+def test_bad_input_raises_a_named_error(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -199,17 +200,16 @@ class TestCheckKSatisfiable:
             check_k_satisfiable(S, K, profile)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_ros_operator_rejected(self, sobolev_at, bad):
-        # a hand-built transform-route operator: the certificate applies it
-        # as a transform and never sees its rows
-        K, profile, _, _ = sobolev_at(1024)
+    def test_non_finite_ros_operator_rejected(self, bad):
+        # a hand-built transform-route operator, which the certificate would
+        # apply as a transform without seeing its rows: it fails where it is
+        # made, so no certificate or fit is handed a non-finite sketch
         drawn = draw_sketch("ros", WIDE, 1024, 0)
+        assert _ros_transform_pays(drawn)
         signs = drawn.signs.copy()
         signs[2] = bad
-        S = SketchOperator("ros", WIDE, 1024, 0, signs=signs, indices=drawn.indices, n_pad=drawn.n_pad)
-        assert _ros_transform_pays(S)
-        with pytest.raises(DomainError, match="non-finite"):
-            check_k_satisfiable(S, K, profile)
+        with pytest.raises(DomainError, match="ros sketch has non-finite signs"):
+            SketchOperator("ros", WIDE, 1024, 0, signs=signs, indices=drawn.indices, n_pad=drawn.n_pad)
 
     @pytest.mark.parametrize("kind", ["gaussian", "ros", "subsample"])
     @pytest.mark.parametrize("m", [satisfiability.DENSE_TAIL_MAX_M, WIDE])
@@ -239,6 +239,22 @@ class TestCheckKSatisfiable:
         before = S.copy()
         check_k_satisfiable(S, K, profile)
         np.testing.assert_array_equal(S, before)
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda n, K, p: check_k_satisfiable(identity_sketch(n), K, p, 0.0), "c_threshold must be > 0, got 0.0"),
+            (
+                lambda n, K, p: check_k_satisfiable(identity_sketch(n), K, dataclasses.replace(p, d_n=n + 1)),
+                "profile d_n=129 out of range for n=128",
+            ),
+            (lambda n, K, p: check_k_satisfiable(np.ones(n), K, p), "sketch must be a matrix"),
+        ],
+        ids=["zero-threshold", "d_n-above-n", "vector-sketch"],
+    )
+    def test_bad_input_raises_a_named_error(self, sobolev_setup, call, match):
+        with pytest.raises(DomainError, match=match):
+            call(*sobolev_setup)
 
     def test_wrong_width_rejected(self, sobolev_setup):
         n, K, profile = sobolev_setup

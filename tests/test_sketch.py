@@ -137,6 +137,16 @@ class TestHandBuiltOperator:
         with pytest.raises(DomainError, match=match):
             SketchOperator(kind, 3, 8, 0, **fields)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind, field", [("gaussian", "matrix"), ("ros", "signs"), ("ros", "matrix")])
+    def test_non_finite_state_is_named(self, kind, field, bad):
+        # unchecked, solve_sketched_krr returned NaN fitted values for these
+        drawn = draw_sketch(kind, 8, 64, 0)  # a ros sketch that keeps its rows
+        value = getattr(drawn, field).copy()
+        value.flat[2] = bad
+        with pytest.raises(DomainError, match=f"{kind} sketch has non-finite {field}"):
+            dataclasses.replace(drawn, **{field: value})
+
     @pytest.mark.parametrize("m, n", [(3, 2.5), (0, 8)])
     def test_counts_must_be_integers(self, m, n):
         with pytest.raises(DomainError, match="must be an integer >= 1"):
@@ -183,6 +193,11 @@ class TestFwht:
 
 
 class TestApplySketch:
+    @pytest.mark.parametrize("apply", [apply_sketch, apply_sketch_t], ids=["forward", "transpose"])
+    def test_operand_of_three_axes_rejected(self, apply):
+        with pytest.raises(DomainError, match="operand must be a vector or a matrix"):
+            apply(draw_sketch("gaussian", 4, 10, 5), np.ones((10, 4, 1)))
+
     def test_subsample_row_gather(self):
         S = SketchOperator("subsample", 2, 2, 0, indices=np.array([1, 0]))
         np.testing.assert_array_equal(apply_sketch(S, np.eye(2)), [[0.0, 1.0], [1.0, 0.0]])

@@ -10,8 +10,11 @@ from sketchkrr import (
     DesignPoints,
     DomainError,
     ExperimentConfig,
+    FitResult,
     KernelMatrix,
     KernelSpec,
+    NumericalError,
+    RegressionSample,
     SketchOperator,
     apply_sketch,
     build_kernel_matrix,
@@ -827,3 +830,37 @@ class TestDualSolvers:
         fit_b = solve_sketched_krr(K, y_perturbed, S, lam)
         np.testing.assert_array_equal(fit_a.fitted[n1:], np.zeros(n2))
         assert np.abs(fit_a.fitted - fit_b.fitted).max() <= 1e-12
+
+
+def _indefinite_dual_solve():
+    # sobolev1 on [-1, 1] is indefinite (minimum eigenvalue about -0.48), so
+    # at a small lambda the dual matrix has no Cholesky factor
+    with pytest.warns(UserWarning):
+        K = build_kernel_matrix(KernelSpec.sobolev1(), DesignPoints(np.linspace(-1.0, 1.0, 64)))
+    solve_dual_krr(K, np.ones(64), 1e-3)
+
+
+FOUR_POINTS = DesignPoints(np.array([0.2, 0.4, 0.6, 0.8]))
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: RegressionSample(FOUR_POINTS, np.ones(3)), DomainError, "y must have length n=4"),
+        (
+            lambda: RegressionSample(FOUR_POINTS, np.ones(4), fstar=np.ones(3)),
+            DomainError, "fstar must have length n=4",
+        ),
+        (
+            lambda: predict(
+                FitResult("exact", np.ones(3), None, 0.1, np.ones(3)), KernelSpec.sobolev1(), FOUR_POINTS, 0.5
+            ),
+            DomainError, "fit is inconsistent with the training points",
+        ),
+        (_indefinite_dual_solve, NumericalError, "dual system could not be solved"),
+    ],
+    ids=["short-y", "short-fstar", "fit-of-other-size", "indefinite-dual"],
+)
+def test_bad_input_raises_a_named_error(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

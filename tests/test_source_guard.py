@@ -22,6 +22,11 @@ strtrs, dpftrs, spftrs, or ``trtrs`` and ``pftrs`` as ``get_lapack_funcs``
 takes them): every solve L L^T x = b, with a full, single-precision or
 packed factor, goes through ``sketchkrr._util.solve_factor``, which picks
 the routine from the factor.
+
+No module but ``sketch.py`` names ``__matmul__``: every sketch, a dense
+matrix given to the certificate included, is applied through
+``sketchkrr.sketch._maps``, so one set of maps and one set of checks (the
+operator's own) serve every consumer.
 """
 
 import ast
@@ -34,6 +39,7 @@ BANNED = {"cho_solve", "potrs", "dpotrs"}
 SINGLE_PRECISION = {"spotrf", "strtrs", "float32"}
 FACTOR_SOLVES = {"dtrtrs", "strtrs", "dpftrs", "spftrs", "trtrs", "pftrs"}
 KERNEL_NAMES = {"matrix", "K"}
+MATMUL = {"__matmul__"}
 
 
 def potrs_uses(source: str, banned=BANNED) -> list[int]:
@@ -187,3 +193,32 @@ def test_kernel_guard_sees_each_spelling(source):
 @pytest.mark.parametrize("source", ["y = S @ x\n", "w = SU1 @ (U1.T @ W)\n", "C = Q.T @ AX\n"])
 def test_kernel_guard_passes_other_products(source):
     assert kernel_products(source) == []
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p for p in PACKAGE.glob("*.py") if p.name != "sketch.py"), ids=lambda p: p.name
+)
+def test_no_module_but_sketch_names_matmul(module):
+    uses = potrs_uses(module.read_text(), MATMUL)
+    assert uses == [], f"{module.name} applies a sketch by __matmul__; use sketch._maps"
+
+
+def test_sketch_is_where_matmul_lives():
+    assert potrs_uses((PACKAGE / "sketch.py").read_text(), MATMUL)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "forward, transpose = _maps(S) if operator else (S.__matmul__, S.T.__matmul__)",
+        "forward, transpose = S.__matmul__, S.T.__matmul__",
+        "transpose = getattr(S.T, '__matmul__')",
+        "from operator import __matmul__",
+    ],
+)
+def test_matmul_guard_sees_each_spelling_in_the_certificate(line):
+    # a mutation of the certificate's own source, made in memory
+    source = (PACKAGE / "satisfiability.py").read_text()
+    assert potrs_uses(source, MATMUL) == []
+    assert potrs_uses(f"{source}\n{line}\n", MATMUL)
+
