@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 
@@ -157,11 +158,13 @@ def block_krylov(apply, n: int, block: int):
     ``apply`` maps an n x b array X to A X.  The start block is standard
     normal from KRYLOV_SEED and each next block is A times the last, so A
     multiplies each basis column once.  After each block the generator
-    yields the Ritz values, descending, and their residual norms; the caller
-    decides when to stop.  It ends once another block would not fit in R^n.
-    As A X_i lies in the span of X_0, ..., X_(i+1), the residuals are the
-    column norms of R W, with W the Ritz vectors' coordinates on the last
-    block X_j and (I - Q Q^T) A X_j = X_(j+1) R.
+    yields the k Ritz values, descending, their residual norms, and a
+    function of no arguments that returns their n x k Ritz vectors Q W,
+    O(n k^2), for the head the caller keeps; the caller decides when to
+    stop.  It ends once another block would not fit in R^n.  As A X_i lies
+    in the span of X_0, ..., X_(i+1), the residuals are the column norms of
+    R W_j, with W_j the Ritz vectors' coordinates on the last block X_j and
+    (I - Q Q^T) A X_j = X_(j+1) R.
     """
     rng = np.random.default_rng(KRYLOV_SEED)
     Q, _ = _extend(np.empty((n, 0)), rng.standard_normal((n, block)), rng)
@@ -172,13 +175,17 @@ def block_krylov(apply, n: int, block: int):
         C = Q.T @ AX  # the new columns of H = Q^T A Q
         H = np.block([[H, C[:p]], [C[:p].T, C[p:]]])
         theta, W = np.linalg.eigh(H)
-        theta, W = theta[::-1], W[p:, ::-1]
-        if Q.shape[1] + block > n:
+        theta, W = theta[::-1], W[:, ::-1]
+        last = Q.shape[1] + block > n
+        if last:
             E = AX - Q @ C
-            yield theta, np.linalg.norm((E - Q @ (Q.T @ E)) @ W, axis=0)
+            residuals = np.linalg.norm((E - Q @ (Q.T @ E)) @ W[p:], axis=0)
+        else:
+            Q, R = _extend(Q, AX, rng)
+            residuals = np.linalg.norm(R @ W[p:], axis=0)
+        yield theta, residuals, functools.partial(np.matmul, Q[:, : len(H)], W)
+        if last:
             return
-        Q, R = _extend(Q, AX, rng)
-        yield theta, np.linalg.norm(R @ W, axis=0)
 
 
 def _extend(Q: np.ndarray, Y: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:

@@ -11,11 +11,16 @@ arm on that same data.  The ``uniform_grid`` design's points do not
 depend on the seed, so its kernel matrix, profile and regularization are
 computed once per n and only the sample is drawn per trial.  Its exact
 arm factors K + 2*lambda*I once per n to keep: trial 0 factors inside
-``solve_krr`` and drops the factor, as every trial of a random design
-does, and trial 1's exact arm makes the factor that it and every later
-trial of that n solve with, O(n^2) instead of O(n^3), with the same bits
-as a fresh factorization.  A factorization that fails fails the exact
-arm alone, and the next trial tries again.  The arms differ only in the
+``solve_krr`` and drops the factor, and trial 1's exact arm makes the
+factor that it and every later trial of that n solve with, O(n^2)
+instead of O(n^3), with the same bits as a fresh factorization.  A
+random design keeps no factor: its exact arm gets the Ritz pairs of the
+profile's Krylov head, and ``solve_krr`` solves by conjugate gradients
+preconditioned with them, a few O(n^2) products with K at lambda =
+2 delta_n^2; it factors K + 2*lambda*I in the trial only where the
+profile has no head (n < 32, the dense-spectrum fallback, sigma = 0) or
+the head's smallest Ritz value is above 2*lambda.  A factorization that
+fails fails the exact arm alone, and the next trial tries again.  The arms differ only in the
 sketch: each draws it from its own trial seed, derived injectively from
 (base_seed, n, sketch kind, trial index) and recorded in the CSV
 ``seed`` column.  Each arm sets the projection dimension m by rule,
@@ -34,8 +39,9 @@ reproducibility of the output; pass ``timing=True`` (or ``--timing`` on
 the CLI) to record real milliseconds.  The time of a trial's shared work
 is then charged to its first arm's row, and the kept factor's time to the
 exact row that makes it, so the rows sum to the sweep's time.  After that
-row a grid exact row's ``wall_time_ms`` is a triangular solve, not the
-O(n^3) cost of exact KRR: per-n cost comparisons belong to random designs.
+row a grid exact row's ``wall_time_ms`` is a triangular solve, and a
+random design's is the conjugate-gradient solve where it has a head:
+neither is the O(n^3) cost of a direct exact solve.
 """
 
 from __future__ import annotations
@@ -287,8 +293,10 @@ _TRIAL_ERRORS = (DomainError, NumericalError, np.linalg.LinAlgError)
 @dataclass(frozen=True)
 class _SharedInputs:
     """What every arm of one (n, trial) fits on: the dataset, K, its
-    profile (None for sigma = 0) and the regularization, plus the exact
-    arm's kept Cholesky factor of K + 2*lam*I on a grid (else None)."""
+    profile (None for sigma = 0; on a random design with the Krylov head
+    the exact arm solves on, on a grid without one) and the
+    regularization, plus the exact arm's kept Cholesky factor of K +
+    2*lam*I on a grid (else None)."""
 
     sample: RegressionSample
     K: KernelMatrix
@@ -307,6 +315,9 @@ def _shared_inputs(
     # sigma = 0 leaves the critical radius undefined; the fit still works
     # with a fixed regularization, so the profile columns become NaN/0
     profile = complexity_profile(K, n, config.sigma) if config.sigma > 0 else None
+    if profile is not None and config.design == "uniform_grid":
+        # a grid keeps its exact factor across trials instead of the head
+        profile = replace(profile, _head=None)
     return _SharedInputs(sample, K, profile, _regularization(config, profile))
 
 
@@ -387,7 +398,7 @@ def _fit_arm(
     sample, K, profile, lam = shared.sample, shared.K, shared.profile, shared.lam
     if kind == "exact":
         m = n
-        fit = solve_krr(K, sample.y, lam, _factor=shared.factor)
+        fit = solve_krr(K, sample.y, lam, _factor=shared.factor, _head=profile and profile._head)
     else:
         S = _arm_sketch(config, profile, n, kind, seed)
         m = S.m

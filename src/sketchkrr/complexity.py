@@ -27,7 +27,9 @@ an error estimate for each value.  The space grows, never restarting, by
 one block of 8 columns and one O(n^2 * 8) product with K at a time, so k
 = 8, 16, 24, ..., until the k-th Ritz value plus its error estimate is at
 most delta_n^2 / 2 and the error estimates of the leading d_n + 1 values
-are within 1e-10 * delta_n^2.  Once k would pass both n/4 and 48, or at
+are within 1e-10 * delta_n^2.  The profile keeps that head's Ritz values
+and vectors, for the exact solve to precondition with (see
+:func:`sketchkrr.solve_krr`).  Once k would pass both n/4 and 48, or at
 once if 32 > n, it uses the full spectrum of ``K.eig()``; so it does too
 once the head's estimate of d_n puts ``HEAD_SPAN`` (d_n + 1), about the
 head size it needs to settle, beyond the last k it may reach.  A matrix from ``build_kernel_matrix`` is PSD
@@ -52,7 +54,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,13 +85,21 @@ HEAD_SPAN = 3
 
 @dataclass(frozen=True)
 class ComplexityProfile:
-    """Critical radius and statistical dimension of one kernel matrix."""
+    """Critical radius and statistical dimension of one kernel matrix.
+
+    ``_head`` is the package's own: the Ritz values (clipped at zero,
+    descending) and orthonormal n x k Ritz vectors of the Krylov head a
+    :class:`KernelMatrix`'s profile settled on, or None for a profile of a
+    spectrum or from the dense fallback.  It takes no part in comparison or
+    repr, and preconditions the exact solve (:func:`sketchkrr.solve_krr`).
+    """
 
     sigma: float
     delta_n: float
     delta_n_sq: float
     d_n: int
     n: int
+    _head: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False, repr=False)
 
 
 def _check_spectrum(mu_hat) -> np.ndarray:
@@ -160,17 +170,18 @@ def complexity_profile(mu_hat, n: int, sigma: float) -> ComplexityProfile:
     :class:`KernelMatrix` of size n from its head spectrum (see the module
     docstring)."""
     _check_sigma(sigma)  # before any work on K
+    head = None
     if isinstance(mu_hat, KernelMatrix):
-        delta_n, d_n = _matrix_profile(mu_hat, n, sigma)
+        delta_n, d_n, head = _matrix_profile(mu_hat, n, sigma)
     else:
         delta_n = critical_radius(mu_hat, n, sigma)
         d_n = statistical_dimension(mu_hat, delta_n)
     return ComplexityProfile(
-        sigma=float(sigma), delta_n=delta_n, delta_n_sq=delta_n * delta_n, d_n=d_n, n=int(n)
+        sigma=float(sigma), delta_n=delta_n, delta_n_sq=delta_n * delta_n, d_n=d_n, n=int(n), _head=head
     )
 
 
-def _matrix_profile(K: KernelMatrix, n: int, sigma: float) -> tuple[float, int]:
+def _matrix_profile(K: KernelMatrix, n: int, sigma: float) -> tuple[float, int, tuple | None]:
     if n != K.n:
         raise DomainError(f"profile size n={n} does not match the kernel matrix size {K.n}")
     matrix = K.matrix
@@ -179,7 +190,7 @@ def _matrix_profile(K: KernelMatrix, n: int, sigma: float) -> tuple[float, int]:
     # needs six blocks to settle), and none if 4 HEAD_START > n
     blocks = max(n // (4 * HEAD_START), 6) if 4 * HEAD_START <= n else 0
     heads = block_krylov(lambda X: symv(matrix, X), n, HEAD_START)
-    for theta, residuals in itertools.islice(heads, blocks):
+    for theta, residuals, vectors in itertools.islice(heads, blocks):
         # K is the same for every head: one PSD check suffices, and none for
         # a matrix PSD by construction (see build_kernel_matrix)
         if theta.size == HEAD_START and not K._proven:
@@ -197,7 +208,7 @@ def _matrix_profile(K: KernelMatrix, n: int, sigma: float) -> tuple[float, int]:
         dsq = delta * delta
         d_n = int((theta > dsq).sum())
         if theta[-1] + bounds[-1] <= dsq / 2.0 and (bounds[: d_n + 1] <= RITZ_REL_TOL * dsq).all():
-            return delta, d_n
+            return delta, d_n, (theta, vectors())
         if HEAD_SPAN * (d_n + 1) > HEAD_START * blocks:
             break  # the head would not settle within its blocks
     # the dense spectrum: on sobolev1 at n = 1024 and sigma = 0.002 (d_n =
@@ -205,7 +216,7 @@ def _matrix_profile(K: KernelMatrix, n: int, sigma: float) -> tuple[float, int]:
     # after 13, at an estimated d_n of 88
     mu = K.eigenvalues
     delta = critical_radius(mu, n, sigma)
-    return delta, statistical_dimension(mu, delta)
+    return delta, statistical_dimension(mu, delta), None
 
 
 def _check_psd(matrix: np.ndarray, top: float) -> None:

@@ -156,7 +156,7 @@ def _top_eigenvalue_tkt(apply, m: int) -> float:
     """lambda_max(T K T^T), clamped at zero, by Lanczos on ``apply``, the
     map x -> T (K (T^T x)) of m x k arrays.  It stops at residual <=
     LANCZOS_RTOL * theta, or once the basis spans R^m and theta is exact."""
-    for theta, residuals in block_krylov(apply, m, 1):
+    for theta, residuals, _ in block_krylov(apply, m, 1):
         if residuals[0] <= LANCZOS_RTOL * theta[0] or theta.size == m:
             return max(float(theta[0]), 0.0)
 

@@ -5,23 +5,31 @@ With the 1/n-scaled kernel matrix K, the exact coefficient vector solves
     min_w  (1/2) w^T K^2 w - w^T K y / sqrt(n) + lam * w^T K w,
 
 whose stationarity condition is K[(K + 2*lam*I) w - y/sqrt(n)] = 0; the
-shifted system (K + 2*lam*I) w = y/sqrt(n) is solved directly (positive
-definite for lam > 0) by mixed-precision iterative refinement (Langou et
-al. 2006; Carson and Higham 2018; LAPACK's dsposv): one O(n^3) Cholesky
-factorization in single precision, n^2 floats made at about twice the
-double-precision rate, then O(n^2) steps that each take the residual in
-double and correct w by two single-precision triangular solves, until the
-normwise backward error is at double-precision level (1-2 corrections on
-every benchmark and config setting).  Where single precision cannot factor
-K + 2*lam*I (lam far below K's top eigenvalue), or the refinement does not
-converge within ``REFINE_MAX`` corrections, the system is factored in
-double instead, in rectangular full packed storage (n (n + 1) / 2
+shifted system (K + 2*lam*I) w = y/sqrt(n) (positive definite for lam > 0)
+is solved to LAPACK dsposv's normwise backward-error test on one of two
+routes.  Given the Ritz pairs of the profile's Krylov head (see
+:mod:`sketchkrr.complexity`), whose smallest Ritz value is at most 2*lam at
+the paper's lam = 2 delta_n^2, conjugate gradients preconditioned with
+those pairs converge in a few O(n^2) products with K ("sketch and
+precondition": Avron, Clarkson and Woodruff 2017; Frangella, Tropp and
+Udell 2023), with no factorization.  Otherwise, or past ``CG_MAX``
+iterations, the system is solved by mixed-precision iterative refinement
+(Langou et al. 2006; Carson and Higham 2018; LAPACK's dsposv): one O(n^3)
+Cholesky factorization in single precision, n^2 floats made at about
+twice the double-precision rate, then O(n^2) steps that each take the
+residual in double and correct w by two single-precision triangular
+solves, until the backward-error test holds (1-2 corrections on every
+benchmark and config setting).  Where single precision cannot factor
+K + 2*lam*I (lam far below K's top eigenvalue), or the refinement is not
+set to converge within ``REFINE_MAX`` corrections, the system is factored
+in double instead, in rectangular full packed storage (n (n + 1) / 2
 doubles), and solved by LAPACK's dpftrs.  A sweep on a fixed design keeps
 the factor and pays only the O(n^2) steps in later trials (see
 :func:`solve_krr`).  The fitted function is f(.) = (1/sqrt(n)) * sum_i
-w_i kernel(., x_i), so the training-point values are sqrt(n) * K w, one
-product that reads one triangle of the exactly symmetric K: the
-refinement's last.  The single-precision factor is made by
+w_i kernel(., x_i), so the training-point values are sqrt(n) * K w, from
+products that read one triangle of the exactly symmetric K: the
+refinement's last, or the sum of the conjugate-gradient steps'.  The
+single-precision factor is made by
 :func:`sketchkrr._util.single_factor_shifted`, the double one by
 :func:`sketchkrr._util.rfp_factor_shifted`; every solve with a Cholesky
 factor, of either kind or a full one, goes through
@@ -152,6 +160,17 @@ def _check_lambda(lambda_n: float) -> float:
 # ten cost less than the double factor at n = 1200
 REFINE_MAX = 10
 
+# conjugate-gradient iterations the exact solve takes at most on the
+# profile's head before it factors K + 2*lam*I instead: with lam = 2
+# delta_n^2 it took 1-2 on the gaussian and polynomial(3) kernels and 5-6 on
+# sobolev1, on uniform-grid and irregular designs at n = 256 and 1200 and
+# sigma = 1 and 0.125, and 1-6 at n = 4096.  An iteration cost about a
+# fiftieth of the single-precision factor at n = 1200 and 4096 (one
+# OpenBLAS thread), so there a solve that gives way here pays about twice
+# the factor route at most; at n = 256, where both take under 1 ms, a
+# fifth
+CG_MAX = 30
+
 
 @dataclass(frozen=True)
 class _ShiftedFactor:
@@ -167,6 +186,13 @@ class _ShiftedFactor:
     single: np.ndarray | None = None
     norm: float = 0.0
     packed: np.ndarray | None = None
+
+
+def _target(norm: float, w: np.ndarray) -> float:
+    """The largest ||r||_inf that LAPACK dsposv's normwise backward-error
+    test accepts for the residual r of (K + 2*lam*I) w = b, with norm =
+    ||K + 2*lam*I||_F: ||w||_inf norm eps sqrt(n)."""
+    return norm * np.finfo(np.float64).eps * math.sqrt(len(w)) * np.abs(w).max()
 
 
 def _factor_krr(K: KernelMatrix, lam: float) -> _ShiftedFactor:
@@ -195,50 +221,119 @@ def _packed_factor(K: KernelMatrix, lam: float) -> np.ndarray:
 
 def _refine(factor: _ShiftedFactor, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """w with (K + 2*lam*I) w = b, and K w, from the single-precision
-    factor; None without one, or if REFINE_MAX corrections do not converge.
+    factor; None without one, or once the refinement is not set to converge
+    within REFINE_MAX corrections.
 
     Each step takes the residual r = b - K w - 2*lam*w in double and adds
     the single-precision solve of r to w (Langou et al. 2006, LAPACK's
-    dsposv), until dsposv's normwise backward-error test holds:
-    ||r||_inf <= ||w||_inf ||K + 2*lam*I||_F eps sqrt(n).
+    dsposv), until the residual meets dsposv's test (:func:`_target`).
+    From the first correction on, the ratio of the last two residual norms,
+    held for the corrections left, predicts whether the test will hold by
+    REFINE_MAX; the refinement gives way as soon as it predicts not.  On
+    the gaussian kernel's irregular design at n = 1200 and lam = 1e-7,
+    which needs 12 corrections, it gave way after 3 instead of 10.
     """
     if factor.single is None:
         return None
     matrix, lam = factor.K.matrix, factor.lam
-    tol = factor.norm * np.finfo(np.float64).eps * math.sqrt(len(b))
     w = solve_factor(factor.single, b)
     for corrections in itertools.count():
         Kw = symv(matrix, w)
         r = b - Kw - 2.0 * lam * w
-        if np.abs(r).max() <= tol * np.abs(w).max():
+        size, target = np.abs(r).max(), _target(factor.norm, w)
+        if size <= target:
             return w, Kw
-        if corrections == REFINE_MAX:
+        # give way once the last correction's contraction, held for the
+        # rest, would not reach the target by correction REFINE_MAX (where
+        # the factor is 1: a hard cap)
+        if corrections and size * (size / last) ** (REFINE_MAX - corrections) > target:
             return None
+        last = size
         w += solve_factor(factor.single, r)
 
 
+def _conjugate_gradients(
+    K: KernelMatrix, lam: float, b: np.ndarray, head: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """w with (K + 2*lam*I) w = b, and K w, by conjugate gradients
+    preconditioned with the head's Ritz pairs (theta, V); None if CG_MAX
+    iterations do not converge.
+
+    P^-1 r = r + V ((theta_min + 2*lam) / (theta + 2*lam) - 1) * (V^T r)
+    maps the head's span of K + 2*lam*I to about theta_min + 2*lam and
+    leaves its complement, where K's eigenvalues lie below about theta_min,
+    as it is (Frangella, Tropp and Udell 2023).  Each iteration takes one
+    product K p; K w is carried as the sum of those products, and the
+    residual b - K w - 2*lam*w formed from it in double meets the
+    refinement's test (:func:`_target`), with ||K + 2*lam*I||_F bounded
+    from below through the head: by Cauchy's interlacing theorem the k
+    Ritz values lie below K's k largest eigenvalues, and the other n - k
+    are at least 0, so the test is at least as strict.  The exact norm, a
+    pass over K, took 0.67 ms of a 1.2 ms one-iteration solve at n = 1200.
+    """
+    theta, V = head
+    shift = 2.0 * lam
+    scale = (theta[-1] + shift) / (theta + shift) - 1.0
+    norm = math.sqrt(np.sum((theta + shift) ** 2) + (len(b) - len(theta)) * shift * shift)
+    w, Kw, p = np.zeros_like(b), np.zeros_like(b), np.zeros_like(b)
+    r, rz = b, 1.0
+    for iteration in itertools.count():
+        if np.abs(r).max() <= _target(norm, w):
+            return w, Kw
+        if iteration == CG_MAX:
+            return None
+        z = r + V @ (scale * (V.T @ r))
+        rz, previous = r @ z, rz
+        p = z + (rz / previous) * p
+        Kp = symv(K.matrix, p)
+        alpha = rz / (p @ Kp + shift * (p @ p))
+        w += alpha * p
+        Kw += alpha * Kp
+        r = b - Kw - shift * w
+
+
 def solve_krr(
-    K: KernelMatrix, y, lambda_n: float, *, _factor: _ShiftedFactor | None = None
+    K: KernelMatrix,
+    y,
+    lambda_n: float,
+    *,
+    _factor: _ShiftedFactor | None = None,
+    _head: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> FitResult:
     """Exact kernel ridge regression: (K + 2*lam*I) w = y / sqrt(n).
 
-    Factors K + 2*lam*I by Cholesky in single precision, O(n^3) at twice
-    the double-precision rate, into n^2 floats, then refines the
-    single-precision solve with residuals in double (see :func:`_refine`):
-    each step is two triangular passes and one product with K that reads
-    one triangle (BLAS dsymv), O(n^2), and the last product gives the
-    fitted values sqrt(n) K w.  They are not formed as y - 2*lam*sqrt(n) w,
-    which loses relative accuracy once lam is well above K's top
-    eigenvalue.  At n = 1024 the solve took 7-10 ms against 17-18 for the
-    double factor (gaussian kernel, irregular design, one OpenBLAS thread).
-    Where the single-precision factorization fails, or the refinement does
-    not converge, K + 2*lam*I is factored in double into n (n + 1) / 2
-    doubles instead, the single factor freed first, and solved by LAPACK's
-    RFP solve dpftrs: 0.75-1.18 ms at n = 1023-1200 against 0.41-0.67 for
-    triangular passes over the packed blocks, a cost only this fallback
-    pays, which no benchmark or config setting takes.
-    ``_factor`` is for the sweep (:mod:`sketchkrr.bench`) alone: a factor
-    from :func:`_factor_krr` for this same K and lambda_n, kept across the
+    Two routes solve the system to LAPACK dsposv's backward-error test, and
+    both take the fitted values sqrt(n) K w from their products with K,
+    not from y - 2*lam*sqrt(n) w, which loses relative accuracy once lam is
+    well above K's top eigenvalue.
+
+    - ``_head``, the Ritz pairs of the profile's Krylov head (see
+      :class:`sketchkrr.ComplexityProfile`), is for the sweep
+      (:mod:`sketchkrr.bench`) alone.  With one, no ``_factor``, and the
+      head's smallest Ritz value at most 2*lam, as it always is at the
+      paper's lam = 2 delta_n^2, the solve runs conjugate gradients
+      preconditioned with the head (:func:`_conjugate_gradients`): O(n^2)
+      per iteration and no factorization.  On random-design-sweep's
+      first five trials (gaussian kernel, irregular design, n = 1200) it
+      took one iteration and 0.6-1.1 ms against 15-26 for the factor
+      route (one OpenBLAS thread).  Past ``CG_MAX`` iterations it takes
+      the factor route.
+    - The factor route factors K + 2*lam*I by Cholesky in single
+      precision, O(n^3) at twice the double-precision rate, into n^2
+      floats, then refines the single-precision solve with residuals in
+      double (see :func:`_refine`): each step is two triangular passes and
+      one product with K that reads one triangle (BLAS dsymv), O(n^2).  At
+      n = 1024 the solve took 7-10 ms against 17-18 for the double factor
+      (gaussian kernel, irregular design, one OpenBLAS thread).  Where the
+      single-precision factorization fails, or the refinement does not
+      converge, K + 2*lam*I is factored in double into n (n + 1) / 2
+      doubles instead, the single factor freed first, and solved by
+      LAPACK's RFP solve dpftrs: 0.75-1.18 ms at n = 1023-1200 against
+      0.41-0.67 for triangular passes over the packed blocks, a cost only
+      this fallback pays, which no benchmark or config setting takes.
+
+    ``_factor`` is for the sweep alone too: a factor from
+    :func:`_factor_krr` for this same K and lambda_n, kept across the
     trials of a fixed design that share them, so that a call pays only the
     refinement (0.8-1.0 ms at n = 1024), with the same bits as a fresh
     factorization.  Such a call's time is therefore not the O(n^3) cost of
@@ -247,14 +342,19 @@ def solve_krr(
     """
     lam = _check_lambda(lambda_n)
     yv = _check_vector(y, K.n, "y")
-    if _factor is None:
-        _factor = _factor_krr(K, lam)
-    elif _factor.K is not K:
-        raise DomainError("factor was made for another kernel matrix")
-    elif _factor.lam != lam:
-        raise DomainError(f"factor was made for lambda_n={_factor.lam!r}, not {lam!r}")
     b = yv / np.sqrt(K.n)
-    solved = _refine(_factor, b)
+    solved = None
+    if _factor is not None:
+        if _factor.K is not K:
+            raise DomainError("factor was made for another kernel matrix")
+        if _factor.lam != lam:
+            raise DomainError(f"factor was made for lambda_n={_factor.lam!r}, not {lam!r}")
+    elif _head is not None and _head[0][-1] <= 2.0 * lam:
+        solved = _conjugate_gradients(K, lam, b, _head)
+    if solved is None:
+        if _factor is None:
+            _factor = _factor_krr(K, lam)
+        solved = _refine(_factor, b)
     if solved is None:
         packed = _factor.packed
         del _factor  # a fresh single factor goes before the double one comes

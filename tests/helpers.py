@@ -4,7 +4,7 @@ These deliberately avoid the library's own fast paths: the Hadamard matrix
 is built by Sylvester recursion, the critical radius by brute-force grid
 scan or by bisection in exact rational arithmetic, the ROS operator by
 direct matrix assembly, and the sampled rows by one generator call per
-swap.
+swap.  ``spy_routes`` is the one spy shared by two modules.
 """
 
 from fractions import Fraction
@@ -131,3 +131,25 @@ def ridge_fitted_oracle(K: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     for _ in range(5):
         x += sla.lu_solve(lu, (b - Ax @ x).astype(np.float64))
     return (Kx @ x).astype(np.float64)
+
+
+def spy_routes(monkeypatch):
+    """The route of each exact solve, in order: ``cg``, ``cg past its cap``
+    (conjugate gradients gave way) or ``factor`` (K + 2 lam I was factored)."""
+    import sketchkrr.solver as solver
+
+    routes = []
+    cg, factor = solver._conjugate_gradients, solver._factor_krr
+
+    def counted_cg(*args):
+        solved = cg(*args)
+        routes.append("cg past its cap" if solved is None else "cg")
+        return solved
+
+    def counted_factor(*args):
+        routes.append("factor")
+        return factor(*args)
+
+    monkeypatch.setattr(solver, "_conjugate_gradients", counted_cg)
+    monkeypatch.setattr(solver, "_factor_krr", counted_factor)
+    return routes

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import spy_routes
 from sketchkrr import (
     CSV_HEADER,
     DomainError,
@@ -391,8 +392,9 @@ class TestPairedArms:
 class TestGridExactFactor:
     """A uniform grid's exact arm factors K + 2*lam*I at most twice per n
     (trial 0's own, then the one kept from trial 1 on); a random design
-    factors once per trial.  The spies count the single-precision
-    factorizations, the exact arm's first step."""
+    solves on the profile's head by conjugate gradients, and factors once
+    per trial only where the profile has no head.  The spies count the
+    single-precision factorizations, the factor route's first step."""
 
     @staticmethod
     def count_factorizations(monkeypatch):
@@ -436,12 +438,37 @@ class TestGridExactFactor:
             np.testing.assert_array_equal(kept.fitted, fresh.fitted)
             assert r.error == empirical_error(fresh.fitted, sample.fstar)
 
-    def test_random_design_factors_once_per_trial(self, monkeypatch):
+    def test_random_design_takes_the_head_where_the_profile_has_one(self, monkeypatch):
+        # n = 16 is below one head (4 * HEAD_START > n), so its profile has
+        # none and every trial factors; at n = 40 every trial runs CG
         factorizations = self.count_factorizations(monkeypatch)
+        routes = spy_routes(monkeypatch)
         cfg = small_config(design="irregular", kernel=KernelSpec.gaussian(0.25),
                            sketch_kinds=("exact", "gaussian"), n_grid=(16, 40))
         run_error_vs_n(cfg)
-        assert factorizations == [n for n in cfg.n_grid for _ in range(cfg.trials)]
+        assert factorizations == [16] * cfg.trials
+        assert routes == ["factor"] * cfg.trials + ["cg"] * cfg.trials
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(sigma=0.0, lambda_rule="fixed", lambda_fixed=0.01),
+            dict(kernel=KernelSpec.sobolev1(), design="iid_uniform", sigma=0.01, n_grid=(128,)),
+        ],
+        ids=["sigma-0", "dense-fallback"],
+    )
+    def test_random_design_without_a_head_factors_every_trial(self, monkeypatch, overrides):
+        routes = spy_routes(monkeypatch)
+        base = dict(design="irregular", kernel=KernelSpec.gaussian(0.25), sketch_kinds=("exact",), n_grid=(40,))
+        cfg = small_config(**(base | overrides))
+        run_error_vs_n(cfg)
+        assert routes == ["factor"] * cfg.trials
+
+    def test_grid_profile_carries_no_head(self):
+        cfg = small_config(kernel=KernelSpec.gaussian(0.25), n_grid=(40,))
+        assert _shared_inputs(cfg, 40, 0, None).profile._head is None
+        cfg = dataclasses.replace(cfg, design="irregular")
+        assert _shared_inputs(cfg, 40, 0, None).profile._head is not None
 
     def test_sweep_without_exact_arm_factors_nothing(self, monkeypatch):
         factorizations = self.count_factorizations(monkeypatch)

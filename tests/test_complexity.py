@@ -282,9 +282,9 @@ def head_calls(monkeypatch):
     original = complexity.block_krylov
 
     def counting(apply, n, block):
-        for theta, residuals in original(apply, n, block):
+        for theta, residuals, vectors in original(apply, n, block):
             calls.append(theta.size)
-            yield theta, residuals
+            yield theta, residuals, vectors
 
     monkeypatch.setattr(complexity, "block_krylov", counting)
     return calls
@@ -302,7 +302,7 @@ class TestRitzHead:
         mu = np.clip(np.linalg.eigvalsh(K.matrix)[::-1], 0.0, None)
         slack = 1e-13 * mu[0]
         heads = block_krylov(lambda X: K.matrix @ X, 300, complexity.HEAD_START)
-        for j, (values, residuals) in enumerate(itertools.islice(heads, 6), start=1):
+        for j, (values, residuals, _) in enumerate(itertools.islice(heads, 6), start=1):
             assert values.shape == residuals.shape == (j * complexity.HEAD_START,)
             assert (np.diff(values) <= 0).all()
             # some eigenvalue lies within each residual, up to round-off
@@ -316,6 +316,33 @@ class TestRitzHead:
                 bounds = np.fmin(residuals, residuals * residuals / gap)[:8]
                 assert (np.abs(values[:8] - mu[:8]) <= bounds + slack).all()
 
+    @pytest.mark.parametrize(
+        "spec", [KernelSpec.polynomial(2), KernelSpec.gaussian(0.25), KernelSpec.sobolev1()]
+    )
+    def test_ritz_vectors_are_orthonormal_and_within_their_residuals(self, spec):
+        rng = np.random.default_rng(11)
+        K = build_kernel_matrix(spec, DesignPoints(np.sort(rng.uniform(0, 1, 300))))
+        mu, U = np.linalg.eigh(K.matrix)
+        mu, U = mu[::-1], U[:, ::-1]
+        slack = 1e-13 * mu[0]
+        heads = block_krylov(lambda X: K.matrix @ X, 300, complexity.HEAD_START)
+        for j, (values, residuals, vectors) in enumerate(itertools.islice(heads, 6), start=1):
+            V = vectors()
+            assert V.shape == (300, j * complexity.HEAD_START)
+            np.testing.assert_allclose(V.T @ V, np.eye(V.shape[1]), rtol=0.0, atol=1e-13)
+            # the yielded residuals are the Ritz pairs' own
+            own = np.linalg.norm(K.matrix @ V - V * values, axis=0)
+            assert (np.abs(own - residuals) <= slack).all()
+            # so each vector lies within residual / gap of the eigenvector of
+            # the nearest eigenvalue (Davis and Kahan's sin theta theorem)
+            nearest = np.abs(values[:, None] - mu[None, :]).argmin(axis=1)
+            gaps = np.abs(values[:, None] - mu[None, :])
+            gaps[np.arange(values.size), nearest] = np.inf
+            u = U[:, nearest]
+            sines = np.linalg.norm(V - u * (u * V).sum(axis=0), axis=0)
+            with np.errstate(divide="ignore"):
+                assert (sines <= (residuals + slack) / gaps.min(axis=1) + 1e-12).all()
+
     def test_multiplies_each_basis_column_once(self, monkeypatch):
         # sigma = 0.125 makes d_n = 12 here, so the profile grows the head
         # past its first block; the Krylov basis is extended, not restarted
@@ -328,9 +355,9 @@ class TestRitzHead:
                 blocks.append(X.copy())
                 return apply(X)
 
-            for theta, residuals in original(counted, n, block):
+            for theta, residuals, vectors in original(counted, n, block):
                 sizes.append(theta.size)
-                yield theta, residuals
+                yield theta, residuals, vectors
 
         monkeypatch.setattr(complexity, "block_krylov", recording)
         prof = complexity_profile(KernelMatrix(sobolev_uniform_matrix(n)), n, 0.125)
@@ -385,6 +412,34 @@ class TestMatrixProfile:
         want = dense_profile(K, n, 0.01)
         assert got.d_n == want.d_n == d_n
         assert abs(got.delta_n - want.delta_n) <= 1e-9 * want.delta_n
+
+    def test_settled_profile_keeps_its_head(self, monkeypatch):
+        # the head is the last one the profile read: its Ritz values clipped
+        # at zero and its Ritz vectors, bit for bit
+        n = 512
+        last = []
+        original = complexity.block_krylov
+
+        def recording(apply, n, block):
+            for theta, residuals, vectors in original(apply, n, block):
+                last[:] = [theta, vectors]
+                yield theta, residuals, vectors
+
+        monkeypatch.setattr(complexity, "block_krylov", recording)
+        prof = complexity_profile(KernelMatrix(sobolev_uniform_matrix(n)), n, 0.125)
+        theta, V = prof._head
+        np.testing.assert_array_equal(theta, np.clip(last[0], 0.0, None))
+        np.testing.assert_array_equal(V, last[1]())
+        assert theta[-1] <= prof.delta_n_sq / 2.0  # the settling rule: at most lam / 4
+        assert "_head" not in repr(prof)
+
+    @pytest.mark.parametrize(
+        "n, sigma", [(24, 1.0), (128, 0.01)], ids=["below-one-head", "dense-fallback"]
+    )
+    def test_no_head_without_a_settled_one(self, n, sigma):
+        K = KernelMatrix(sobolev_uniform_matrix(n))
+        assert complexity_profile(K, n, sigma)._head is None
+        assert complexity_profile(K.eigenvalues, n, sigma)._head is None
 
     def test_dense_fallback_for_small_n(self, head_calls):
         n = 24  # 4 * HEAD_START > n
@@ -447,7 +502,7 @@ class TestMatrixProfile:
         second = build_kernel_matrix(KernelSpec.gaussian(0.25), pts)
         assert complexity_profile(first, 700, 0.5) == complexity_profile(second, 700, 0.5)
         heads = [block_krylov(lambda X, K=K: K.matrix @ X, 700, 1) for K in (first, second)]
-        for (a, ra), (b, rb) in itertools.islice(zip(*heads), 4):
+        for (a, ra, _), (b, rb, _) in itertools.islice(zip(*heads), 4):
             np.testing.assert_array_equal(a, b)
             np.testing.assert_array_equal(ra, rb)
 

@@ -291,8 +291,8 @@ class TestLanczosTop:
             return np.zeros_like(X)
 
         heads = list(block_krylov(apply, m, 1))
-        assert [theta.size for theta, _ in heads] == list(range(1, m + 1))
-        assert all((theta == 0.0).all() and (res == 0.0).all() for theta, res in heads)
+        assert [theta.size for theta, _, _ in heads] == list(range(1, m + 1))
+        assert all((theta == 0.0).all() and (res == 0.0).all() for theta, res, _ in heads)
         Q = np.array(seen)
         np.testing.assert_allclose(Q @ Q.T, np.eye(m), atol=1e-14)
 
