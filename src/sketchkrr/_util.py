@@ -34,6 +34,14 @@ def check_seed(value, name: str = "seed") -> int:
     return int(value)
 
 
+def check_positive(value, name: str) -> float:
+    """``value`` as a float if it is a real number (numpy's too), finite and
+    > 0; otherwise a :class:`DomainError` that names it."""
+    if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
+        raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+    return float(value)
+
+
 def rfp_factor_shifted(matrix: np.ndarray, shift: float) -> np.ndarray:
     """Lower Cholesky factor L of the symmetric ``matrix + shift * I`` in
     rectangular full packed (RFP) storage, ``transr='T'``, ``uplo='L'``
@@ -61,50 +69,26 @@ def rfp_factor_shifted(matrix: np.ndarray, shift: float) -> np.ndarray:
     return arf
 
 
-def single_factor_shifted(matrix: np.ndarray, shift: float) -> np.ndarray:
-    """Lower Cholesky factor L of the symmetric ``matrix + shift * I`` in
-    single precision, for :func:`solve_factor`; raises
-    ``numpy.linalg.LinAlgError`` if LAPACK spotrf finds it not positive
-    definite at that precision.  Single precision lives in this function
-    and :func:`solve_factor` alone.
-
-    The float32 copy is C-ordered with the diagonal rounded from
-    ``diag(matrix) + shift``, and spotrf factors its Fortran-ordered
-    transpose in place, the other triangle left as it was: n^2 floats,
-    the bytes of :func:`rfp_factor_shifted`'s n (n + 1) / 2 doubles.  At
-    n = 1200 the copy and spotrf took 9-10 ms against 18-25 for the
-    packed double factor (one OpenBLAS thread).
-    """
-    a = matrix.astype(np.float32)
-    np.fill_diagonal(a, matrix.diagonal() + shift)
-    L, info = sla.lapack.spotrf(a.T, lower=1, clean=0, overwrite_a=1)
-    if info:
-        raise np.linalg.LinAlgError(f"matrix is not positive definite in single precision, spotrf info = {info}")
-    return L
-
-
 def solve_factor(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with L L^T x = b in double, for b an n-vector or an n x k block and
-    any lower Cholesky factor L the package makes; every such solve goes
+    """x with L L^T x = b, for b an n-vector or an n x k block and any
+    lower Cholesky factor L the package makes; every such solve goes
     through here, which picks the LAPACK routine from L:
 
-    - a full double factor from ``cho_factor`` (only its lower triangle is
-      read): two triangular solves (dtrtrs) on L, which ``cho_factor``
-      returns Fortran-ordered, so it is not copied.  With one column they
-      took 0.37 ms at n = 1024 against 0.79 for ``cho_solve`` (potrs); with
-      two, the same time and the same bits.  dtrtrs is called directly: at
-      m = 13 two ``solve_triangular`` calls took 25 us, and the two dtrtrs
-      calls in them 3 us.
-    - the float32 factor from :func:`single_factor_shifted`: the same two
-      solves in single precision (strtrs) on b rounded to single.
+    - a full factor from ``cho_factor`` (only its lower triangle is read):
+      two triangular solves (dtrtrs) on L, which ``cho_factor`` returns
+      Fortran-ordered, so it is not copied.  With one column they took 0.37
+      ms at n = 1024 against 0.79 for ``cho_solve`` (potrs); with two, the
+      same time and the same bits.  dtrtrs is called directly: at m = 13
+      two ``solve_triangular`` calls took 25 us, and the two dtrtrs calls
+      in them 3 us.
     - the packed array from :func:`rfp_factor_shifted`: LAPACK's RFP solve
       dpftrs.  It took 0.75-1.18 ms at n = 1023-1200, against 0.41-0.67
       for four dtrtrs calls on views of the packed blocks (best of 25),
-      with which it agreed to 2e-15 relative.  It runs only where the
-      exact solve falls back to a double factor, which no benchmark or
-      config setting reaches, and the factor there costs 20 times as
-      much.  A 1 x 1 factor is divided by directly: there dpftrs missed a
-      dense solve by twice as much.
+      with which it agreed to 2e-15 relative.  It is the exact solve's
+      factor route, and every trial of a uniform-grid sweep after the
+      first solves through it on a kept factor, so that difference is
+      paid once per such trial.  A 1 x 1 factor is divided by directly:
+      there dpftrs missed a dense solve by twice as much.
 
     Times are at one OpenBLAS thread.
     """
@@ -116,14 +100,13 @@ def solve_factor(L: np.ndarray, b: np.ndarray) -> np.ndarray:
         x, info = sla.lapack.dpftrs(len(b), L, b, transr="T", uplo="L")
         routine = "dpftrs"
     else:
-        trtrs = sla.lapack.strtrs if L.dtype == np.float32 else sla.lapack.dtrtrs
-        x, info = trtrs(L, b.astype(L.dtype, copy=False), lower=1)
+        x, info = sla.lapack.dtrtrs(L, b, lower=1)
         if info == 0:
-            x, info = trtrs(L, x, lower=1, trans=1, overwrite_b=1)
-        routine = trtrs.__name__
+            x, info = sla.lapack.dtrtrs(L, x, lower=1, trans=1, overwrite_b=1)
+        routine = "dtrtrs"
     if info:
         raise np.linalg.LinAlgError(f"Cholesky solve failed, {routine} info = {info}")
-    return x.astype(np.float64, copy=False)
+    return x
 
 
 def symv(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:

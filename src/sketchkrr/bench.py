@@ -10,18 +10,18 @@ sets the regularization (default 2 * delta_n^2) by rule, and fits every
 arm on that same data.  The ``uniform_grid`` design's points do not
 depend on the seed, so its kernel matrix, profile and regularization are
 computed once per n and only the sample is drawn per trial.  Its exact
-arm factors K + 2*lambda*I once per n to keep: trial 0 factors inside
-``solve_krr`` and drops the factor, and trial 1's exact arm makes the
-factor that it and every later trial of that n solve with, O(n^2)
-instead of O(n^3), with the same bits as a fresh factorization.  A
-random design keeps no factor: its exact arm gets the Ritz pairs of the
-profile's Krylov head, and ``solve_krr`` solves by conjugate gradients
-preconditioned with them, a few O(n^2) products with K at lambda =
-2 delta_n^2; it factors K + 2*lambda*I in the trial only where the
-profile has no head (n < 32, the dense-spectrum fallback, sigma = 0) or
-the head's smallest Ritz value is above 2*lambda.  A factorization that
-fails fails the exact arm alone, and the next trial tries again.  The arms differ only in the
-sketch: each draws it from its own trial seed, derived injectively from
+arm factors K + 2*lambda*I by Cholesky in double precision once per n to
+keep: trial 0 factors inside ``solve_krr`` and drops the factor, and
+trial 1's exact arm makes the packed factor that it and every later
+trial of that n solve with, O(n^2) instead of O(n^3), with the same bits
+as a fresh factorization.  A random design keeps no factor: its exact
+arm gets the Ritz pairs of the profile's Krylov head, and ``solve_krr``
+solves by conjugate gradients preconditioned with them, a few O(n^2)
+products with K at lambda = 2 delta_n^2; it factors K + 2*lambda*I in
+the trial only where the profile has no head (n < 32, the dense-spectrum
+fallback, sigma = 0) or the head's smallest Ritz value is above
+2*lambda.  A factorization that fails fails the exact arm alone, and the
+next trial tries again.  The arms differ only in the sketch: each draws it from its own trial seed, derived injectively from
 (base_seed, n, sketch kind, trial index) and recorded in the CSV
 ``seed`` column.  Each arm sets the projection dimension m by rule,
 solves, and records the squared empirical prediction error against the
@@ -39,9 +39,10 @@ reproducibility of the output; pass ``timing=True`` (or ``--timing`` on
 the CLI) to record real milliseconds.  The time of a trial's shared work
 is then charged to its first arm's row, and the kept factor's time to the
 exact row that makes it, so the rows sum to the sweep's time.  After that
-row a grid exact row's ``wall_time_ms`` is a triangular solve, and a
-random design's is the conjugate-gradient solve where it has a head:
-neither is the O(n^3) cost of a direct exact solve.
+row a grid exact row's ``wall_time_ms`` is the packed factor's solve
+(LAPACK dpftrs) and one product with K, and a random design's is the
+conjugate-gradient solve where it has a head: neither is the O(n^3) cost
+of a direct exact solve.
 """
 
 from __future__ import annotations

@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import block_krylov, check_count, rfp_factor_shifted, symv
+from ._util import block_krylov, check_count, check_positive, rfp_factor_shifted, symv
 from .errors import DomainError, NumericalError
 from .kernels import EIG_CLAMP_REL, KernelMatrix, KernelSpec
 
@@ -128,13 +128,8 @@ def critical_radius(mu_hat, n: int, sigma: float) -> float:
     eigenvalue count (see the module docstring), so the result is exact to
     rounding; the spectrum need not be sorted.
     """
-    _check_sigma(sigma)
+    check_positive(sigma, "sigma")
     return _critical_radius(_check_spectrum(mu_hat), 0.0, n, sigma)
-
-
-def _check_sigma(sigma: float) -> None:
-    if not 0.0 < sigma < math.inf:
-        raise DomainError(f"sigma must be finite and > 0, got {sigma}")
 
 
 def _critical_radius(mu: np.ndarray, tail: float, n: int, sigma: float) -> float:
@@ -169,7 +164,7 @@ def complexity_profile(mu_hat, n: int, sigma: float) -> ComplexityProfile:
     """Critical radius and statistical dimension for one spectrum, or for a
     :class:`KernelMatrix` of size n from its head spectrum (see the module
     docstring)."""
-    _check_sigma(sigma)  # before any work on K
+    check_positive(sigma, "sigma")  # before any work on K
     head = None
     if isinstance(mu_hat, KernelMatrix):
         delta_n, d_n, head = _matrix_profile(mu_hat, n, sigma)

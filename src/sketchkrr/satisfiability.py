@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from ._util import block_krylov, ceil_int, check_count, symv
+from ._util import block_krylov, ceil_int, check_count, check_positive, symv
 from .complexity import ComplexityProfile
 from .errors import DomainError
 from .kernels import KernelMatrix
@@ -166,8 +166,7 @@ def recommended_sketch_dim(kind: str, d_n: int, n: int, c: float) -> int:
     ceil(c * d_n * ln(n)^4) for ros sketches, clamped to [1, n]."""
     d_n = check_count(d_n, "d_n", 1)
     n = check_count(n, "n", 1)
-    if not 0.0 < c < math.inf:
-        raise DomainError(f"c must be finite and > 0, got {c}")
+    c = check_positive(c, "c")
     if kind == "gaussian":
         m = c * d_n
     elif kind == "ros":

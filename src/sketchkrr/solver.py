@@ -6,35 +6,26 @@ With the 1/n-scaled kernel matrix K, the exact coefficient vector solves
 
 whose stationarity condition is K[(K + 2*lam*I) w - y/sqrt(n)] = 0; the
 shifted system (K + 2*lam*I) w = y/sqrt(n) (positive definite for lam > 0)
-is solved to LAPACK dsposv's normwise backward-error test on one of two
-routes.  Given the Ritz pairs of the profile's Krylov head (see
-:mod:`sketchkrr.complexity`), whose smallest Ritz value is at most 2*lam at
-the paper's lam = 2 delta_n^2, conjugate gradients preconditioned with
-those pairs converge in a few O(n^2) products with K ("sketch and
-precondition": Avron, Clarkson and Woodruff 2017; Frangella, Tropp and
-Udell 2023), with no factorization.  Otherwise, or past ``CG_MAX``
-iterations, the system is solved by mixed-precision iterative refinement
-(Langou et al. 2006; Carson and Higham 2018; LAPACK's dsposv): one O(n^3)
-Cholesky factorization in single precision, n^2 floats made at about
-twice the double-precision rate, then O(n^2) steps that each take the
-residual in double and correct w by two single-precision triangular
-solves, until the backward-error test holds (1-2 corrections on every
-benchmark and config setting).  Where single precision cannot factor
-K + 2*lam*I (lam far below K's top eigenvalue), or the refinement is not
-set to converge within ``REFINE_MAX`` corrections, the system is factored
-in double instead, in rectangular full packed storage (n (n + 1) / 2
-doubles), and solved by LAPACK's dpftrs.  A sweep on a fixed design keeps
-the factor and pays only the O(n^2) steps in later trials (see
-:func:`solve_krr`).  The fitted function is f(.) = (1/sqrt(n)) * sum_i
-w_i kernel(., x_i), so the training-point values are sqrt(n) * K w, from
-products that read one triangle of the exactly symmetric K: the
-refinement's last, or the sum of the conjugate-gradient steps'.  The
-single-precision factor is made by
-:func:`sketchkrr._util.single_factor_shifted`, the double one by
+is solved on one of two routes.  Given the Ritz pairs of the profile's
+Krylov head (see :mod:`sketchkrr.complexity`), whose smallest Ritz value
+is at most 2*lam at the paper's lam = 2 delta_n^2, conjugate gradients
+preconditioned with those pairs converge in a few O(n^2) products with K
+("sketch and precondition": Avron, Clarkson and Woodruff 2017; Frangella,
+Tropp and Udell 2023), with no factorization, and stop at LAPACK dsposv's
+normwise backward-error test.  Otherwise, or past ``CG_MAX`` iterations,
+K + 2*lam*I is factored by Cholesky in double precision, the O(n^3) step
+of exact KRR that sketching avoids, in rectangular full packed storage
+(n (n + 1) / 2 doubles), and solved by LAPACK's dpftrs, which is backward
+stable.  A sweep on a fixed design keeps the factor and pays only the
+O(n^2) solve in later trials (see :func:`solve_krr`).  The fitted
+function is f(.) = (1/sqrt(n)) * sum_i w_i kernel(., x_i), so the
+training-point values are sqrt(n) * K w, from products that read one
+triangle of the exactly symmetric K: one after the factored solve, or the
+sum of the conjugate-gradient steps'.  The factor is made by
 :func:`sketchkrr._util.rfp_factor_shifted`; every solve with a Cholesky
-factor, of either kind or a full one, goes through
-:func:`sketchkrr._util.solve_factor`, and every product of K with one
-vector through :func:`sketchkrr._util.symv`.
+factor, packed or full, goes through :func:`sketchkrr._util.solve_factor`,
+and every product of K with one vector through
+:func:`sketchkrr._util.symv`.
 
 The sketched program restricts w to the row span of an m x n sketch S,
 w = S^T a, giving the m-dimensional normal equations
@@ -68,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from ._util import rfp_factor_shifted, single_factor_shifted, solve_factor, symv
+from ._util import check_positive, rfp_factor_shifted, solve_factor, symv
 from .errors import DomainError, NumericalError
 from .kernels import DesignPoints, KernelMatrix, KernelSpec, kernel_eval
 from .sketch import SketchOperator, apply_sketch, apply_sketch_t
@@ -139,8 +130,15 @@ class FitResult:
         return apply_sketch_t(self.sketch, self.coefficients)
 
 
+def _floats(v, name: str) -> np.ndarray:
+    try:
+        return np.asarray(v, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be numeric: {exc}") from exc
+
+
 def _check_vector(v, n: int, name: str) -> np.ndarray:
-    a = np.asarray(v, dtype=np.float64)
+    a = _floats(v, name)
     if a.shape != (n,):
         raise DomainError(f"{name} must be a length-{n} vector, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -148,44 +146,26 @@ def _check_vector(v, n: int, name: str) -> np.ndarray:
     return a
 
 
-def _check_lambda(lambda_n: float) -> float:
-    if not (lambda_n > 0.0 and math.isfinite(lambda_n)):
-        raise DomainError(f"lambda_n must be finite and > 0, got {lambda_n}")
-    return float(lambda_n)
-
-
-# corrections the refined exact solve takes at most before it falls back to
-# a double-precision factor: 1-2 on every benchmark and config setting, 12
-# on the gaussian kernel's irregular design at n = 1200 and lam = 1e-7;
-# ten cost less than the double factor at n = 1200
-REFINE_MAX = 10
-
 # conjugate-gradient iterations the exact solve takes at most on the
 # profile's head before it factors K + 2*lam*I instead: with lam = 2
 # delta_n^2 it took 1-2 on the gaussian and polynomial(3) kernels and 5-6 on
 # sobolev1, on uniform-grid and irregular designs at n = 256 and 1200 and
 # sigma = 1 and 0.125, and 1-6 at n = 4096.  An iteration cost about a
-# fiftieth of the single-precision factor at n = 1200 and 4096 (one
-# OpenBLAS thread), so there a solve that gives way here pays about twice
-# the factor route at most; at n = 256, where both take under 1 ms, a
-# fifth
+# seventieth of the factor at n = 1200 (0.3 against 21-22 ms, one OpenBLAS
+# thread), so there a solve that gives way here pays about 1.4 times the
+# factor route at most
 CG_MAX = 30
 
 
 @dataclass(frozen=True)
 class _ShiftedFactor:
-    """Cholesky factor of K + 2*lam*I, with the K and lam it was made for:
-    in single precision (``single``, see
-    :func:`sketchkrr._util.single_factor_shifted`) with ``norm`` =
-    ||K + 2*lam*I||_F for the refinement's stopping test, or, where that
-    factorization fails, in double precision and RFP storage (``packed``,
-    see :func:`sketchkrr._util.rfp_factor_shifted`)."""
+    """Cholesky factor of K + 2*lam*I in double precision and RFP storage
+    (see :func:`sketchkrr._util.rfp_factor_shifted`), with the K and lam it
+    was made for, which :func:`solve_krr` checks before it solves."""
 
     K: KernelMatrix
     lam: float
-    single: np.ndarray | None = None
-    norm: float = 0.0
-    packed: np.ndarray | None = None
+    packed: np.ndarray
 
 
 def _target(norm: float, w: np.ndarray) -> float:
@@ -197,59 +177,11 @@ def _target(norm: float, w: np.ndarray) -> float:
 
 def _factor_krr(K: KernelMatrix, lam: float) -> _ShiftedFactor:
     """Factor the exact system K + 2*lam*I, the O(n^3) step of
-    :func:`solve_krr`: in single precision, or in double where
-    single-precision Cholesky fails (lam far below K's top eigenvalue)."""
+    :func:`solve_krr`."""
     try:
-        single = single_factor_shifted(K.matrix, 2.0 * lam)
-    except np.linalg.LinAlgError:
-        # factored outside the handler, whose traceback would keep the
-        # failed single-precision copy alive
-        single = None
-    if single is None:
-        return _ShiftedFactor(K, lam, packed=_packed_factor(K, lam))
-    # ||K + 2 lam I||_F^2 = ||K||_F^2 + 4 lam tr K + 4 lam^2 n
-    norm_sq = np.vdot(K.matrix, K.matrix) + 4.0 * lam * np.trace(K.matrix) + 4.0 * lam * lam * K.n
-    return _ShiftedFactor(K, lam, single=single, norm=math.sqrt(norm_sq))
-
-
-def _packed_factor(K: KernelMatrix, lam: float) -> np.ndarray:
-    try:
-        return rfp_factor_shifted(K.matrix, 2.0 * lam)
+        return _ShiftedFactor(K, lam, rfp_factor_shifted(K.matrix, 2.0 * lam))
     except np.linalg.LinAlgError as exc:  # unreachable for lam > 0 and PSD K
         raise NumericalError(f"shifted kernel system could not be solved: {exc}") from exc
-
-
-def _refine(factor: _ShiftedFactor, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """w with (K + 2*lam*I) w = b, and K w, from the single-precision
-    factor; None without one, or once the refinement is not set to converge
-    within REFINE_MAX corrections.
-
-    Each step takes the residual r = b - K w - 2*lam*w in double and adds
-    the single-precision solve of r to w (Langou et al. 2006, LAPACK's
-    dsposv), until the residual meets dsposv's test (:func:`_target`).
-    From the first correction on, the ratio of the last two residual norms,
-    held for the corrections left, predicts whether the test will hold by
-    REFINE_MAX; the refinement gives way as soon as it predicts not.  On
-    the gaussian kernel's irregular design at n = 1200 and lam = 1e-7,
-    which needs 12 corrections, it gave way after 3 instead of 10.
-    """
-    if factor.single is None:
-        return None
-    matrix, lam = factor.K.matrix, factor.lam
-    w = solve_factor(factor.single, b)
-    for corrections in itertools.count():
-        Kw = symv(matrix, w)
-        r = b - Kw - 2.0 * lam * w
-        size, target = np.abs(r).max(), _target(factor.norm, w)
-        if size <= target:
-            return w, Kw
-        # give way once the last correction's contraction, held for the
-        # rest, would not reach the target by correction REFINE_MAX (where
-        # the factor is 1: a hard cap)
-        if corrections and size * (size / last) ** (REFINE_MAX - corrections) > target:
-            return None
-        last = size
-        w += solve_factor(factor.single, r)
 
 
 def _conjugate_gradients(
@@ -264,8 +196,8 @@ def _conjugate_gradients(
     leaves its complement, where K's eigenvalues lie below about theta_min,
     as it is (Frangella, Tropp and Udell 2023).  Each iteration takes one
     product K p; K w is carried as the sum of those products, and the
-    residual b - K w - 2*lam*w formed from it in double meets the
-    refinement's test (:func:`_target`), with ||K + 2*lam*I||_F bounded
+    residual b - K w - 2*lam*w formed from it in double meets dsposv's
+    test (:func:`_target`), with ||K + 2*lam*I||_F bounded
     from below through the head: by Cauchy's interlacing theorem the k
     Ritz values lie below K's k largest eigenvalues, and the other n - k
     are at least 0, so the test is at least as strict.  The exact norm, a
@@ -302,45 +234,37 @@ def solve_krr(
 ) -> FitResult:
     """Exact kernel ridge regression: (K + 2*lam*I) w = y / sqrt(n).
 
-    Two routes solve the system to LAPACK dsposv's backward-error test, and
-    both take the fitted values sqrt(n) K w from their products with K,
-    not from y - 2*lam*sqrt(n) w, which loses relative accuracy once lam is
-    well above K's top eigenvalue.
+    Both routes take the fitted values sqrt(n) K w from their products with
+    K, not from y - 2*lam*sqrt(n) w, which loses relative accuracy once lam
+    is well above K's top eigenvalue.
 
     - ``_head``, the Ritz pairs of the profile's Krylov head (see
       :class:`sketchkrr.ComplexityProfile`), is for the sweep
       (:mod:`sketchkrr.bench`) alone.  With one, no ``_factor``, and the
       head's smallest Ritz value at most 2*lam, as it always is at the
       paper's lam = 2 delta_n^2, the solve runs conjugate gradients
-      preconditioned with the head (:func:`_conjugate_gradients`): O(n^2)
-      per iteration and no factorization.  On random-design-sweep's
-      first five trials (gaussian kernel, irregular design, n = 1200) it
-      took one iteration and 0.6-1.1 ms against 15-26 for the factor
-      route (one OpenBLAS thread).  Past ``CG_MAX`` iterations it takes
-      the factor route.
-    - The factor route factors K + 2*lam*I by Cholesky in single
-      precision, O(n^3) at twice the double-precision rate, into n^2
-      floats, then refines the single-precision solve with residuals in
-      double (see :func:`_refine`): each step is two triangular passes and
-      one product with K that reads one triangle (BLAS dsymv), O(n^2).  At
-      n = 1024 the solve took 7-10 ms against 17-18 for the double factor
-      (gaussian kernel, irregular design, one OpenBLAS thread).  Where the
-      single-precision factorization fails, or the refinement does not
-      converge, K + 2*lam*I is factored in double into n (n + 1) / 2
-      doubles instead, the single factor freed first, and solved by
-      LAPACK's RFP solve dpftrs: 0.75-1.18 ms at n = 1023-1200 against
-      0.41-0.67 for triangular passes over the packed blocks, a cost only
-      this fallback pays, which no benchmark or config setting takes.
+      preconditioned with the head (:func:`_conjugate_gradients`) to
+      LAPACK dsposv's backward-error test: O(n^2) per iteration and no
+      factorization.  On random-design-sweep's first trial (gaussian
+      kernel, irregular design, n = 1200) it took one iteration and
+      0.35-0.40 ms against 23-24 for the factor route (one OpenBLAS
+      thread).  Past ``CG_MAX`` iterations it takes the factor route.
+    - The factor route factors K + 2*lam*I by Cholesky in double
+      precision into n (n + 1) / 2 doubles (:func:`_factor_krr`), the
+      O(n^3) cost of exact KRR, and solves by LAPACK's RFP solve dpftrs,
+      two triangular passes, then forms K w by one product that reads one
+      triangle (BLAS dsymv).  At n = 1024 a fresh solve took 18-19 ms
+      (sobolev1 on a uniform grid, grid-sweep's K, one OpenBLAS thread).
 
     ``_factor`` is for the sweep alone too: a factor from
     :func:`_factor_krr` for this same K and lambda_n, kept across the
     trials of a fixed design that share them, so that a call pays only the
-    refinement (0.8-1.0 ms at n = 1024), with the same bits as a fresh
-    factorization.  Such a call's time is therefore not the O(n^3) cost of
-    exact KRR.  A factor made for another K (another instance, even with
-    equal values) or lambda_n raises :class:`DomainError`.
+    dpftrs solve and the product (0.8-0.9 ms at n = 1024), with the same
+    bits as a fresh solve.  Such a call's time is therefore not the O(n^3)
+    cost of exact KRR.  A factor made for another K (another instance,
+    even with equal values) or lambda_n raises :class:`DomainError`.
     """
-    lam = _check_lambda(lambda_n)
+    lam = check_positive(lambda_n, "lambda_n")
     yv = _check_vector(y, K.n, "y")
     b = yv / np.sqrt(K.n)
     solved = None
@@ -352,13 +276,7 @@ def solve_krr(
     elif _head is not None and _head[0][-1] <= 2.0 * lam:
         solved = _conjugate_gradients(K, lam, b, _head)
     if solved is None:
-        if _factor is None:
-            _factor = _factor_krr(K, lam)
-        solved = _refine(_factor, b)
-    if solved is None:
-        packed = _factor.packed
-        del _factor  # a fresh single factor goes before the double one comes
-        omega = solve_factor(_packed_factor(K, lam) if packed is None else packed, b)
+        omega = solve_factor((_factor_krr(K, lam) if _factor is None else _factor).packed, b)
         solved = omega, symv(K.matrix, omega)
     omega, Kw = solved
     return FitResult("exact", omega, None, lam, np.sqrt(K.n) * Kw)
@@ -469,7 +387,7 @@ def _solve_sketched(
 
 def solve_sketched_krr(K: KernelMatrix, y, S: SketchOperator, lambda_n: float) -> FitResult:
     """Sketched KRR: (S K^2 S^T + 2*lam * S K S^T) a = S K y / sqrt(n)."""
-    lam = _check_lambda(lambda_n)
+    lam = check_positive(lambda_n, "lambda_n")
     yv = _check_vector(y, K.n, "y")
     alpha, fitted, fallback = _solve_sketched(K, S, lam, yv)
     return FitResult("sketched", alpha, S, lam, fitted, rank_deficient=fallback)
@@ -484,7 +402,7 @@ def error_decomposition(
     estimation    = ||fdag - fhat||_n^2 against the noisy fit fhat,
     total         = ||fhat - f*||_n^2; half the total never exceeds their sum.
     """
-    lam = _check_lambda(lambda_n)
+    lam = check_positive(lambda_n, "lambda_n")
     zv = _check_vector(z_star, K.n, "z_star")
     yv = _check_vector(y, K.n, "y")
     # one factorization for both responses
@@ -514,8 +432,8 @@ def predict(fit: FitResult, spec: KernelSpec, train: DesignPoints, query) -> np.
 
 def empirical_error(fhat_vals, fstar_vals) -> float:
     """Squared empirical error (1/n) sum_i (fhat(x_i) - f*(x_i))^2 of finite values."""
-    a = np.asarray(fhat_vals, dtype=np.float64)
-    b = np.asarray(fstar_vals, dtype=np.float64)
+    a = _floats(fhat_vals, "fhat_vals")
+    b = _floats(fstar_vals, "fstar_vals")
     if a.shape != b.shape or a.ndim != 1 or a.size < 1:
         raise DomainError(f"value vectors must share a 1-D shape, got {a.shape} and {b.shape}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
@@ -544,7 +462,7 @@ def solve_dual_krr(K: KernelMatrix, y, lambda_n: float) -> tuple[np.ndarray, np.
     [(n/(2*lam)) K + n I] xi = y, and recovers w = (sqrt(n)/(2*lam)) xi,
     which matches the primal coefficients.
     """
-    lam = _check_lambda(lambda_n)
+    lam = check_positive(lambda_n, "lambda_n")
     yv = _check_vector(y, K.n, "y")
     xi = _dual_solve(K.matrix, lam, yv, "dual")
     omega = (np.sqrt(K.n) / (2.0 * lam)) * xi
@@ -562,7 +480,7 @@ def solve_nystrom_dual(K: KernelMatrix, y, S: SketchOperator, lambda_n: float) -
     a = (sqrt(n)/(2*lam)) (S K S^T)^+ S K xi, whose fitted values coincide
     with the primal sketched solution.
     """
-    lam = _check_lambda(lambda_n)
+    lam = check_positive(lambda_n, "lambda_n")
     yv = _check_vector(y, K.n, "y")
     _check_sketch_size(S, K)
     n = K.n
@@ -577,7 +495,7 @@ def solve_nystrom_dual(K: KernelMatrix, y, S: SketchOperator, lambda_n: float) -
 
 def krr_objective(K: KernelMatrix, y, lambda_n: float, omega) -> float:
     """Objective of the exact program at coefficients omega."""
-    lam = _check_lambda(lambda_n)
+    lam = check_positive(lambda_n, "lambda_n")
     yv = _check_vector(y, K.n, "y")
     w = _check_vector(omega, K.n, "omega")
     Kw = symv(K.matrix, w)
@@ -599,7 +517,7 @@ def zero_noise_objective(K: KernelMatrix, z_star, S: SketchOperator, lambda_n: f
     ``solve_sketched_krr(K, z_star, S, lambda_n).coefficients``.
     """
     _check_sketch_size(S, K)
-    lam = _check_lambda(lambda_n)
+    lam = check_positive(lambda_n, "lambda_n")
     zv = _check_vector(z_star, K.n, "z_star")
     w = apply_sketch_t(S, _check_vector(alpha, S.m, "alpha"))
     Kw = symv(K.matrix, w)

@@ -394,20 +394,20 @@ class TestGridExactFactor:
     (trial 0's own, then the one kept from trial 1 on); a random design
     solves on the profile's head by conjugate gradients, and factors once
     per trial only where the profile has no head.  The spies count the
-    single-precision factorizations, the factor route's first step."""
+    packed double factorizations, the factor route's first step."""
 
     @staticmethod
     def count_factorizations(monkeypatch):
         import sketchkrr.solver as solver
 
         calls = []
-        original = solver.single_factor_shifted
+        original = solver.rfp_factor_shifted
 
         def counted(*args, **kwargs):
             calls.append(args[0].shape[0])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "single_factor_shifted", counted)
+        monkeypatch.setattr(solver, "rfp_factor_shifted", counted)
         return calls
 
     @pytest.mark.parametrize("trials", [1, 2, 4])
@@ -481,8 +481,6 @@ class TestGridExactFactor:
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("injected")
 
-        # both precisions fail, so the exact arm has no factor at all
-        monkeypatch.setattr(solver, "single_factor_shifted", failing)
         monkeypatch.setattr(solver, "rfp_factor_shifted", failing)
         cfg = small_config(sketch_kinds=("exact", "gaussian", "ros"), trials=4)
         records = run_error_vs_n(cfg)

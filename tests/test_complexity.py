@@ -105,7 +105,7 @@ class TestCriticalRadius:
             sigma = float(rng.uniform(0.1, 2.0))
             assert critical_radius(mu, n, 2 * sigma) >= critical_radius(mu, n, sigma)
 
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.inf, np.nan, "x"])
     def test_bad_sigma(self, monkeypatch, sigma):
         # unchecked, an infinite sigma makes the radius NaN; checked first,
         # it costs no head estimate of K

@@ -249,8 +249,9 @@ class TestCheckKSatisfiable:
                 "profile d_n=129 out of range for n=128",
             ),
             (lambda n, K, p: check_k_satisfiable(np.ones(n), K, p), "sketch must be a matrix"),
+            (lambda n, K, p: recommended_sketch_dim("gaussian", 2, 20, "x"), "c must be finite and > 0, got 'x'"),
         ],
-        ids=["zero-threshold", "d_n-above-n", "vector-sketch"],
+        ids=["zero-threshold", "d_n-above-n", "vector-sketch", "text-c"],
     )
     def test_bad_input_raises_a_named_error(self, sobolev_setup, call, match):
         with pytest.raises(DomainError, match=match):

@@ -186,25 +186,12 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-def count_solves(monkeypatch, module):
-    """The form of each factor that ``module.solve_factor`` is called with,
-    in order: ``single`` (float32), ``packed`` (RFP) or ``full``."""
-    forms = []
-    original = module.solve_factor
-
-    def counted(L, b):
-        forms.append("single" if L.dtype == np.float32 else "packed" if L.ndim == 1 else "full")
-        return original(L, b)
-
-    monkeypatch.setattr(module, "solve_factor", counted)
-    return forms
-
-
 def oracle_miss(K, y, lam, fit, want=None):
     """max |fit.fitted - oracle| as a share of n eps ||K + 2 lam I||_F ||w||_inf.
 
-    The stopping test leaves a residual of at most sqrt(n) eps ||K + 2 lam
-    I||_F ||w||_inf, and K (K + 2 lam I)^{-1} has 2-norm below one, so
+    Conjugate gradients stop at a residual of at most sqrt(n) eps ||K + 2
+    lam I||_F ||w||_inf, which the backward-stable factor route is expected
+    to meet too, and K (K + 2 lam I)^{-1} has 2-norm below one, so
     sqrt(n) K w should miss the oracle by at most n times that bound's
     eps ||K + 2 lam I||_F ||w||_inf, a share of at most one.
     """
@@ -216,9 +203,8 @@ def oracle_miss(K, y, lam, fit, want=None):
 
 
 class TestRefinedExactSolve:
-    """The exact solve factors K + 2*lam*I in single precision and refines
-    with double residuals; where spotrf fails or REFINE_MAX corrections do
-    not converge it factors in double."""
+    """Without a head to run conjugate gradients on, the exact solve factors
+    K + 2*lam*I by Cholesky in double precision, in packed storage."""
 
     @pytest.mark.parametrize("lam", REFINED_LAMBDAS)
     @pytest.mark.parametrize("n", [30, 31, 1200])
@@ -227,60 +213,21 @@ class TestRefinedExactSolve:
         ids=lambda s: s.kind,
     )
     def test_fitted_values_match_the_dense_oracle(self, kernel_instances, spec, n, lam):
-        # the worst of these 54 cases used 0.29 of the bound (gaussian, n =
-        # 31, lam = 1e-5); those on the double route (lam = 1e-9 on the
-        # gaussian and polynomial kernels), 0.015
+        # the worst of these 54 cases used 0.019 of the bound
         K, y = kernel_instances(spec, n)
         assert oracle_miss(K, y, lam, solve_krr(K, y, lam)) <= 1.0
 
-    def test_single_precision_factor_failing_takes_the_double_route(self, monkeypatch, irregular_1200):
-        import sketchkrr.solver as solver
-
+    @pytest.mark.parametrize("lam", [1e-9, 1e-7])
+    def test_irregular_design_matches_the_dense_oracle(self, irregular_1200, lam):
+        # lam far below K's top eigenvalue on random-design-sweep's data;
+        # the worst used 0.0036 of the bound
         K, y = irregular_1200
-        failed = []
-        original = solver.single_factor_shifted
-
-        def recording(*args, **kwargs):
-            try:
-                return original(*args, **kwargs)
-            except np.linalg.LinAlgError:
-                failed.append(True)
-                raise
-
-        monkeypatch.setattr(solver, "single_factor_shifted", recording)
-        double = count_calls(monkeypatch, solver, "rfp_factor_shifted")
-        solves = count_solves(monkeypatch, solver)
-        solve_krr(K, y, 1e-9)  # 2 lam below float32 rounding of K's diagonal
-        assert (failed, double, solves) == ([True], ["rfp_factor_shifted"], ["packed"])
-
-    def test_refinement_past_its_cap_takes_the_double_route(self, monkeypatch, irregular_1200):
-        import sketchkrr.solver as solver
-
-        K, y = irregular_1200
-        double = count_calls(monkeypatch, solver, "rfp_factor_shifted")
-        solves = count_solves(monkeypatch, solver)
-        capped = solve_krr(K, y, 1e-7)
-        # the residual shrinks 0.09, 0.20, then 0.29 a correction: held from
-        # the third on, 0.29 would miss the test at REFINE_MAX, so it gives
-        # way there
-        assert (solves.count("single"), len(double)) == (1 + 3, 1)
-        assert solves[-1:] == ["packed"]
-        # with room for them, the refinement converges after 12 corrections
-        monkeypatch.setattr(solver, "REFINE_MAX", 30)
-        solves.clear()
-        double.clear()
-        refined = solve_krr(K, y, 1e-7)
-        assert (solves.count("single"), len(double)) == (1 + 12, 0)
-        assert solves == ["single"] * 13
-        want = ridge_fitted_oracle(K.matrix, y, 1e-7)
-        assert oracle_miss(K, y, 1e-7, capped, want) <= 1.0
-        assert oracle_miss(K, y, 1e-7, refined, want) <= 1.0
+        assert oracle_miss(K, y, lam, solve_krr(K, y, lam)) <= 1.0
 
     @pytest.mark.parametrize("lam", [1e-9, 1e-7, 0.02])
     def test_kept_factor_matches_a_fresh_solve_on_every_route(self, irregular_1200, lam):
         K, y = irregular_1200
         factor = _factor_krr(K, lam)
-        assert (factor.single is None) == (lam == 1e-9)
         kept = solve_krr(K, y, lam, _factor=factor)
         fresh = solve_krr(K, y, lam)
         np.testing.assert_array_equal(kept.coefficients, fresh.coefficients)
@@ -296,9 +243,8 @@ class TestRefinedExactSolve:
 
     @pytest.mark.parametrize("lam", [1e-9, 1e-7, 0.02])
     def test_fresh_solve_allocates_at_most_a_packed_factor(self, irregular_1200, lam):
-        # single route: n^2 floats; double routes: n (n + 1) / 2 doubles,
-        # made after the single-precision copy is gone; plus n-vectors
-        # (about 7 of them at n = 1200)
+        # the factor's n (n + 1) / 2 doubles, plus n-vectors (about 7 of
+        # them at n = 1200)
         import tracemalloc
 
         K, y = irregular_1200
@@ -392,7 +338,7 @@ class TestConjugateGradientExactSolve:
         assert products == [] and not fit.coefficients.any() and not fit.fitted.any()
 
     def test_allocates_only_vectors(self, headed_instances):
-        # no n x n copy: the single-precision factor route's n^2 floats go
+        # no n x n copy: the factor route's n (n + 1) / 2 doubles go
         import tracemalloc
 
         K, y, profile = headed_instances(KernelSpec.gaussian(0.25), "irregular", 1200)
@@ -939,6 +885,8 @@ def _indefinite_dual_solve():
 
 
 FOUR_POINTS = DesignPoints(np.array([0.2, 0.4, 0.6, 0.8]))
+FOUR_K = build_kernel_matrix(KernelSpec.sobolev1(), FOUR_POINTS)
+TEXT = ["a"] * 4
 
 
 @pytest.mark.parametrize(
@@ -956,8 +904,20 @@ FOUR_POINTS = DesignPoints(np.array([0.2, 0.4, 0.6, 0.8]))
             DomainError, "fit is inconsistent with the training points",
         ),
         (_indefinite_dual_solve, NumericalError, "dual system could not be solved"),
+        (lambda: solve_krr(FOUR_K, np.ones(4), "x"), DomainError, "lambda_n must be finite and > 0, got 'x'"),
+        (lambda: solve_krr(FOUR_K, np.ones(4), None), DomainError, "lambda_n must be finite and > 0, got None"),
+        (lambda: solve_krr(FOUR_K, TEXT, 0.1), DomainError, "y must be numeric"),
+        (
+            lambda: solve_sketched_krr(FOUR_K, TEXT, draw_sketch("gaussian", 2, 4, 1), 0.1),
+            DomainError, "y must be numeric",
+        ),
+        (lambda: krr_objective(FOUR_K, np.ones(4), 0.1, TEXT), DomainError, "omega must be numeric"),
+        (lambda: empirical_error(TEXT, np.ones(4)), DomainError, "fhat_vals must be numeric"),
     ],
-    ids=["short-y", "short-fstar", "fit-of-other-size", "indefinite-dual"],
+    ids=[
+        "short-y", "short-fstar", "fit-of-other-size", "indefinite-dual",
+        "text-lambda", "none-lambda", "text-y", "text-sketched-y", "text-omega", "text-values",
+    ],
 )
 def test_bad_input_raises_a_named_error(call, error, match):
     with pytest.raises(error, match=match):

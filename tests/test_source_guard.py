@@ -12,16 +12,15 @@ No module but ``_util.py`` multiplies a kernel matrix with ``@``: every
 product with K goes through ``sketchkrr._util.symv``, the one place that
 knows how K is stored and read.
 
-No module but ``_util.py`` names LAPACK's single-precision spotrf or
-strtrs, or float32: the exact solve's single-precision factor is made
-there (``single_factor_shifted``) and solved there, and every other array
-of the package stays in double.
+No module names LAPACK's single-precision spotrf or strtrs, or float32:
+every array of the package stays in double, and the exact solve's one
+factor route is a double Cholesky factor.
 
 No module but ``_util.py`` names LAPACK's triangular or RFP solves (dtrtrs,
 strtrs, dpftrs, spftrs, or ``trtrs`` and ``pftrs`` as ``get_lapack_funcs``
-takes them): every solve L L^T x = b, with a full, single-precision or
-packed factor, goes through ``sketchkrr._util.solve_factor``, which picks
-the routine from the factor.
+takes them): every solve L L^T x = b, with a full or packed factor, goes
+through ``sketchkrr._util.solve_factor``, which picks the routine from the
+factor.
 
 No module but ``sketch.py`` names ``__matmul__``: every sketch, a dense
 matrix given to the certificate included, is applied through
@@ -81,16 +80,10 @@ def test_guard_sees_each_spelling(source):
     assert potrs_uses(source)
 
 
-@pytest.mark.parametrize(
-    "module", sorted(p for p in PACKAGE.glob("*.py") if p.name != "_util.py"), ids=lambda p: p.name
-)
-def test_no_module_but_util_names_single_precision(module):
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_names_single_precision(module):
     uses = potrs_uses(module.read_text(), SINGLE_PRECISION)
-    assert uses == [], f"{module.name} names single precision; use _util.single_factor_shifted"
-
-
-def test_util_is_where_single_precision_lives():
-    assert potrs_uses((PACKAGE / "_util.py").read_text(), SINGLE_PRECISION)
+    assert uses == [], f"{module.name} names single precision; keep every array in double"
 
 
 @pytest.mark.parametrize(
@@ -121,7 +114,7 @@ def test_no_module_but_util_names_a_factor_solve(module):
 
 def test_util_is_where_factor_solves_live():
     source = (PACKAGE / "_util.py").read_text()
-    for name in ("dtrtrs", "strtrs", "dpftrs"):
+    for name in ("dtrtrs", "dpftrs"):
         assert potrs_uses(source, {name}), name
 
 

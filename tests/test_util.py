@@ -1,15 +1,14 @@
 """Dense-oracle tests of the linear-algebra helpers in ``sketchkrr._util``:
 the Cholesky factor in rectangular full packed storage and its solve against
-numpy's Cholesky and LU solve, the solve with a full lower Cholesky factor
-in double and in single precision, and the one-triangle product against the
-full GEMV of ``@``."""
+numpy's Cholesky and LU solve, the solve with a full lower Cholesky factor,
+and the one-triangle product against the full GEMV of ``@``."""
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from sketchkrr import DesignPoints, KernelMatrix, KernelSpec, build_kernel_matrix
-from sketchkrr._util import rfp_factor_shifted, single_factor_shifted, solve_factor, symv
+from sketchkrr._util import rfp_factor_shifted, solve_factor, symv
 
 EPS = np.finfo(np.float64).eps
 
@@ -134,23 +133,6 @@ class TestSolveFactor:
         L[2, 2] = 0.0
         with pytest.raises(np.linalg.LinAlgError, match="dtrtrs info = 3"):
             solve_factor(L, np.ones(4))
-        with pytest.raises(np.linalg.LinAlgError, match="strtrs info = 3"):
-            solve_factor(L.astype(np.float32), np.ones(4))
-
-    @pytest.mark.parametrize("n", [11, 462, 1200])
-    @pytest.mark.parametrize("cols", [None, 2])
-    def test_single_factor_gives_two_strtrs_bits_in_double(self, n, cols):
-        K = sobolev_matrix(n, n + 2)
-        L = single_factor_shifted(K, 1e-3)
-        b = np.random.default_rng(n).standard_normal(n if cols is None else (n, cols))
-        L0, b0 = L.copy(), b.copy()
-        z, _ = sla.lapack.strtrs(L, b.astype(np.float32), lower=1)
-        want, _ = sla.lapack.strtrs(L, z, lower=1, trans=1)
-        x = solve_factor(L, b)
-        assert x.dtype == np.float64 and x.shape == b.shape
-        np.testing.assert_array_equal(x, want.astype(np.float64))
-        np.testing.assert_array_equal(L, L0)
-        np.testing.assert_array_equal(b, b0)
 
 
 class TestSymv:
