@@ -42,6 +42,15 @@ def check_positive(value, name: str) -> float:
     return float(value)
 
 
+def check_floats(value, name: str) -> np.ndarray:
+    """``value`` as a float64 array; a :class:`DomainError` that names it if
+    numpy cannot convert it."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be numeric: {exc}") from exc
+
+
 def rfp_factor_shifted(matrix: np.ndarray, shift: float) -> np.ndarray:
     """Lower Cholesky factor L of the symmetric ``matrix + shift * I`` in
     rectangular full packed (RFP) storage, ``transr='T'``, ``uplo='L'``
@@ -84,10 +93,9 @@ def solve_factor(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     - the packed array from :func:`rfp_factor_shifted`: LAPACK's RFP solve
       dpftrs.  It took 0.75-1.18 ms at n = 1023-1200, against 0.41-0.67
       for four dtrtrs calls on views of the packed blocks (best of 25),
-      with which it agreed to 2e-15 relative.  It is the exact solve's
-      factor route, and every trial of a uniform-grid sweep after the
-      first solves through it on a kept factor, so that difference is
-      paid once per such trial.  A 1 x 1 factor is divided by directly:
+      with which it agreed to 2e-15 relative, a difference paid once per
+      factor, next to the O(n^3) factorization: it is the exact solve's
+      factor route.  A 1 x 1 factor is divided by directly:
       there dpftrs missed a dense solve by twice as much.
 
     Times are at one OpenBLAS thread.

@@ -5,25 +5,22 @@ a fixed BLAS thread count are byte-identical.  Its arms are paired: each (n, tri
 y_i = f*(x_i) + sigma * w_i from a seed mixed by splitmix64 from
 (base_seed, n, trial) alone, builds the kernel matrix once, computes the
 critical radius and statistical dimension once from its top eigenvalues
-and trace (no full eigendecomposition; see :mod:`sketchkrr.complexity`),
+and trace (see :mod:`sketchkrr.complexity`),
 sets the regularization (default 2 * delta_n^2) by rule, and fits every
 arm on that same data.  The ``uniform_grid`` design's points do not
 depend on the seed, so its kernel matrix, profile and regularization are
-computed once per n and only the sample is drawn per trial.  Its exact
-arm factors K + 2*lambda*I by Cholesky in double precision once per n to
-keep: trial 0 factors inside ``solve_krr`` and drops the factor, and
-trial 1's exact arm makes the packed factor that it and every later
-trial of that n solve with, O(n^2) instead of O(n^3), with the same bits
-as a fresh factorization.  A random design keeps no factor: its exact
-arm gets the Ritz pairs of the profile's Krylov head, and ``solve_krr``
-solves by conjugate gradients preconditioned with them, a few O(n^2)
-products with K at lambda = 2 delta_n^2; it factors K + 2*lambda*I in
-the trial only where the profile has no head (n < 32, the dense-spectrum
-fallback, sigma = 0) or the head's smallest Ritz value is above
-2*lambda.  A factorization that fails fails the exact arm alone, and the
-next trial tries again.  The arms differ only in the sketch: each draws it from its own trial seed, derived injectively from
-(base_seed, n, sketch kind, trial index) and recorded in the CSV
-``seed`` column.  Each arm sets the projection dimension m by rule,
+computed once per n and only the sample is drawn per trial.  The exact
+arm gets the eigenpairs the profile holds, on every design: the Ritz
+pairs of its Krylov head, or the full spectrum of its dense fallback
+(n < 32, or a head that gives way), and ``solve_krr`` solves by conjugate
+gradients preconditioned with them, a few O(n^2) products with K at
+lambda = 2 delta_n^2.  It factors K + 2*lambda*I, O(n^3), in the trial
+only where there is no profile (sigma = 0), the smallest Ritz value is
+above 2*lambda (a small fixed lambda) or the iterations pass ``CG_MAX``;
+a failing factorization fails the exact arm alone.  The arms differ
+only in the sketch: each draws it from its own trial seed, derived
+injectively from (base_seed, n, sketch kind, trial index) and recorded in
+the CSV ``seed`` column.  Each arm sets the projection dimension m by rule,
 solves, and records the squared empirical prediction error against the
 stored f* values, together with the rescaled error (error times the
 kernel's known rate factor: n^(2/3) for sobolev1, n/sqrt(ln n) for the
@@ -37,12 +34,9 @@ rows, and any other exception is a bug and propagates.  Wall-clock timing
 is off by default because measured times would break the byte-identical
 reproducibility of the output; pass ``timing=True`` (or ``--timing`` on
 the CLI) to record real milliseconds.  The time of a trial's shared work
-is then charged to its first arm's row, and the kept factor's time to the
-exact row that makes it, so the rows sum to the sweep's time.  After that
-row a grid exact row's ``wall_time_ms`` is the packed factor's solve
-(LAPACK dpftrs) and one product with K, and a random design's is the
-conjugate-gradient solve where it has a head: neither is the O(n^3) cost
-of a direct exact solve.
+is then charged to its first arm's row, so the rows sum to the sweep's
+time.  A profiled exact row's ``wall_time_ms`` is then the
+conjugate-gradient solve, not the O(n^3) cost of a direct exact solve.
 """
 
 from __future__ import annotations
@@ -58,14 +52,7 @@ from .complexity import ComplexityProfile, complexity_profile
 from .errors import DomainError, NumericalError
 from .kernels import DesignPoints, KernelMatrix, KernelSpec, build_kernel_matrix
 from .sketch import SketchOperator, draw_sketch
-from .solver import (
-    RegressionSample,
-    _factor_krr,
-    _ShiftedFactor,
-    empirical_error,
-    solve_krr,
-    solve_sketched_krr,
-)
+from .solver import RegressionSample, empirical_error, solve_krr, solve_sketched_krr
 
 __all__ = [
     "ARM_KINDS",
@@ -294,16 +281,13 @@ _TRIAL_ERRORS = (DomainError, NumericalError, np.linalg.LinAlgError)
 @dataclass(frozen=True)
 class _SharedInputs:
     """What every arm of one (n, trial) fits on: the dataset, K, its
-    profile (None for sigma = 0; on a random design with the Krylov head
-    the exact arm solves on, on a grid without one) and the
-    regularization, plus the exact arm's kept Cholesky factor of K +
-    2*lam*I on a grid (else None)."""
+    profile (None for sigma = 0; with the eigenpairs the exact arm solves
+    on) and the regularization."""
 
     sample: RegressionSample
     K: KernelMatrix
     profile: ComplexityProfile | None
     lam: float
-    factor: _ShiftedFactor | None = None
 
 
 def _shared_inputs(
@@ -316,9 +300,6 @@ def _shared_inputs(
     # sigma = 0 leaves the critical radius undefined; the fit still works
     # with a fixed regularization, so the profile columns become NaN/0
     profile = complexity_profile(K, n, config.sigma) if config.sigma > 0 else None
-    if profile is not None and config.design == "uniform_grid":
-        # a grid keeps its exact factor across trials instead of the head
-        profile = replace(profile, _head=None)
     return _SharedInputs(sample, K, profile, _regularization(config, profile))
 
 
@@ -353,8 +334,7 @@ def run_error_vs_n(
     records: list[TrialRecord] = []
     for n in config.n_grid:
         # uniform_grid points do not depend on the seed: one K, profile and
-        # regularization per n, shared by every trial, and from the second
-        # trial on one kept factor for the exact arm
+        # regularization per n, shared by every trial
         grid = None
         for trial in range(config.trials):
             start = time.perf_counter() if timing else 0.0
@@ -371,12 +351,6 @@ def run_error_vs_n(
                 record = _marker_row(n, kind, trial, seed)
                 if shared is not None:
                     try:
-                        if kind == "exact" and trial > 0 and grid is shared and grid.factor is None:
-                            # trial 0 factors inside solve_krr and frees the
-                            # factor: one kept from trial 0 on stays live while
-                            # that trial's sketched arms first touch their BLAS
-                            # and heap pages, +1.3% peak RSS at n = 1024
-                            grid = shared = replace(grid, factor=_factor_krr(grid.K, grid.lam))
                         record = _fit_arm(config, shared, n, kind, trial, seed, log)
                     except _TRIAL_ERRORS as exc:
                         log.failed(n, trial, f"{kind} arm", exc)
@@ -399,7 +373,7 @@ def _fit_arm(
     sample, K, profile, lam = shared.sample, shared.K, shared.profile, shared.lam
     if kind == "exact":
         m = n
-        fit = solve_krr(K, sample.y, lam, _factor=shared.factor, _head=profile and profile._head)
+        fit = solve_krr(K, sample.y, lam, _head=profile and profile._head)
     else:
         S = _arm_sketch(config, profile, n, kind, seed)
         m = S.m

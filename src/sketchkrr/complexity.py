@@ -27,22 +27,27 @@ an error estimate for each value.  The space grows, never restarting, by
 one block of 8 columns and one O(n^2 * 8) product with K at a time, so k
 = 8, 16, 24, ..., until the k-th Ritz value plus its error estimate is at
 most delta_n^2 / 2 and the error estimates of the leading d_n + 1 values
-are within 1e-10 * delta_n^2.  The profile keeps that head's Ritz values
-and vectors, for the exact solve to precondition with (see
-:func:`sketchkrr.solve_krr`).  Once k would pass both n/4 and 48, or at
+are within 1e-10 * delta_n^2.  Once k would pass both n/4 and 48, or at
 once if 32 > n, it uses the full spectrum of ``K.eig()``; so it does too
-once the head's estimate of d_n puts ``HEAD_SPAN`` (d_n + 1), about the
-head size it needs to settle, beyond the last k it may reach.  A matrix from ``build_kernel_matrix`` is PSD
+once the head's d_n, a lower bound, puts ``HEAD_SPAN`` (d_n + 1), about the
+head size it needs to settle, beyond the last k it may reach.  The
+profile keeps the eigenpairs it settled on, the head's Ritz pairs or
+those of ``K.eig()``, for the exact solve to precondition with (see
+:func:`sketchkrr.solve_krr`).  A matrix from ``build_kernel_matrix`` is PSD
 at working precision by construction (its docstring gives the argument)
 and is not checked again; for any other matrix, after the first head, K +
 1e-10 * theta_1 * I must have a Cholesky factor, or the profile raises
 :class:`NumericalError`.  The result depends only on (K, n, sigma), and n
-must be the size of K.  The error estimates are a-posteriori (their
+must be the size of K.  Every head gives an upper bound on delta_n and
+a lower bound on d_n, to rounding: by Cauchy's interlacing theorem each
+Ritz value is at most the eigenvalue of its rank, so the head's tail mass
+tr K - sum theta is at least the truncated mass it stands for, and its R
+is never below the true R.  The error estimates are a-posteriori (their
 quadratic term divides by gaps between Ritz values, not between
-eigenvalues), so this path estimates delta_n and d_n rather than
-certifying them; the tests check it against dense ``eigvalsh`` (d_n
-exact, delta_n within 1e-9 relative) for three kernels, three designs and
-n from 64 to 1200.
+eigenvalues), so they do not certify how tight that bound is; the tests
+check it against dense ``eigvalsh`` (d_n exact, delta_n within 1e-9
+relative), and the bound's side at every head read, for three kernels,
+three designs and n from 64 to 1200.
 
 The module also provides population-level spectra for the three built-in
 kernel families, used for rate checks against the known decay of delta_n^2
@@ -54,11 +59,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import block_krylov, check_count, check_positive, rfp_factor_shifted, symv
+from ._util import block_krylov, check_count, check_floats, check_positive, rfp_factor_shifted, symv
 from .errors import DomainError, NumericalError
 from .kernels import EIG_CLAMP_REL, KernelMatrix, KernelSpec
 
@@ -78,8 +84,8 @@ HEAD_START = 8
 RITZ_REL_TOL = 1e-10
 # a head settles only once it holds about this many times d_n + 1 Ritz
 # values (2.9-3.1 at d_n = 43-51 on sobolev1, n = 1024, sigma = 0.02; more
-# at smaller d_n); it gives way to the dense spectrum once its d_n
-# estimate puts that above the Ritz values its blocks can reach
+# at smaller d_n); it gives way to the dense spectrum once its d_n, a
+# lower bound, puts that above the Ritz values its blocks can reach
 HEAD_SPAN = 3
 
 
@@ -87,11 +93,13 @@ HEAD_SPAN = 3
 class ComplexityProfile:
     """Critical radius and statistical dimension of one kernel matrix.
 
-    ``_head`` is the package's own: the Ritz values (clipped at zero,
-    descending) and orthonormal n x k Ritz vectors of the Krylov head a
-    :class:`KernelMatrix`'s profile settled on, or None for a profile of a
-    spectrum or from the dense fallback.  It takes no part in comparison or
-    repr, and preconditions the exact solve (:func:`sketchkrr.solve_krr`).
+    ``_head`` is the package's own: for a :class:`KernelMatrix`'s profile,
+    the Ritz values (clipped at zero, descending) and orthonormal n x k
+    Ritz vectors of the Krylov head it settled on, or, from the dense
+    fallback, the clamped eigenvalues and eigenvectors of ``K.eig()``
+    itself (k = n, not copied); None only for a profile of a spectrum.  It
+    takes no part in comparison or repr, and preconditions the exact solve
+    (:func:`sketchkrr.solve_krr`).
     """
 
     sigma: float
@@ -103,7 +111,7 @@ class ComplexityProfile:
 
 
 def _check_spectrum(mu_hat) -> np.ndarray:
-    mu = np.asarray(mu_hat, dtype=np.float64)
+    mu = check_floats(mu_hat, "spectrum")
     if mu.ndim != 1 or mu.size < 1:
         raise DomainError("spectrum must be a nonempty 1-D sequence")
     if not np.isfinite(mu).all() or mu.min() < 0.0:
@@ -115,8 +123,8 @@ def kernel_complexity(mu_hat, n: int, delta: float) -> float:
     """R(delta) = sqrt((1/n) * sum_j min(delta^2, mu_j))."""
     mu = _check_spectrum(mu_hat)
     check_count(n, "n", 1)
-    if not delta >= 0.0:
-        raise DomainError(f"delta must be >= 0, got {delta}")
+    if not (isinstance(delta, numbers.Real) and delta >= 0.0):
+        raise DomainError(f"delta must be >= 0, got {delta!r}")
     return float(np.sqrt(np.minimum(delta * delta, mu).sum() / n))
 
 
@@ -155,7 +163,7 @@ def _critical_radius(mu: np.ndarray, tail: float, n: int, sigma: float) -> float
 def statistical_dimension(mu_hat, delta_n: float) -> int:
     """Number of eigenvalues strictly above delta_n^2 (n if all exceed it)."""
     mu = _check_spectrum(mu_hat)
-    if not (math.isfinite(delta_n) and delta_n >= 0.0):
+    if not (isinstance(delta_n, numbers.Real) and 0.0 <= delta_n < math.inf):
         raise DomainError(f"delta_n must be finite and >= 0, got {delta_n!r}")
     return int((mu > delta_n * delta_n).sum())
 
@@ -208,10 +216,12 @@ def _matrix_profile(K: KernelMatrix, n: int, sigma: float) -> tuple[float, int, 
             break  # the head would not settle within its blocks
     # the dense spectrum: on sobolev1 at n = 1024 and sigma = 0.002 (d_n =
     # 242) the head settles only at 60 blocks, in 0.84 s, and gives way
-    # after 13, at an estimated d_n of 88
-    mu = K.eigenvalues
+    # after 13, at a head d_n of 88.  K.eig()'s clamped pairs are the
+    # head the exact solve then preconditions with: one CG iteration took
+    # 1.2 ms there, against 18.7 ms for a factor
+    U, mu = K.eig()
     delta = critical_radius(mu, n, sigma)
-    return delta, statistical_dimension(mu, delta), None
+    return delta, statistical_dimension(mu, delta), (mu, U)
 
 
 def _check_psd(matrix: np.ndarray, top: float) -> None:

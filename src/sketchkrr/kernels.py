@@ -19,19 +19,21 @@ Cholesky factorization; a matrix from ``build_kernel_matrix`` is
 symmetric and PSD by construction (its docstring gives the argument) and
 skips both checks.  Two callers need it: the sketch certificate, for the
 eigenvectors of a nonempty head, and ``complexity_profile(K)``, which
-takes ``K.eigenvalues`` only when its randomized head does not settle
-(see :mod:`sketchkrr.complexity`).
+takes ``K.eig()`` only when its randomized head does not settle, and
+keeps its pairs for the exact solve (see :mod:`sketchkrr.complexity`).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
+from ._util import check_floats
 from .errors import DomainError, NumericalError
 
 __all__ = [
@@ -71,29 +73,32 @@ class KernelSpec:
         if self.kind not in _KERNEL_KINDS:
             raise DomainError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "polynomial":
-            if self.degree is None or int(self.degree) != self.degree or self.degree < 1:
-                raise DomainError(f"polynomial kernel needs integer degree >= 1, got {self.degree!r}")
+            D = self.degree
+            if not (isinstance(D, numbers.Real) and D >= 1 and D % 1 == 0):
+                raise DomainError(f"polynomial kernel needs integer degree >= 1, got {D!r}")
             if self.bandwidth is not None:
                 raise DomainError("polynomial kernel takes no bandwidth")
+            object.__setattr__(self, "degree", int(D))
         elif self.kind == "gaussian":
             h = self.bandwidth
             # kernel_eval divides by 2*h*h: it must be a positive finite float
-            if h is None or not (h > 0 and 0.0 < 2.0 * h * h < math.inf):
+            if not (isinstance(h, numbers.Real) and h > 0 and 0.0 < 2.0 * h * h < math.inf):
                 raise DomainError(
                     f"gaussian kernel needs bandwidth h > 0 with 2*h*h positive and finite, got {h!r}"
                 )
             if self.degree is not None:
                 raise DomainError("gaussian kernel takes no degree")
+            object.__setattr__(self, "bandwidth", float(h))
         elif self.degree is not None or self.bandwidth is not None:
             raise DomainError("sobolev1 kernel takes no hyperparameters")
 
     @classmethod
     def polynomial(cls, degree: int) -> "KernelSpec":
-        return cls("polynomial", degree=int(degree))
+        return cls("polynomial", degree=degree)
 
     @classmethod
     def gaussian(cls, bandwidth: float) -> "KernelSpec":
-        return cls("gaussian", bandwidth=float(bandwidth))
+        return cls("gaussian", bandwidth=bandwidth)
 
     @classmethod
     def sobolev1(cls) -> "KernelSpec":
@@ -107,7 +112,7 @@ class DesignPoints:
     x: np.ndarray
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=np.float64)
+        x = check_floats(self.x, "design points")
         if x.ndim != 1 or x.size < 1:
             raise DomainError("design points must be a nonempty 1-D sequence")
         if not np.isfinite(x).all():
@@ -123,8 +128,7 @@ class DesignPoints:
 
 def kernel_eval(spec: KernelSpec, u, v):
     """Evaluate the kernel at (u, v); u and v may be scalars or broadcastable arrays."""
-    ua = np.asarray(u, dtype=np.float64)
-    va = np.asarray(v, dtype=np.float64)
+    ua, va = check_floats(u, "u"), check_floats(v, "v")
     if not (np.isfinite(ua).all() and np.isfinite(va).all()):
         raise DomainError("kernel arguments must be finite")
     # one output buffer, every step in place: for an n x n grid this is one

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from ._util import block_krylov, ceil_int, check_count, check_positive, symv
+from ._util import block_krylov, ceil_int, check_count, check_floats, check_positive, symv
 from .complexity import ComplexityProfile
 from .errors import DomainError
 from .kernels import KernelMatrix
@@ -106,12 +106,11 @@ def check_k_satisfiable(
     0) makes the isometry condition vacuous and needs no eigendecomposition
     of K.
     """
-    if not c_threshold > 0.0:
-        raise DomainError(f"c_threshold must be > 0, got {c_threshold}")
+    check_positive(c_threshold, "c_threshold")
     if profile.n != K.n:
         raise DomainError(f"profile is for n={profile.n}, kernel size is {K.n}")
     if not isinstance(S, SketchOperator):
-        S = np.asarray(S, dtype=np.float64)
+        S = check_floats(S, "sketch")
         if S.ndim != 2:
             raise DomainError("sketch must be a matrix")
         S = SketchOperator("gaussian", *S.shape, 0, matrix=S)

@@ -6,22 +6,22 @@ With the 1/n-scaled kernel matrix K, the exact coefficient vector solves
 
 whose stationarity condition is K[(K + 2*lam*I) w - y/sqrt(n)] = 0; the
 shifted system (K + 2*lam*I) w = y/sqrt(n) (positive definite for lam > 0)
-is solved on one of two routes.  Given the Ritz pairs of the profile's
-Krylov head (see :mod:`sketchkrr.complexity`), whose smallest Ritz value
-is at most 2*lam at the paper's lam = 2 delta_n^2, conjugate gradients
-preconditioned with those pairs converge in a few O(n^2) products with K
-("sketch and precondition": Avron, Clarkson and Woodruff 2017; Frangella,
-Tropp and Udell 2023), with no factorization, and stop at LAPACK dsposv's
-normwise backward-error test.  Otherwise, or past ``CG_MAX`` iterations,
-K + 2*lam*I is factored by Cholesky in double precision, the O(n^3) step
-of exact KRR that sketching avoids, in rectangular full packed storage
-(n (n + 1) / 2 doubles), and solved by LAPACK's dpftrs, which is backward
-stable.  A sweep on a fixed design keeps the factor and pays only the
-O(n^2) solve in later trials (see :func:`solve_krr`).  The fitted
-function is f(.) = (1/sqrt(n)) * sum_i w_i kernel(., x_i), so the
-training-point values are sqrt(n) * K w, from products that read one
-triangle of the exactly symmetric K: one after the factored solve, or the
-sum of the conjugate-gradient steps'.  The factor is made by
+is solved on one of two routes.  Given the eigenpairs a kernel matrix's
+profile holds (see :mod:`sketchkrr.complexity`): the Ritz pairs of its
+Krylov head, whose smallest Ritz value is at most 2*lam at the paper's
+lam = 2 delta_n^2, or the full spectrum of its dense fallback, conjugate
+gradients preconditioned with those pairs converge in a few O(n^2)
+products with K ("sketch and precondition": Avron, Clarkson and Woodruff
+2017; Frangella, Tropp and Udell 2023), with no factorization, and stop
+at LAPACK dsposv's normwise backward-error test.  Otherwise, or past
+``CG_MAX`` iterations, K + 2*lam*I is factored by Cholesky in double
+precision, the O(n^3) step of exact KRR that sketching avoids, in
+rectangular full packed storage (n (n + 1) / 2 doubles), and solved by
+LAPACK's dpftrs, which is backward stable.  The fitted function is
+f(.) = (1/sqrt(n)) * sum_i w_i kernel(., x_i), so the training-point
+values are sqrt(n) * K w, from products that read one triangle of the
+exactly symmetric K: one after the factored solve, or the sum of the
+conjugate-gradient steps'.  The factor is made by
 :func:`sketchkrr._util.rfp_factor_shifted`; every solve with a Cholesky
 factor, packed or full, goes through :func:`sketchkrr._util.solve_factor`,
 and every product of K with one vector through
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from ._util import check_positive, rfp_factor_shifted, solve_factor, symv
+from ._util import check_floats, check_positive, rfp_factor_shifted, solve_factor, symv
 from .errors import DomainError, NumericalError
 from .kernels import DesignPoints, KernelMatrix, KernelSpec, kernel_eval
 from .sketch import SketchOperator, apply_sketch, apply_sketch_t
@@ -89,12 +89,12 @@ class RegressionSample:
     sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        y = np.asarray(self.y, dtype=np.float64)
+        y = check_floats(self.y, "y")
         if y.shape != (self.pts.n,):
             raise DomainError(f"y must have length n={self.pts.n}")
         object.__setattr__(self, "y", y)
         if self.fstar is not None:
-            f = np.asarray(self.fstar, dtype=np.float64)
+            f = check_floats(self.fstar, "fstar")
             if f.shape != (self.pts.n,):
                 raise DomainError(f"fstar must have length n={self.pts.n}")
             object.__setattr__(self, "fstar", f)
@@ -130,15 +130,8 @@ class FitResult:
         return apply_sketch_t(self.sketch, self.coefficients)
 
 
-def _floats(v, name: str) -> np.ndarray:
-    try:
-        return np.asarray(v, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must be numeric: {exc}") from exc
-
-
 def _check_vector(v, n: int, name: str) -> np.ndarray:
-    a = _floats(v, name)
+    a = check_floats(v, name)
     if a.shape != (n,):
         raise DomainError(f"{name} must be a length-{n} vector, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -157,17 +150,6 @@ def _check_vector(v, n: int, name: str) -> np.ndarray:
 CG_MAX = 30
 
 
-@dataclass(frozen=True)
-class _ShiftedFactor:
-    """Cholesky factor of K + 2*lam*I in double precision and RFP storage
-    (see :func:`sketchkrr._util.rfp_factor_shifted`), with the K and lam it
-    was made for, which :func:`solve_krr` checks before it solves."""
-
-    K: KernelMatrix
-    lam: float
-    packed: np.ndarray
-
-
 def _target(norm: float, w: np.ndarray) -> float:
     """The largest ||r||_inf that LAPACK dsposv's normwise backward-error
     test accepts for the residual r of (K + 2*lam*I) w = b, with norm =
@@ -175,26 +157,20 @@ def _target(norm: float, w: np.ndarray) -> float:
     return norm * np.finfo(np.float64).eps * math.sqrt(len(w)) * np.abs(w).max()
 
 
-def _factor_krr(K: KernelMatrix, lam: float) -> _ShiftedFactor:
-    """Factor the exact system K + 2*lam*I, the O(n^3) step of
-    :func:`solve_krr`."""
-    try:
-        return _ShiftedFactor(K, lam, rfp_factor_shifted(K.matrix, 2.0 * lam))
-    except np.linalg.LinAlgError as exc:  # unreachable for lam > 0 and PSD K
-        raise NumericalError(f"shifted kernel system could not be solved: {exc}") from exc
-
-
 def _conjugate_gradients(
     K: KernelMatrix, lam: float, b: np.ndarray, head: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """w with (K + 2*lam*I) w = b, and K w, by conjugate gradients
-    preconditioned with the head's Ritz pairs (theta, V); None if CG_MAX
-    iterations do not converge.
+    preconditioned with the eigenpairs (theta, V) of the profile's head;
+    None if CG_MAX iterations do not converge.
 
     P^-1 r = r + V ((theta_min + 2*lam) / (theta + 2*lam) - 1) * (V^T r)
     maps the head's span of K + 2*lam*I to about theta_min + 2*lam and
     leaves its complement, where K's eigenvalues lie below about theta_min,
-    as it is (Frangella, Tropp and Udell 2023).  Each iteration takes one
+    as it is (Frangella, Tropp and Udell 2023).  On the full spectrum of
+    the profile's dense fallback P^-1 is (K + 2*lam*I)^-1 up to that
+    scale: one iteration solves to rounding, which sits at the size of the
+    stop test, and a second one at most meets it.  Each iteration takes one
     product K p; K w is carried as the sum of those products, and the
     residual b - K w - 2*lam*w formed from it in double meets dsposv's
     test (:func:`_target`), with ||K + 2*lam*I||_F bounded
@@ -225,12 +201,7 @@ def _conjugate_gradients(
 
 
 def solve_krr(
-    K: KernelMatrix,
-    y,
-    lambda_n: float,
-    *,
-    _factor: _ShiftedFactor | None = None,
-    _head: tuple[np.ndarray, np.ndarray] | None = None,
+    K: KernelMatrix, y, lambda_n: float, *, _head: tuple[np.ndarray, np.ndarray] | None = None
 ) -> FitResult:
     """Exact kernel ridge regression: (K + 2*lam*I) w = y / sqrt(n).
 
@@ -238,45 +209,38 @@ def solve_krr(
     K, not from y - 2*lam*sqrt(n) w, which loses relative accuracy once lam
     is well above K's top eigenvalue.
 
-    - ``_head``, the Ritz pairs of the profile's Krylov head (see
+    - ``_head``, the eigenpairs a profile of K holds (see
       :class:`sketchkrr.ComplexityProfile`), is for the sweep
-      (:mod:`sketchkrr.bench`) alone.  With one, no ``_factor``, and the
-      head's smallest Ritz value at most 2*lam, as it always is at the
-      paper's lam = 2 delta_n^2, the solve runs conjugate gradients
-      preconditioned with the head (:func:`_conjugate_gradients`) to
-      LAPACK dsposv's backward-error test: O(n^2) per iteration and no
-      factorization.  On random-design-sweep's first trial (gaussian
-      kernel, irregular design, n = 1200) it took one iteration and
-      0.35-0.40 ms against 23-24 for the factor route (one OpenBLAS
-      thread).  Past ``CG_MAX`` iterations it takes the factor route.
+      (:mod:`sketchkrr.bench`) alone.  With one whose smallest value is at
+      most 2*lam, as it always is at the paper's lam = 2 delta_n^2, the
+      solve runs conjugate gradients preconditioned with it
+      (:func:`_conjugate_gradients`) to LAPACK dsposv's backward-error
+      test: O(n^2) per iteration and no factorization.  On
+      random-design-sweep's first trial (gaussian kernel, irregular design,
+      n = 1200) it took one iteration and 0.35-0.40 ms against 23-24 for
+      the factor route, and on grid-sweep's K (sobolev1, uniform grid, n =
+      1024) 5 iterations and 1.5 ms (one OpenBLAS thread).  Past
+      ``CG_MAX`` iterations it takes the factor route.
     - The factor route factors K + 2*lam*I by Cholesky in double
-      precision into n (n + 1) / 2 doubles (:func:`_factor_krr`), the
-      O(n^3) cost of exact KRR, and solves by LAPACK's RFP solve dpftrs,
-      two triangular passes, then forms K w by one product that reads one
-      triangle (BLAS dsymv).  At n = 1024 a fresh solve took 18-19 ms
-      (sobolev1 on a uniform grid, grid-sweep's K, one OpenBLAS thread).
-
-    ``_factor`` is for the sweep alone too: a factor from
-    :func:`_factor_krr` for this same K and lambda_n, kept across the
-    trials of a fixed design that share them, so that a call pays only the
-    dpftrs solve and the product (0.8-0.9 ms at n = 1024), with the same
-    bits as a fresh solve.  Such a call's time is therefore not the O(n^3)
-    cost of exact KRR.  A factor made for another K (another instance,
-    even with equal values) or lambda_n raises :class:`DomainError`.
+      precision into n (n + 1) / 2 doubles
+      (:func:`sketchkrr._util.rfp_factor_shifted`), the O(n^3) cost of
+      exact KRR, and solves by LAPACK's RFP solve dpftrs, two triangular
+      passes, then forms K w by one product that reads one triangle (BLAS
+      dsymv).  At n = 1024 a solve took 18-19 ms (grid-sweep's K, one
+      OpenBLAS thread).  Every call without a head takes it.
     """
     lam = check_positive(lambda_n, "lambda_n")
     yv = _check_vector(y, K.n, "y")
     b = yv / np.sqrt(K.n)
     solved = None
-    if _factor is not None:
-        if _factor.K is not K:
-            raise DomainError("factor was made for another kernel matrix")
-        if _factor.lam != lam:
-            raise DomainError(f"factor was made for lambda_n={_factor.lam!r}, not {lam!r}")
-    elif _head is not None and _head[0][-1] <= 2.0 * lam:
+    if _head is not None and _head[0][-1] <= 2.0 * lam:
         solved = _conjugate_gradients(K, lam, b, _head)
     if solved is None:
-        omega = solve_factor((_factor_krr(K, lam) if _factor is None else _factor).packed, b)
+        try:
+            packed = rfp_factor_shifted(K.matrix, 2.0 * lam)
+        except np.linalg.LinAlgError as exc:  # unreachable for lam > 0 and PSD K
+            raise NumericalError(f"shifted kernel system could not be solved: {exc}") from exc
+        omega = solve_factor(packed, b)
         solved = omega, symv(K.matrix, omega)
     omega, Kw = solved
     return FitResult("exact", omega, None, lam, np.sqrt(K.n) * Kw)
@@ -423,7 +387,7 @@ def predict(fit: FitResult, spec: KernelSpec, train: DesignPoints, query) -> np.
     w = fit.expansion_weights()
     if w.shape != (train.n,):
         raise DomainError("fit is inconsistent with the training points")
-    q = np.asarray(query, dtype=np.float64)
+    q = check_floats(query, "query")
     vals = kernel_eval(spec, q[..., None], train.x) @ w / np.sqrt(train.n)
     if q.ndim == 0:
         return float(vals)
@@ -432,8 +396,8 @@ def predict(fit: FitResult, spec: KernelSpec, train: DesignPoints, query) -> np.
 
 def empirical_error(fhat_vals, fstar_vals) -> float:
     """Squared empirical error (1/n) sum_i (fhat(x_i) - f*(x_i))^2 of finite values."""
-    a = _floats(fhat_vals, "fhat_vals")
-    b = _floats(fstar_vals, "fstar_vals")
+    a = check_floats(fhat_vals, "fhat_vals")
+    b = check_floats(fstar_vals, "fstar_vals")
     if a.shape != b.shape or a.ndim != 1 or a.size < 1:
         raise DomainError(f"value vectors must share a 1-D shape, got {a.shape} and {b.shape}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):

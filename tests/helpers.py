@@ -4,7 +4,8 @@ These deliberately avoid the library's own fast paths: the Hadamard matrix
 is built by Sylvester recursion, the critical radius by brute-force grid
 scan or by bisection in exact rational arithmetic, the ROS operator by
 direct matrix assembly, and the sampled rows by one generator call per
-swap.  ``spy_routes`` is the one spy shared by two modules.
+swap.  ``count_calls`` and ``spy_routes`` are the spies shared by test
+modules.
 """
 
 from fractions import Fraction
@@ -133,13 +134,26 @@ def ridge_fitted_oracle(K: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     return (Kx @ x).astype(np.float64)
 
 
+def count_calls(monkeypatch, module, name):
+    """Record each call of ``module.name``, by name, in the returned list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def spy_routes(monkeypatch):
     """The route of each exact solve, in order: ``cg``, ``cg past its cap``
     (conjugate gradients gave way) or ``factor`` (K + 2 lam I was factored)."""
     import sketchkrr.solver as solver
 
     routes = []
-    cg, factor = solver._conjugate_gradients, solver._factor_krr
+    cg, factor = solver._conjugate_gradients, solver.rfp_factor_shifted
 
     def counted_cg(*args):
         solved = cg(*args)
@@ -151,5 +165,5 @@ def spy_routes(monkeypatch):
         return factor(*args)
 
     monkeypatch.setattr(solver, "_conjugate_gradients", counted_cg)
-    monkeypatch.setattr(solver, "_factor_krr", counted_factor)
+    monkeypatch.setattr(solver, "rfp_factor_shifted", counted_factor)
     return routes

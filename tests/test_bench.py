@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import spy_routes
+from helpers import count_calls, spy_routes
 from sketchkrr import (
     CSV_HEADER,
     DomainError,
@@ -241,8 +241,8 @@ class TestRunErrorVsN:
         for r in run_error_vs_n(cfg):
             sample = generate_data(cfg, r.n, _data_seed(cfg.base_seed, r.n, r.trial))
             K = build_kernel_matrix(cfg.kernel, sample.pts)
-            prof = complexity_profile(K.eigenvalues, r.n, cfg.sigma)
-            fit = solve_krr(K, sample.y, 2 * prof.delta_n_sq)
+            prof = complexity_profile(K, r.n, cfg.sigma)
+            fit = solve_krr(K, sample.y, 2 * prof.delta_n_sq, _head=prof._head)
             assert r.m == r.n
             assert r.error == empirical_error(fit.fitted, sample.fstar)
 
@@ -389,29 +389,19 @@ class TestPairedArms:
             assert r.wall_time_ms == pytest.approx(want, abs=1e-6)
 
 
-class TestGridExactFactor:
-    """A uniform grid's exact arm factors K + 2*lam*I at most twice per n
-    (trial 0's own, then the one kept from trial 1 on); a random design
-    solves on the profile's head by conjugate gradients, and factors once
-    per trial only where the profile has no head.  The spies count the
-    packed double factorizations, the factor route's first step."""
-
-    @staticmethod
-    def count_factorizations(monkeypatch):
-        import sketchkrr.solver as solver
-
-        calls = []
-        original = solver.rfp_factor_shifted
-
-        def counted(*args, **kwargs):
-            calls.append(args[0].shape[0])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "rfp_factor_shifted", counted)
-        return calls
+class TestExactArmRoutes:
+    """Wherever a trial has a profile, on every design, the exact arm runs
+    conjugate gradients preconditioned with the eigenpairs the profile
+    holds: a Krylov head's Ritz pairs, or the full spectrum of the dense
+    fallback (n < 32, or a head that gives way).  It factors K + 2*lam*I
+    only with no profile (sigma = 0), and then in every trial.  The route
+    spy counts a "factor" at each packed double factorization, the factor
+    route's first step."""
 
     @pytest.mark.parametrize("trials", [1, 2, 4])
-    def test_grid_factors_at_most_twice_per_n_with_unchanged_bits(self, monkeypatch, trials):
+    def test_grid_factors_nothing_and_matches_a_direct_solve_bit_for_bit(self, monkeypatch, trials):
+        # n = 8 profiles densely and n = 40 on a Krylov head; later trials
+        # of a grid reuse the first one's K and profile
         import sketchkrr.bench as bench
         from sketchkrr import build_kernel_matrix, empirical_error, solve_krr
 
@@ -424,65 +414,80 @@ class TestGridExactFactor:
             return fit
 
         monkeypatch.setattr(bench, "solve_krr", recording)
-        factorizations = self.count_factorizations(monkeypatch)
+        routes = spy_routes(monkeypatch)
         cfg = small_config(kernel=KernelSpec.gaussian(0.25), n_grid=(8, 40),
                            sketch_kinds=("exact", "gaussian"), trials=trials)
         records = run_error_vs_n(cfg)
-        assert factorizations == [n for n in cfg.n_grid for _ in range(min(trials, 2))]
         exact = [r for r in records if r.sketch == "exact"]
         assert len(solves) == len(exact) == len(cfg.n_grid) * trials
-        for r, kept in zip(exact, solves):
+        assert routes == ["cg"] * len(exact)
+        for r, swept in zip(exact, solves):
             sample = generate_data(cfg, r.n, _data_seed(cfg.base_seed, r.n, r.trial))
             K = build_kernel_matrix(cfg.kernel, sample.pts)
-            fresh = solve_krr(K, sample.y, r.lambda_n)
-            np.testing.assert_array_equal(kept.fitted, fresh.fitted)
+            head = complexity_profile(K, r.n, cfg.sigma)._head
+            fresh = solve_krr(K, sample.y, r.lambda_n, _head=head)
+            np.testing.assert_array_equal(swept.fitted, fresh.fitted)
             assert r.error == empirical_error(fresh.fitted, sample.fstar)
 
-    def test_random_design_takes_the_head_where_the_profile_has_one(self, monkeypatch):
-        # n = 16 is below one head (4 * HEAD_START > n), so its profile has
-        # none and every trial factors; at n = 40 every trial runs CG
-        factorizations = self.count_factorizations(monkeypatch)
+    def test_random_design_solves_on_the_profile_at_every_n(self, monkeypatch):
+        # n = 16 is below one head (4 * HEAD_START > n): its profile holds
+        # K.eig()'s pairs; n = 40 holds a Krylov head
         routes = spy_routes(monkeypatch)
         cfg = small_config(design="irregular", kernel=KernelSpec.gaussian(0.25),
                            sketch_kinds=("exact", "gaussian"), n_grid=(16, 40))
         run_error_vs_n(cfg)
-        assert factorizations == [16] * cfg.trials
-        assert routes == ["factor"] * cfg.trials + ["cg"] * cfg.trials
+        assert routes == ["cg"] * (2 * cfg.trials)
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            dict(sigma=0.0, lambda_rule="fixed", lambda_fixed=0.01),
-            dict(kernel=KernelSpec.sobolev1(), design="iid_uniform", sigma=0.01, n_grid=(128,)),
-        ],
-        ids=["sigma-0", "dense-fallback"],
-    )
-    def test_random_design_without_a_head_factors_every_trial(self, monkeypatch, overrides):
+    @pytest.mark.parametrize("design", ["uniform_grid", "irregular"])
+    def test_sweep_without_a_profile_factors_every_trial(self, monkeypatch, design):
         routes = spy_routes(monkeypatch)
-        base = dict(design="irregular", kernel=KernelSpec.gaussian(0.25), sketch_kinds=("exact",), n_grid=(40,))
-        cfg = small_config(**(base | overrides))
+        cfg = small_config(design=design, kernel=KernelSpec.gaussian(0.25), sketch_kinds=("exact",),
+                           n_grid=(40,), sigma=0.0, lambda_rule="fixed", lambda_fixed=0.01)
         run_error_vs_n(cfg)
         assert routes == ["factor"] * cfg.trials
 
-    def test_grid_profile_carries_no_head(self):
-        cfg = small_config(kernel=KernelSpec.gaussian(0.25), n_grid=(40,))
-        assert _shared_inputs(cfg, 40, 0, None).profile._head is None
-        cfg = dataclasses.replace(cfg, design="irregular")
-        assert _shared_inputs(cfg, 40, 0, None).profile._head is not None
+    def test_dense_fallback_takes_at_most_two_iterations(self, monkeypatch):
+        # sobolev1 at sigma = 0.01 gives way to K.eig() at n = 128 (d_n =
+        # 43-46).  On the full spectrum the preconditioner is the inverse
+        # up to a scale, so one iteration solves to rounding; that rounding,
+        # about eps cond(K + 2 lam I) ||b||, sits at the size of dsposv's
+        # test, and a second iteration then meets it
+        import sketchkrr.solver as solver
+
+        products = count_calls(monkeypatch, solver, "symv")
+        routes = spy_routes(monkeypatch)
+        cfg = small_config(design="iid_uniform", sketch_kinds=("exact",), sigma=0.01, n_grid=(128,))
+        run_error_vs_n(cfg)
+        assert routes == ["cg"] * cfg.trials
+        assert len(products) <= 2 * cfg.trials
+
+    @pytest.mark.parametrize("n", [8, 40])
+    def test_every_profile_carries_its_eigenpairs(self, n):
+        cfg = small_config(kernel=KernelSpec.gaussian(0.25), n_grid=(n,))
+        for design in ("uniform_grid", "irregular"):
+            shared = _shared_inputs(dataclasses.replace(cfg, design=design), n, 0, None)
+            theta, V = shared.profile._head
+            if n < 32:  # the dense fallback's pairs, not copied
+                U, mu = shared.K.eig()
+                assert theta is mu and V is U
+            else:
+                assert V.shape == (n, len(theta)) and len(theta) < n
 
     def test_sweep_without_exact_arm_factors_nothing(self, monkeypatch):
-        factorizations = self.count_factorizations(monkeypatch)
+        routes = spy_routes(monkeypatch)
         run_error_vs_n(small_config(sketch_kinds=("gaussian", "ros")))
-        assert factorizations == []
+        assert routes == []
 
     def test_failing_factorization_marks_only_exact_rows(self, monkeypatch):
+        # with no profile (sigma = 0) every exact solve factors
         import sketchkrr.solver as solver
 
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("injected")
 
         monkeypatch.setattr(solver, "rfp_factor_shifted", failing)
-        cfg = small_config(sketch_kinds=("exact", "gaussian", "ros"), trials=4)
+        cfg = small_config(sketch_kinds=("exact", "gaussian", "ros"), trials=4,
+                           sigma=0.0, lambda_rule="fixed", lambda_fixed=0.01)
         records = run_error_vs_n(cfg)
         assert len(records) == len(cfg.n_grid) * len(cfg.sketch_kinds) * cfg.trials
         for r in records:
@@ -491,30 +496,59 @@ class TestGridExactFactor:
             else:
                 assert math.isfinite(r.error) and math.isfinite(r.rescaled_error)
 
-    def test_grid_timing_charges_the_factor_to_the_row_that_builds_it(self, monkeypatch):
-        import types
 
+class TestGridExactOracle:
+    """The grid sweep's exact arm against the dense oracle of
+    ``tests/helpers.py``, on the shipped grid configs and on a grid whose
+    profile gives way to K.eig() (sobolev1 at sigma = 0.002, d_n = 242).
+
+    Conjugate gradients stop once the residual r of (K + 2 lam I) w =
+    y / sqrt(n) meets dsposv's test, ||r||_inf <= t = ``_target``(||K +
+    2 lam I||_F, w); the fitted values sqrt(n) K w then miss the exact
+    ones by sqrt(n) ||K (K + 2 lam I)^-1 r||_2 <= sqrt(n) ||r||_2 <= n t.
+    The worst case used 8.4e-4 of n t (gaussian, n = 1024).  The
+    iteration counts are those of both trials, one BLAS thread or two."""
+
+    @pytest.mark.parametrize(
+        "name, n, overrides, iterations",
+        [
+            ("sobolev_curves", 256, {}, 5),
+            ("sobolev_curves", 1024, {}, 5),
+            ("gaussian_kernel_curves", 256, {}, 2),
+            ("gaussian_kernel_curves", 1024, {}, 1),
+            ("sobolev_curves", 1024, dict(sigma=0.002), 2),
+        ],
+        ids=["sobolev-256", "sobolev-1024", "gaussian-256", "gaussian-1024", "dense-fallback-1024"],
+    )
+    def test_fitted_values_match_the_dense_oracle(self, monkeypatch, name, n, overrides, iterations):
         import sketchkrr.bench as bench
+        import sketchkrr.solver as solver
+        from helpers import ridge_fitted_oracle
+        from sketchkrr import build_kernel_matrix
 
-        # a clock that advances 1 ms per reading and 5 s per kept factor
-        clock = [0.0]
-        original = bench._factor_krr
+        fits, products_so_far, original = [], [], bench.solve_krr
+        products = count_calls(monkeypatch, solver, "symv")
+        routes = spy_routes(monkeypatch)
 
-        def perf_counter():
-            clock[0] += 1e-3
-            return clock[0]
+        def recording(K, y, lambda_n, **kwargs):
+            fits.append(original(K, y, lambda_n, **kwargs))
+            products_so_far.append(len(products))
+            return fits[-1]
 
-        def slow_factor(*args, **kwargs):
-            clock[0] += 5.0
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(bench, "time", types.SimpleNamespace(perf_counter=perf_counter))
-        monkeypatch.setattr(bench, "_factor_krr", slow_factor)
-        cfg = small_config(n_grid=(8,), sketch_kinds=("gaussian", "exact"), trials=3)
-        records = run_error_vs_n(cfg, timing=True)
-        for r in records:
-            want = 5001.0 if (r.sketch, r.trial) == ("exact", 1) else 1.0
-            assert r.wall_time_ms == pytest.approx(want, abs=1e-6)
+        monkeypatch.setattr(bench, "solve_krr", recording)
+        cfg = dataclasses.replace(
+            load_config(CONFIG_DIR / f"{name}.cfg"), n_grid=(n,), sketch_kinds=("exact",), trials=2, **overrides
+        )
+        records = run_error_vs_n(cfg)
+        assert routes == ["cg", "cg"]
+        assert products_so_far == [iterations, 2 * iterations]
+        for r, fit in zip(records, fits):
+            sample = generate_data(cfg, n, _data_seed(cfg.base_seed, n, r.trial))
+            K = build_kernel_matrix(cfg.kernel, sample.pts)
+            norm = np.linalg.norm(K.matrix + 2.0 * r.lambda_n * np.eye(n))
+            tolerance = n * solver._target(norm, fit.coefficients)
+            want = ridge_fitted_oracle(K.matrix, sample.y, r.lambda_n)
+            assert np.abs(fit.fitted - want).max() <= tolerance
 
 
 class TestSweepLog:

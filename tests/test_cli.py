@@ -71,6 +71,19 @@ class TestFit:
         payload = json.loads(capsys.readouterr().out)
         assert payload["n"] == 32 and payload["sketch"] == "exact"
 
+    @pytest.mark.parametrize("n", [16, 32, 256])
+    def test_exact_fit_on_the_default_grid_factors_nothing(self, monkeypatch, capsys, n):
+        # the default design is uniform-grid: the exact arm solves by
+        # conjugate gradients on the eigenpairs its profile holds (K.eig()'s
+        # below n = 32, a Krylov head from there)
+        from helpers import spy_routes
+
+        routes = spy_routes(monkeypatch)
+        assert main(["fit", "--kernel", "sobolev1", "--n", str(n), "--sketch", "exact", "--format", "json"]) == 0
+        assert routes == ["cg"]
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["sketch"] == "exact" and payload["error"] > 0.0
+
     def test_missing_bandwidth_is_usage_error(self, capsys):
         assert main(["fit", "--kernel", "gaussian", "--n", "16"]) == 2
 

@@ -53,6 +53,12 @@ class TestKernelComplexity:
         with pytest.raises(DomainError):
             kernel_complexity([-1.0], 1, 0.1)
 
+    def test_non_numeric_input_is_named(self):
+        with pytest.raises(DomainError, match="delta must be >= 0, got 'x'"):
+            kernel_complexity([1.0], 1, "x")
+        with pytest.raises(DomainError, match="spectrum must be numeric"):
+            statistical_dimension(["a", "b"], 0.5)
+
     @pytest.mark.parametrize("n", [0, 2.5, np.inf, np.nan])
     def test_n_must_be_an_integer_at_least_one(self, n):
         with pytest.raises(DomainError, match="n must be an integer >= 1"):
@@ -187,7 +193,7 @@ class TestStatisticalDimension:
     def test_all_below_gives_zero(self):
         assert statistical_dimension([0.01, 0.005], 0.9) == 0
 
-    @pytest.mark.parametrize("delta_n", [np.nan, -2.0, np.inf, -np.inf])
+    @pytest.mark.parametrize("delta_n", [np.nan, -2.0, np.inf, -np.inf, "x", None])
     def test_bad_radius_is_rejected(self, delta_n):
         with pytest.raises(DomainError, match="delta_n must be finite and >= 0"):
             statistical_dimension([1.0], delta_n)
@@ -436,9 +442,13 @@ class TestMatrixProfile:
     @pytest.mark.parametrize(
         "n, sigma", [(24, 1.0), (128, 0.01)], ids=["below-one-head", "dense-fallback"]
     )
-    def test_no_head_without_a_settled_one(self, n, sigma):
+    def test_dense_fallback_keeps_the_pairs_of_K_eig(self, n, sigma):
+        # without a settled head the profile holds K.eig()'s own arrays; a
+        # profile of a spectrum holds none
         K = KernelMatrix(sobolev_uniform_matrix(n))
-        assert complexity_profile(K, n, sigma)._head is None
+        theta, V = complexity_profile(K, n, sigma)._head
+        U, mu = K.eig()
+        assert theta is mu and V is U
         assert complexity_profile(K.eigenvalues, n, sigma)._head is None
 
     def test_dense_fallback_for_small_n(self, head_calls):
@@ -512,6 +522,61 @@ class TestMatrixProfile:
         second = KernelMatrix(sobolev_uniform_matrix(n))
         complexity_profile(first, n, 0.125)  # grows the head on the same K first
         assert complexity_profile(first, n, 1.0) == complexity_profile(second, n, 1.0)
+
+
+class TestOneSidedHead:
+    """Every head the profile reads bounds the dense profile from one side.
+
+    By Cauchy's interlacing theorem each Ritz value is at most the
+    eigenvalue of the same rank, theta_j <= mu_j, so min(delta^2, theta_j)
+    + (mu_j - theta_j) >= min(delta^2, mu_j) and the head's tail mass tr K
+    - sum theta is at least sum_{j>k} min(delta^2, mu_j): the head's R is
+    never below the true R, so its delta_n is never below the true one
+    and its d_n never above.  The dense oracle is itself exact only to
+    rounding: eigvalsh's eigenvalues are off by up to about tau = n eps
+    mu_1, which moves a rank-4 spectrum's delta_n by up to 1.5e-7 relative
+    at sigma = 0.002 through the noise it leaves in place of zeros.  So
+    theta_j may exceed mu_j by tau (worst seen 0.09 tau), and delta_n is
+    compared with that of the spectrum mu - tau.  Each head read counts,
+    not only the last: at sigma = 0.002 every sobolev1 case gives way to
+    the dense spectrum after 2-15 heads, while the gaussian and
+    polynomial(3) kernels settle (d_n <= 11)."""
+
+    @pytest.mark.parametrize(
+        "spec", [KernelSpec.sobolev1(), KernelSpec.gaussian(0.25), KernelSpec.polynomial(3)],
+        ids=["sobolev1", "gaussian", "polynomial3"],
+    )
+    @pytest.mark.parametrize("design", ["uniform_grid", "irregular", "iid_uniform"])
+    @pytest.mark.parametrize("n", [64, 257, 1200])
+    def test_every_head_bounds_the_dense_profile(self, monkeypatch, spec, design, n):
+        config = ExperimentConfig(kernel=spec, design=design, n_grid=(n,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # sobolev1 on the irregular design
+            K = build_kernel_matrix(spec, generate_data(config, n, n).pts)
+        mu = np.clip(np.linalg.eigvalsh(K.matrix)[::-1], 0.0, None)
+        tau = n * np.finfo(np.float64).eps * mu[0]
+        trace = float(np.trace(K.matrix))
+        heads, original = [], complexity.block_krylov
+
+        def recording(apply, n, block):
+            for theta, residuals, vectors in original(apply, n, block):
+                heads.append(np.clip(theta, 0.0, None))
+                yield theta, residuals, vectors
+
+        monkeypatch.setattr(complexity, "block_krylov", recording)
+        for sigma, gives_way in ((0.125, False), (0.002, spec.kind == "sobolev1")):
+            heads.clear()
+            K._eig = None
+            got = complexity_profile(K, n, sigma)
+            assert heads and (K._eig is not None) == gives_way
+            floor = critical_radius(np.clip(mu - tau, 0.0, None), n, sigma)
+            d_n = statistical_dimension(mu, critical_radius(mu, n, sigma))
+            for theta in heads:
+                assert (theta <= mu[: theta.size] + tau).all()
+                delta = complexity._critical_radius(theta, max(trace - theta.sum(), 0.0), n, sigma)
+                assert delta >= floor
+                assert (theta > delta * delta).sum() <= d_n
+            assert got.delta_n >= floor and got.d_n <= d_n
 
 
 @pytest.mark.parametrize("spectrum", [[], [[0.5, 0.25]]], ids=["empty", "two-axes"])

@@ -284,8 +284,15 @@ class TestSpectralInvariants:
         (lambda: KernelSpec("polynomial", degree=2, bandwidth=0.5), "polynomial kernel takes no bandwidth"),
         (lambda: KernelMatrix(np.ones((2, 3))), "kernel matrix must be square and nonempty"),
         (lambda: KernelMatrix(np.full((2, 2), np.nan)), "kernel matrix must be finite"),
+        (lambda: KernelSpec.gaussian("x"), "gaussian kernel needs bandwidth .*got 'x'"),
+        (lambda: KernelSpec.polynomial("x"), "polynomial kernel needs integer degree >= 1, got 'x'"),
+        (lambda: DesignPoints(["a", "b"]), "design points must be numeric"),
+        (lambda: kernel_eval(KernelSpec.sobolev1(), "a", 0.5), "u must be numeric"),
     ],
-    ids=["polynomial-bandwidth", "non-square-matrix", "non-finite-matrix"],
+    ids=[
+        "polynomial-bandwidth", "non-square-matrix", "non-finite-matrix",
+        "text-bandwidth", "text-degree", "text-points", "text-kernel-argument",
+    ],
 )
 def test_bad_input_raises_a_named_error(call, match):
     with pytest.raises(DomainError, match=match):

@@ -243,7 +243,15 @@ class TestCheckKSatisfiable:
     @pytest.mark.parametrize(
         "call, match",
         [
-            (lambda n, K, p: check_k_satisfiable(identity_sketch(n), K, p, 0.0), "c_threshold must be > 0, got 0.0"),
+            (
+                lambda n, K, p: check_k_satisfiable(identity_sketch(n), K, p, 0.0),
+                "c_threshold must be finite and > 0, got 0.0",
+            ),
+            (
+                lambda n, K, p: check_k_satisfiable(identity_sketch(n), K, p, "x"),
+                "c_threshold must be finite and > 0, got 'x'",
+            ),
+            (lambda n, K, p: check_k_satisfiable([["a"] * n], K, p), "sketch must be numeric"),
             (
                 lambda n, K, p: check_k_satisfiable(identity_sketch(n), K, dataclasses.replace(p, d_n=n + 1)),
                 "profile d_n=129 out of range for n=128",
@@ -251,7 +259,7 @@ class TestCheckKSatisfiable:
             (lambda n, K, p: check_k_satisfiable(np.ones(n), K, p), "sketch must be a matrix"),
             (lambda n, K, p: recommended_sketch_dim("gaussian", 2, 20, "x"), "c must be finite and > 0, got 'x'"),
         ],
-        ids=["zero-threshold", "d_n-above-n", "vector-sketch", "text-c"],
+        ids=["zero-threshold", "text-threshold", "text-sketch", "d_n-above-n", "vector-sketch", "text-c"],
     )
     def test_bad_input_raises_a_named_error(self, sobolev_setup, call, match):
         with pytest.raises(DomainError, match=match):

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from helpers import rel_dev, ridge_fitted_oracle, ros_dense_oracle, sketched_objective_excess, spy_routes
+from helpers import (
+    count_calls,
+    rel_dev,
+    ridge_fitted_oracle,
+    ros_dense_oracle,
+    sketched_objective_excess,
+    spy_routes,
+)
 from sketchkrr import (
     DesignPoints,
     DomainError,
@@ -37,7 +44,7 @@ from sketchkrr import (
     zero_noise_objective,
 )
 from sketchkrr.bench import _arm_sketch, _data_seed, _shared_inputs, _trial_streams
-from sketchkrr.solver import _factor_krr, _gram_factor, _sketched_normal_system, _triangle_norm1
+from sketchkrr.solver import _gram_factor, _sketched_normal_system, _triangle_norm1
 
 
 def sobolev_instance(n, seed, sigma=1.0):
@@ -111,18 +118,6 @@ class TestSolveKrr:
         with pytest.raises(DomainError, match="lambda_n"):
             solve_sketched_krr(K, y, draw_sketch("gaussian", 2, 5, 1), np.inf)
 
-    def test_kept_factor_reproduces_a_fresh_solve_bit_for_bit(self):
-        for n in (30, 31, 1200):
-            K, _, _, y = sobolev_instance(n, 7)
-            factor = _factor_krr(K, 0.02)
-            fresh = solve_krr(K, y, 0.02)
-            for rhs in (y, -2.0 * y):  # one factor, many right-hand sides
-                kept = solve_krr(K, rhs, 0.02, _factor=factor)
-                want = solve_krr(K, rhs, 0.02)
-                np.testing.assert_array_equal(kept.coefficients, want.coefficients)
-                np.testing.assert_array_equal(kept.fitted, want.fitted)
-            np.testing.assert_array_equal(solve_krr(K, y, 0.02, _factor=factor).fitted, fresh.fitted)
-
     @pytest.mark.parametrize("lam", [1e-6, 1e-3, 1.0, 1e6])
     def test_fitted_values_match_the_refined_oracle(self, lam):
         # sqrt(n) K w by one-triangle products agrees with K (K + 2 lam I)^{-1} y
@@ -135,16 +130,6 @@ class TestSolveKrr:
         fitted = solve_krr(K, y, lam).fitted
         want = ridge_fitted_oracle(K.matrix, y, lam)
         assert np.abs(fitted - want).max() <= 1e-12 * np.abs(want).max()
-
-    def test_factor_made_for_another_kernel_or_lambda_is_rejected(self):
-        K, _, _, y = sobolev_instance(12, 8)
-        factor = _factor_krr(K, 0.02)
-        # same values, another matrix: the factor is tied to the instance
-        with pytest.raises(DomainError, match="another kernel matrix"):
-            solve_krr(KernelMatrix(K.matrix), y, 0.02, _factor=factor)
-        with pytest.raises(DomainError, match="lambda_n=0.02, not 0.03"):
-            solve_krr(K, y, 0.03, _factor=factor)
-
 
 REFINED_LAMBDAS = [1e-9, 1e-7, 1e-5, 1e-3, 1.0, 1e6]
 
@@ -172,18 +157,6 @@ def irregular_1200():
     )
     sample = generate_data(config, 1200, _data_seed(20240809, 1200, 0))
     return build_kernel_matrix(config.kernel, sample.pts), sample.y
-
-
-def count_calls(monkeypatch, module, name):
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
 
 
 def oracle_miss(K, y, lam, fit, want=None):
@@ -223,15 +196,6 @@ class TestRefinedExactSolve:
         # the worst used 0.0036 of the bound
         K, y = irregular_1200
         assert oracle_miss(K, y, lam, solve_krr(K, y, lam)) <= 1.0
-
-    @pytest.mark.parametrize("lam", [1e-9, 1e-7, 0.02])
-    def test_kept_factor_matches_a_fresh_solve_on_every_route(self, irregular_1200, lam):
-        K, y = irregular_1200
-        factor = _factor_krr(K, lam)
-        kept = solve_krr(K, y, lam, _factor=factor)
-        fresh = solve_krr(K, y, lam)
-        np.testing.assert_array_equal(kept.coefficients, fresh.coefficients)
-        np.testing.assert_array_equal(kept.fitted, fresh.fitted)
 
     @pytest.mark.parametrize("lam", [1e-9, 1e-7, 0.02])
     def test_outputs_are_double_and_K_is_untouched(self, irregular_1200, lam):
@@ -282,9 +246,9 @@ def headed_instances():
 
 
 class TestConjugateGradientExactSolve:
-    """Given the profile's Krylov head, no kept factor and a smallest Ritz
-    value at most 2*lam, the exact solve runs conjugate gradients
-    preconditioned with the head; otherwise it factors K + 2*lam*I."""
+    """Given the profile's eigenpairs and a smallest value among them at
+    most 2*lam, the exact solve runs conjugate gradients preconditioned
+    with them; otherwise it factors K + 2*lam*I."""
 
     @pytest.mark.parametrize("n", [256, 1200])
     @pytest.mark.parametrize("design", ["uniform_grid", "irregular"])
@@ -319,15 +283,6 @@ class TestConjugateGradientExactSolve:
         fit = solve_krr(K, y, lam, _head=profile._head)
         assert routes == ["cg past its cap", "factor"]
         np.testing.assert_array_equal(fit.fitted, solve_krr(K, y, lam).fitted)
-
-    def test_kept_factor_wins_over_the_head(self, monkeypatch, headed_instances):
-        K, y, profile = headed_instances(KernelSpec.gaussian(0.25), "uniform_grid", 256)
-        lam = 2.0 * profile.delta_n_sq
-        factor = _factor_krr(K, lam)
-        routes = spy_routes(monkeypatch)
-        kept = solve_krr(K, y, lam, _factor=factor, _head=profile._head)
-        assert routes == []
-        np.testing.assert_array_equal(kept.fitted, solve_krr(K, y, lam).fitted)
 
     def test_zero_response_stops_before_the_first_product(self, monkeypatch, headed_instances):
         import sketchkrr.solver as solver
@@ -913,10 +868,18 @@ TEXT = ["a"] * 4
         ),
         (lambda: krr_objective(FOUR_K, np.ones(4), 0.1, TEXT), DomainError, "omega must be numeric"),
         (lambda: empirical_error(TEXT, np.ones(4)), DomainError, "fhat_vals must be numeric"),
+        (lambda: RegressionSample(FOUR_POINTS, TEXT), DomainError, "y must be numeric"),
+        (
+            lambda: predict(
+                FitResult("exact", np.ones(4), None, 0.1, np.ones(4)), KernelSpec.sobolev1(), FOUR_POINTS, "a"
+            ),
+            DomainError, "query must be numeric",
+        ),
     ],
     ids=[
         "short-y", "short-fstar", "fit-of-other-size", "indefinite-dual",
         "text-lambda", "none-lambda", "text-y", "text-sketched-y", "text-omega", "text-values",
+        "text-sample-y", "text-query",
     ],
 )
 def test_bad_input_raises_a_named_error(call, error, match):
