@@ -42,13 +42,25 @@ def check_positive(value, name: str) -> float:
     return float(value)
 
 
-def check_floats(value, name: str) -> np.ndarray:
+def check_type(value, cls: type, name: str):
+    """``value`` if it is a ``cls``; otherwise a :class:`DomainError` that
+    names it and the type it has."""
+    if not isinstance(value, cls):
+        raise DomainError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
+def check_floats(value, name: str, *, finite: bool = False) -> np.ndarray:
     """``value`` as a float64 array; a :class:`DomainError` that names it if
-    numpy cannot convert it."""
+    numpy cannot convert it or, with ``finite``, if an entry is NaN or
+    infinite.  The package's one conversion and finiteness test for arrays."""
     try:
-        return np.asarray(value, dtype=np.float64)
+        a = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{name} must be numeric: {exc}") from exc
+    if finite and not np.isfinite(a).all():
+        raise DomainError(f"{name} must be finite")
+    return a
 
 
 def rfp_factor_shifted(matrix: np.ndarray, shift: float) -> np.ndarray:

@@ -42,12 +42,13 @@ conjugate-gradient solve, not the O(n^3) cost of a direct exact solve.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._util import ceil_int, check_count, check_seed
+from ._util import ceil_int, check_count, check_floats, check_positive, check_seed, check_type
 from .complexity import ComplexityProfile, complexity_profile
 from .errors import DomainError, NumericalError
 from .kernels import DesignPoints, KernelMatrix, KernelSpec, build_kernel_matrix
@@ -109,18 +110,16 @@ class ExperimentConfig:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kernel, KernelSpec):
-            raise DomainError("kernel must be a KernelSpec")
-        for name in ("sigma", "c_statdim", "lambda_fixed"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value}")
+        check_type(self.kernel, KernelSpec, "kernel")
+        for name in ("c_statdim", "lambda_fixed"):
+            if getattr(self, name) is not None:
+                check_positive(getattr(self, name), name)
         if self.fstar not in FSTAR_CHOICES:
             raise DomainError(f"unknown fstar {self.fstar!r}")
         if self.design not in DESIGN_CHOICES:
             raise DomainError(f"unknown design {self.design!r}")
-        if not self.sigma >= 0.0:
-            raise DomainError(f"sigma must be >= 0, got {self.sigma}")
+        if not (isinstance(self.sigma, numbers.Real) and 0.0 <= self.sigma < math.inf):
+            raise DomainError(f"sigma must be finite and >= 0, got {self.sigma!r}")
         n_grid = tuple(check_count(n, "n_grid entry", 2) for n in self.n_grid)
         if len(n_grid) == 0:
             raise DomainError("n_grid must be nonempty")
@@ -138,13 +137,11 @@ class ExperimentConfig:
             object.__setattr__(self, "m_fixed", check_count(self.m_fixed, "m_fixed", 1))
         if self.m_rule == "fixed" and self.m_fixed is None:
             raise DomainError("m_rule 'fixed' needs m_fixed >= 1")
-        if self.m_rule == "statdim" and (self.c_statdim is None or not self.c_statdim > 0):
+        if self.m_rule == "statdim" and self.c_statdim is None:
             raise DomainError("m_rule 'statdim' needs c_statdim > 0")
         if self.lambda_rule not in LAMBDA_RULES:
             raise DomainError(f"unknown lambda_rule {self.lambda_rule!r}")
-        if self.lambda_rule == "fixed" and (
-            self.lambda_fixed is None or not self.lambda_fixed > 0
-        ):
+        if self.lambda_rule == "fixed" and self.lambda_fixed is None:
             raise DomainError("lambda_rule 'fixed' needs lambda_fixed > 0")
         object.__setattr__(self, "trials", check_count(self.trials, "trials", 1))
         object.__setattr__(self, "base_seed", check_seed(self.base_seed, "base_seed"))
@@ -178,7 +175,7 @@ CSV_HEADER = ",".join(column for column, _ in _CSV_COLUMNS)
 
 def fstar_values(name: str, x) -> np.ndarray:
     """Evaluate a built-in target function on an array of covariates."""
-    xv = np.asarray(x, dtype=np.float64)
+    xv = check_floats(x, "x")
     if name == "abs_shift":
         return np.abs(xv + 0.5) - 0.5
     if name == "quad":

@@ -111,11 +111,11 @@ class ComplexityProfile:
 
 
 def _check_spectrum(mu_hat) -> np.ndarray:
-    mu = check_floats(mu_hat, "spectrum")
+    mu = check_floats(mu_hat, "spectrum", finite=True)
     if mu.ndim != 1 or mu.size < 1:
         raise DomainError("spectrum must be a nonempty 1-D sequence")
-    if not np.isfinite(mu).all() or mu.min() < 0.0:
-        raise DomainError("spectrum must be finite and nonnegative")
+    if mu.min() < 0.0:
+        raise DomainError("spectrum must be nonnegative")
     return mu
 
 

@@ -112,11 +112,9 @@ class DesignPoints:
     x: np.ndarray
 
     def __post_init__(self) -> None:
-        x = check_floats(self.x, "design points")
+        x = check_floats(self.x, "design points", finite=True)
         if x.ndim != 1 or x.size < 1:
             raise DomainError("design points must be a nonempty 1-D sequence")
-        if not np.isfinite(x).all():
-            raise DomainError("design points must be finite")
         x = x.copy()
         x.setflags(write=False)
         object.__setattr__(self, "x", x)
@@ -128,9 +126,7 @@ class DesignPoints:
 
 def kernel_eval(spec: KernelSpec, u, v):
     """Evaluate the kernel at (u, v); u and v may be scalars or broadcastable arrays."""
-    ua, va = check_floats(u, "u"), check_floats(v, "v")
-    if not (np.isfinite(ua).all() and np.isfinite(va).all()):
-        raise DomainError("kernel arguments must be finite")
+    ua, va = check_floats(u, "u", finite=True), check_floats(v, "v", finite=True)
     # one output buffer, every step in place: for an n x n grid this is one
     # n x n allocation instead of one per step
     out = np.empty(np.broadcast_shapes(ua.shape, va.shape))
@@ -173,11 +169,9 @@ class KernelMatrix:
         (:mod:`sketchkrr.complexity`) are skipped.  ``eig()`` still checks
         its eigenvalues.
         """
-        K = np.asarray(matrix, dtype=np.float64)
+        K = check_floats(matrix, "kernel matrix", finite=True)
         if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] < 1:
             raise DomainError("kernel matrix must be square and nonempty")
-        if not np.isfinite(K).all():
-            raise DomainError("kernel matrix must be finite")
         if not _proven and not np.array_equal(K, K.T):
             raise DomainError("kernel matrix must be exactly symmetric")
         if copy:

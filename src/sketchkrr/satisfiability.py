@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from ._util import block_krylov, ceil_int, check_count, check_floats, check_positive, symv
+from ._util import block_krylov, ceil_int, check_count, check_floats, check_positive, check_type, symv
 from .complexity import ComplexityProfile
 from .errors import DomainError
 from .kernels import KernelMatrix
@@ -107,7 +107,7 @@ def check_k_satisfiable(
     of K.
     """
     check_positive(c_threshold, "c_threshold")
-    if profile.n != K.n:
+    if check_type(profile, ComplexityProfile, "profile").n != check_type(K, KernelMatrix, "K").n:
         raise DomainError(f"profile is for n={profile.n}, kernel size is {K.n}")
     if not isinstance(S, SketchOperator):
         S = check_floats(S, "sketch")

@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import check_count, check_seed
+from ._util import check_count, check_floats, check_seed
 from .errors import DomainError
 
 __all__ = [
@@ -67,7 +67,8 @@ class SketchOperator:
     m = 924, n = 1023).  A transform-route sketch keeps neither its rows nor
     its transform's factors, and no apply builds its rows: keeping the rows
     raised certify-fit peak_rss_mb from 112.5 to 123.7 MB (2-core machine).
-    Construction rejects a non-finite ``matrix`` or ``signs``: every S is finite.
+    Construction converts ``matrix`` and ``signs`` to float64 and rejects a
+    non-numeric or non-finite one: every S is finite.
     """
 
     kind: str
@@ -104,8 +105,9 @@ class SketchOperator:
         if not isinstance(value, np.ndarray) or value.shape != shape:
             got = value.shape if isinstance(value, np.ndarray) else type(value).__name__
             raise DomainError(f"{self.kind} sketch needs {field} of shape {shape}, got {got}")
-        if value.dtype.kind in "fc" and not np.isfinite(value).all():
-            raise DomainError(f"{self.kind} sketch has non-finite {field}")
+        if field != "indices":  # the float fields
+            value = check_floats(value, f"{self.kind} sketch {field}", finite=True)
+            object.__setattr__(self, field, value)
         return value
 
     @property
@@ -172,10 +174,10 @@ def fwht(v: np.ndarray, normalized: bool = True) -> np.ndarray:
     (entries +-1/sqrt(n_pad), an involution); otherwise the raw +-1
     butterfly.  Runs in O(n_pad log n_pad) per column.
     """
-    a = np.array(v, dtype=np.float64, copy=True)
-    n = a.shape[0]
+    a = check_floats(v, "v").copy(order="K")
+    n = a.shape[0] if a.ndim else 0  # a scalar has no axis 0
     if n < 1 or (n & (n - 1)) != 0:
-        raise DomainError(f"fwht length must be a power of two, got {n}")
+        raise DomainError(f"v must have a power-of-two length along axis 0, got shape {a.shape}")
     trailing = a.shape[1:]
     h = 1
     while h < n:
@@ -191,7 +193,7 @@ def fwht(v: np.ndarray, normalized: bool = True) -> np.ndarray:
 
 
 def _check_rows(M, rows: int, what: str) -> np.ndarray:
-    A = np.asarray(M, dtype=np.float64)
+    A = check_floats(M, "operand")
     if A.ndim not in (1, 2):
         raise DomainError("operand must be a vector or a matrix")
     if A.shape[0] != rows:

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from ._util import check_floats, check_positive, rfp_factor_shifted, solve_factor, symv
+from ._util import check_floats, check_positive, check_type, rfp_factor_shifted, solve_factor, symv
 from .errors import DomainError, NumericalError
 from .kernels import DesignPoints, KernelMatrix, KernelSpec, kernel_eval
 from .sketch import SketchOperator, apply_sketch, apply_sketch_t
@@ -131,11 +131,9 @@ class FitResult:
 
 
 def _check_vector(v, n: int, name: str) -> np.ndarray:
-    a = check_floats(v, name)
+    a = check_floats(v, name, finite=True)
     if a.shape != (n,):
         raise DomainError(f"{name} must be a length-{n} vector, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise DomainError(f"{name} must be finite")
     return a
 
 
@@ -230,7 +228,7 @@ def solve_krr(
       OpenBLAS thread).  Every call without a head takes it.
     """
     lam = check_positive(lambda_n, "lambda_n")
-    yv = _check_vector(y, K.n, "y")
+    yv = _check_vector(y, check_type(K, KernelMatrix, "K").n, "y")
     b = yv / np.sqrt(K.n)
     solved = None
     if _head is not None and _head[0][-1] <= 2.0 * lam:
@@ -247,9 +245,7 @@ def solve_krr(
 
 
 def _check_sketch_size(S: SketchOperator, K: KernelMatrix) -> None:
-    if not isinstance(S, SketchOperator):
-        raise DomainError(f"S must be a SketchOperator, got {type(S).__name__}")
-    if S.n != K.n:
+    if check_type(S, SketchOperator, "S").n != check_type(K, KernelMatrix, "K").n:
         raise DomainError(f"sketch ambient dimension {S.n} != kernel size {K.n}")
 
 
@@ -352,7 +348,7 @@ def _solve_sketched(
 def solve_sketched_krr(K: KernelMatrix, y, S: SketchOperator, lambda_n: float) -> FitResult:
     """Sketched KRR: (S K^2 S^T + 2*lam * S K S^T) a = S K y / sqrt(n)."""
     lam = check_positive(lambda_n, "lambda_n")
-    yv = _check_vector(y, K.n, "y")
+    yv = _check_vector(y, check_type(K, KernelMatrix, "K").n, "y")
     alpha, fitted, fallback = _solve_sketched(K, S, lam, yv)
     return FitResult("sketched", alpha, S, lam, fitted, rank_deficient=fallback)
 
@@ -367,7 +363,7 @@ def error_decomposition(
     total         = ||fhat - f*||_n^2; half the total never exceeds their sum.
     """
     lam = check_positive(lambda_n, "lambda_n")
-    zv = _check_vector(z_star, K.n, "z_star")
+    zv = _check_vector(z_star, check_type(K, KernelMatrix, "K").n, "z_star")
     yv = _check_vector(y, K.n, "y")
     # one factorization for both responses
     _, fitted, _ = _solve_sketched(K, S, lam, np.stack([yv, zv], axis=1))
@@ -396,12 +392,10 @@ def predict(fit: FitResult, spec: KernelSpec, train: DesignPoints, query) -> np.
 
 def empirical_error(fhat_vals, fstar_vals) -> float:
     """Squared empirical error (1/n) sum_i (fhat(x_i) - f*(x_i))^2 of finite values."""
-    a = check_floats(fhat_vals, "fhat_vals")
-    b = check_floats(fstar_vals, "fstar_vals")
+    a = check_floats(fhat_vals, "fhat_vals", finite=True)
+    b = check_floats(fstar_vals, "fstar_vals", finite=True)
     if a.shape != b.shape or a.ndim != 1 or a.size < 1:
         raise DomainError(f"value vectors must share a 1-D shape, got {a.shape} and {b.shape}")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise DomainError("value vectors must be finite")
     d = a - b
     return float(d @ d / a.size)
 
@@ -427,7 +421,7 @@ def solve_dual_krr(K: KernelMatrix, y, lambda_n: float) -> tuple[np.ndarray, np.
     which matches the primal coefficients.
     """
     lam = check_positive(lambda_n, "lambda_n")
-    yv = _check_vector(y, K.n, "y")
+    yv = _check_vector(y, check_type(K, KernelMatrix, "K").n, "y")
     xi = _dual_solve(K.matrix, lam, yv, "dual")
     omega = (np.sqrt(K.n) / (2.0 * lam)) * xi
     return xi, omega
@@ -445,7 +439,7 @@ def solve_nystrom_dual(K: KernelMatrix, y, S: SketchOperator, lambda_n: float) -
     with the primal sketched solution.
     """
     lam = check_positive(lambda_n, "lambda_n")
-    yv = _check_vector(y, K.n, "y")
+    yv = _check_vector(y, check_type(K, KernelMatrix, "K").n, "y")
     _check_sketch_size(S, K)
     n = K.n
     SK = apply_sketch(S, K.matrix)
@@ -460,7 +454,7 @@ def solve_nystrom_dual(K: KernelMatrix, y, S: SketchOperator, lambda_n: float) -
 def krr_objective(K: KernelMatrix, y, lambda_n: float, omega) -> float:
     """Objective of the exact program at coefficients omega."""
     lam = check_positive(lambda_n, "lambda_n")
-    yv = _check_vector(y, K.n, "y")
+    yv = _check_vector(y, check_type(K, KernelMatrix, "K").n, "y")
     w = _check_vector(omega, K.n, "omega")
     Kw = symv(K.matrix, w)
     return float(0.5 * (Kw @ Kw) - Kw @ yv / np.sqrt(K.n) + lam * (w @ Kw))

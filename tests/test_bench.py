@@ -847,7 +847,7 @@ BAD_INPUTS = {
     "config-kernel-not-a-spec": (
         lambda d: small_config(kernel="sobolev1"), DomainError, "kernel must be a KernelSpec"),
     "config-unknown-design": (lambda d: small_config(design="grid"), DomainError, "unknown design 'grid'"),
-    "config-negative-sigma": (lambda d: small_config(sigma=-1.0), DomainError, "sigma must be >= 0, got -1.0"),
+    "config-negative-sigma": (lambda d: small_config(sigma=-1.0), DomainError, "sigma must be finite and >= 0, got -1.0"),
     "config-empty-n-grid": (lambda d: small_config(n_grid=()), DomainError, "n_grid must be nonempty"),
     "config-unknown-kind": (
         lambda d: small_config(sketch_kinds=("exact", "sparse")), DomainError, "unknown sketch kind 'sparse'"),
@@ -856,7 +856,14 @@ BAD_INPUTS = {
         lambda d: small_config(m_rule="statdim"), DomainError, "m_rule 'statdim' needs c_statdim > 0"),
     "config-unknown-lambda-rule": (
         lambda d: small_config(lambda_rule="cv"), DomainError, "unknown lambda_rule 'cv'"),
+    "config-text-sigma": (lambda d: small_config(sigma="x"), DomainError, "sigma must be finite and >= 0, got 'x'"),
+    "config-none-sigma": (lambda d: small_config(sigma=None), DomainError, "sigma must be finite and >= 0, got None"),
+    "config-text-c-statdim": (
+        lambda d: small_config(c_statdim="x"), DomainError, "c_statdim must be finite and > 0, got 'x'"),
+    "config-text-lambda-fixed": (
+        lambda d: small_config(lambda_fixed="x"), DomainError, "lambda_fixed must be finite and > 0, got 'x'"),
     "fstar-unknown": (lambda d: fstar_values("cubic", [0.5]), DomainError, "unknown fstar 'cubic'"),
+    "fstar-text-points": (lambda d: fstar_values("quad", "x"), DomainError, "x must be numeric"),
     "nystrom-m-above-n": (
         lambda d: run_nystrom_failure_demo(8, 9, 1, 0), DomainError, "need 1 <= m <= n, got m=9, n=8"),
     "nystrom-k-above-n-1": (

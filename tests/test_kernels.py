@@ -288,10 +288,11 @@ class TestSpectralInvariants:
         (lambda: KernelSpec.polynomial("x"), "polynomial kernel needs integer degree >= 1, got 'x'"),
         (lambda: DesignPoints(["a", "b"]), "design points must be numeric"),
         (lambda: kernel_eval(KernelSpec.sobolev1(), "a", 0.5), "u must be numeric"),
+        (lambda: KernelMatrix("x"), "kernel matrix must be numeric"),
     ],
     ids=[
         "polynomial-bandwidth", "non-square-matrix", "non-finite-matrix",
-        "text-bandwidth", "text-degree", "text-points", "text-kernel-argument",
+        "text-bandwidth", "text-degree", "text-points", "text-kernel-argument", "text-matrix",
     ],
 )
 def test_bad_input_raises_a_named_error(call, match):

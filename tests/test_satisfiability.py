@@ -196,7 +196,7 @@ class TestCheckKSatisfiable:
         n, K, profile = sobolev_setup
         S = materialize(draw_sketch("gaussian", min(m, n), n, 0))
         S[1, 2] = bad
-        with pytest.raises(DomainError, match="non-finite"):
+        with pytest.raises(DomainError, match="gaussian sketch matrix must be finite"):
             check_k_satisfiable(S, K, profile)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -208,7 +208,7 @@ class TestCheckKSatisfiable:
         assert _ros_transform_pays(drawn)
         signs = drawn.signs.copy()
         signs[2] = bad
-        with pytest.raises(DomainError, match="ros sketch has non-finite signs"):
+        with pytest.raises(DomainError, match="ros sketch signs must be finite"):
             SketchOperator("ros", WIDE, 1024, 0, signs=signs, indices=drawn.indices, n_pad=drawn.n_pad)
 
     @pytest.mark.parametrize("kind", ["gaussian", "ros", "subsample"])
@@ -258,8 +258,19 @@ class TestCheckKSatisfiable:
             ),
             (lambda n, K, p: check_k_satisfiable(np.ones(n), K, p), "sketch must be a matrix"),
             (lambda n, K, p: recommended_sketch_dim("gaussian", 2, 20, "x"), "c must be finite and > 0, got 'x'"),
+            (
+                lambda n, K, p: check_k_satisfiable(identity_sketch(n), K, "p"),
+                "profile must be a ComplexityProfile, got str",
+            ),
+            (
+                lambda n, K, p: check_k_satisfiable(identity_sketch(n), K.matrix, p),
+                "K must be a KernelMatrix, got ndarray",
+            ),
         ],
-        ids=["zero-threshold", "text-threshold", "text-sketch", "d_n-above-n", "vector-sketch", "text-c"],
+        ids=[
+            "zero-threshold", "text-threshold", "text-sketch", "d_n-above-n", "vector-sketch", "text-c",
+            "text-profile", "array-K",
+        ],
     )
     def test_bad_input_raises_a_named_error(self, sobolev_setup, call, match):
         with pytest.raises(DomainError, match=match):

@@ -144,7 +144,7 @@ class TestHandBuiltOperator:
         drawn = draw_sketch(kind, 8, 64, 0)  # a ros sketch that keeps its rows
         value = getattr(drawn, field).copy()
         value.flat[2] = bad
-        with pytest.raises(DomainError, match=f"{kind} sketch has non-finite {field}"):
+        with pytest.raises(DomainError, match=f"{kind} sketch {field} must be finite"):
             dataclasses.replace(drawn, **{field: value})
 
     @pytest.mark.parametrize("m, n", [(3, 2.5), (0, 8)])
@@ -160,6 +160,28 @@ class TestHandBuiltOperator:
         for field in ("matrix", "signs", "indices"):
             assert getattr(rebuilt, field) is getattr(S, field)
         assert dataclasses.replace(identity_sketch(n)).indices.shape == (n,)
+
+
+SKETCH = draw_sketch("gaussian", 3, 8, 0)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: apply_sketch(SKETCH, ["x"] * 8), "operand must be numeric"),
+        (lambda: apply_sketch_t(SKETCH, ["x"] * 3), "operand must be numeric"),
+        (lambda: fwht("x"), "v must be numeric"),
+        (lambda: fwht(1.0), r"v must have a power-of-two length along axis 0, got shape \(\)"),
+        (
+            lambda: SketchOperator("gaussian", 1, 2, 0, matrix=np.array([["a", "b"]])),
+            "gaussian sketch matrix must be numeric",
+        ),
+    ],
+    ids=["text-operand", "text-transpose-operand", "text-fwht", "scalar-fwht", "text-matrix"],
+)
+def test_bad_input_raises_a_named_error(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()
 
 
 class TestFwht:

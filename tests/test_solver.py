@@ -875,11 +875,16 @@ TEXT = ["a"] * 4
             ),
             DomainError, "query must be numeric",
         ),
+        (lambda: solve_krr(np.eye(3), np.ones(3), 1.0), DomainError, "K must be a KernelMatrix, got ndarray"),
+        (
+            lambda: solve_sketched_krr(np.eye(40), np.ones(40), draw_sketch("gaussian", 4, 40, 1), 0.1),
+            DomainError, "K must be a KernelMatrix, got ndarray",
+        ),
     ],
     ids=[
         "short-y", "short-fstar", "fit-of-other-size", "indefinite-dual",
         "text-lambda", "none-lambda", "text-y", "text-sketched-y", "text-omega", "text-values",
-        "text-sample-y", "text-query",
+        "text-sample-y", "text-query", "array-K", "array-sketched-K",
     ],
 )
 def test_bad_input_raises_a_named_error(call, error, match):

@@ -26,6 +26,10 @@ No module but ``sketch.py`` names ``__matmul__``: every sketch, a dense
 matrix given to the certificate included, is applied through
 ``sketchkrr.sketch._maps``, so one set of maps and one set of checks (the
 operator's own) serve every consumer.
+
+No function but ``sketchkrr._util.check_floats`` names ``isfinite``: every
+array a public boundary takes is converted and, where it must be finite,
+tested there, so one message names a bad argument everywhere.
 """
 
 import ast
@@ -39,6 +43,7 @@ SINGLE_PRECISION = {"spotrf", "strtrs", "float32"}
 FACTOR_SOLVES = {"dtrtrs", "strtrs", "dpftrs", "spftrs", "trtrs", "pftrs"}
 KERNEL_NAMES = {"matrix", "K"}
 MATMUL = {"__matmul__"}
+FINITE = {"isfinite"}
 
 
 def potrs_uses(source: str, banned=BANNED) -> list[int]:
@@ -215,3 +220,32 @@ def test_matmul_guard_sees_each_spelling_in_the_certificate(line):
     assert potrs_uses(source, MATMUL) == []
     assert potrs_uses(f"{source}\n{line}\n", MATMUL)
 
+
+
+def finiteness_tests(source: str) -> list[int]:
+    """Lines of ``source`` that name ``isfinite`` outside a function
+    ``check_floats``."""
+    helpers = [
+        node for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name == "check_floats"
+    ]
+    return [
+        line for line in potrs_uses(source, FINITE)
+        if not any(f.lineno <= line <= f.end_lineno for f in helpers)
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_check_floats_tests_finiteness(module):
+    uses = finiteness_tests(module.read_text())
+    assert uses == [], f"{module.name} tests finiteness itself; use _util.check_floats(..., finite=True)"
+
+
+@pytest.mark.parametrize(
+    "line", ["ok = np.isfinite(a).all()", "ok = math.isfinite(x)", "from math import isfinite"]
+)
+def test_finiteness_guard_sees_each_spelling_in_the_solver(line):
+    # a mutation of the solver's own source, made in memory
+    source = (PACKAGE / "solver.py").read_text()
+    assert finiteness_tests(source) == []
+    assert finiteness_tests(f"{source}\n{line}\n")
