@@ -46,7 +46,8 @@ def check_type(value, cls: type, name: str):
     """``value`` if it is a ``cls``; otherwise a :class:`DomainError` that
     names it and the type it has."""
     if not isinstance(value, cls):
-        raise DomainError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise DomainError(f"{name} must be {article} {cls.__name__}, got {type(value).__name__}")
     return value
 
 

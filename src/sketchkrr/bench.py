@@ -186,7 +186,7 @@ def fstar_values(name: str, x) -> np.ndarray:
 def rate_factor(spec: KernelSpec, n: int) -> float:
     """Known decay rate of the prediction error, used to flatten curves."""
     n = check_count(n, "n", 2)
-    if spec.kind == "sobolev1":
+    if check_type(spec, KernelSpec, "spec").kind == "sobolev1":
         return float(n) ** (2.0 / 3.0)
     if spec.kind == "gaussian":
         return n / math.sqrt(math.log(n))
@@ -236,7 +236,7 @@ def generate_data(config: ExperimentConfig, n: int, seed: int) -> RegressionSamp
     """
     n = check_count(n, "n", 2)
     rng = np.random.default_rng(check_seed(seed) & _MASK64)
-    if config.design == "uniform_grid":
+    if check_type(config, ExperimentConfig, "config").design == "uniform_grid":
         x = np.arange(1, n + 1, dtype=np.float64) / n
     elif config.design == "iid_uniform":
         x = rng.uniform(0.0, 1.0, size=n)
@@ -329,7 +329,7 @@ def run_error_vs_n(
     order.  ``_log`` (for the CLI) collects what the records do not say."""
     log = _SweepLog() if _log is None else _log
     records: list[TrialRecord] = []
-    for n in config.n_grid:
+    for n in check_type(config, ExperimentConfig, "config").n_grid:
         # uniform_grid points do not depend on the seed: one K, profile and
         # regularization per n, shared by every trial
         grid = None
@@ -495,7 +495,7 @@ def summarize_records(records) -> list[ArmSummary]:
     """Mean and standard error per (n, sketch kind), skipping marker rows."""
     groups: dict[tuple[int, str], list[TrialRecord]] = {}
     for r in records:
-        if math.isnan(r.error):
+        if math.isnan(check_type(r, TrialRecord, "record").error):
             continue
         groups.setdefault((r.n, r.sketch), []).append(r)
     out = []
@@ -583,7 +583,7 @@ def write_csv(records, path) -> None:
     lines = [CSV_HEADER]
     for r in records:
         # a dataclass instance's __dict__ holds its fields in declaration order
-        row = zip(_CSV_COLUMNS, vars(r).values())
+        row = zip(_CSV_COLUMNS, vars(check_type(r, TrialRecord, "record")).values())
         lines.append(",".join(_fmt_float(v) if parse is float else str(v) for (_, parse), v in row))
     try:
         with open(path, "w", newline="") as fh:

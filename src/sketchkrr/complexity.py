@@ -64,7 +64,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import block_krylov, check_count, check_floats, check_positive, rfp_factor_shifted, symv
+from ._util import (
+    block_krylov, check_count, check_floats, check_positive, check_type, rfp_factor_shifted, symv
+)
 from .errors import DomainError, NumericalError
 from .kernels import EIG_CLAMP_REL, KernelMatrix, KernelSpec
 
@@ -252,7 +254,7 @@ def population_eigenvalues(spec: KernelSpec, j_max: int) -> np.ndarray:
     """
     j_max = check_count(j_max, "j_max", 1)
     j = np.arange(1, j_max + 1, dtype=np.float64)
-    if spec.kind == "polynomial":
+    if check_type(spec, KernelSpec, "spec").kind == "polynomial":
         return np.where(j <= spec.degree + 1, 1.0, 0.0)
     if spec.kind == "gaussian":
         return np.exp(-np.pi * spec.bandwidth**2 * j**2)

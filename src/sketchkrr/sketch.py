@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import check_count, check_floats, check_seed
+from ._util import check_count, check_floats, check_seed, check_type
 from .errors import DomainError
 
 __all__ = [
@@ -365,17 +365,17 @@ def _maps(S: SketchOperator):
 
 def apply_sketch(S: SketchOperator, M) -> np.ndarray:
     """Compute S @ M for a length-n vector or an (n, k) matrix."""
-    return _maps(S)[0](_check_rows(M, S.n, "sketch"))
+    return _maps(check_type(S, SketchOperator, "S"))[0](_check_rows(M, S.n, "sketch"))
 
 
 def apply_sketch_t(S: SketchOperator, M) -> np.ndarray:
     """Compute S^T @ M for a length-m vector or an (m, k) matrix."""
-    return _maps(S)[1](_check_rows(M, S.m, "sketch transpose"))
+    return _maps(check_type(S, SketchOperator, "S"))[1](_check_rows(M, S.m, "sketch transpose"))
 
 
 def materialize(S: SketchOperator) -> np.ndarray:
     """Dense m x n matrix whose action matches :func:`apply_sketch`; a new array."""
-    if S.kind == "subsample":
+    if check_type(S, SketchOperator, "S").kind == "subsample":
         dense = np.zeros((S.m, S.n))
         dense[np.arange(S.m), S.indices] = S.scale
         return dense

@@ -46,7 +46,9 @@ Two dual routes are provided as independent checks: the ridge dual
 xi = [(n/(2*lam)) K + n I]^{-1} y with w = (sqrt(n)/(2*lam)) xi, and its
 sketched counterpart with K replaced by the low-rank surrogate
 Ktil = K S^T (S K S^T)^+ S K, which for a sub-sampling sketch is exactly
-the Nystrom approximation.
+the Nystrom approximation.  Every n x n system, (K or Ktil) + 2*lam*I,
+is factored packed by :func:`_shifted_solve`; ``cho_factor`` serves only
+the m x m sketched systems.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ class RegressionSample:
 
     def __post_init__(self) -> None:
         y = check_floats(self.y, "y")
-        if y.shape != (self.pts.n,):
+        if y.shape != (check_type(self.pts, DesignPoints, "pts").n,):
             raise DomainError(f"y must have length n={self.pts.n}")
         object.__setattr__(self, "y", y)
         if self.fstar is not None:
@@ -234,11 +236,7 @@ def solve_krr(
     if _head is not None and _head[0][-1] <= 2.0 * lam:
         solved = _conjugate_gradients(K, lam, b, _head)
     if solved is None:
-        try:
-            packed = rfp_factor_shifted(K.matrix, 2.0 * lam)
-        except np.linalg.LinAlgError as exc:  # unreachable for lam > 0 and PSD K
-            raise NumericalError(f"shifted kernel system could not be solved: {exc}") from exc
-        omega = solve_factor(packed, b)
+        omega = _shifted_solve(K.matrix, 2.0 * lam, b, "shifted kernel")
         solved = omega, symv(K.matrix, omega)
     omega, Kw = solved
     return FitResult("exact", omega, None, lam, np.sqrt(K.n) * Kw)
@@ -380,8 +378,8 @@ def predict(fit: FitResult, spec: KernelSpec, train: DesignPoints, query) -> np.
     f(q) = (1/sqrt(n)) * sum_i w_i kernel(q, x_i) with w the expansion
     weights of the fit; at the training points this reproduces ``fitted``.
     """
-    w = fit.expansion_weights()
-    if w.shape != (train.n,):
+    w = check_type(fit, FitResult, "fit").expansion_weights()
+    if w.shape != (check_type(train, DesignPoints, "train").n,):
         raise DomainError("fit is inconsistent with the training points")
     q = check_floats(query, "query")
     vals = kernel_eval(spec, q[..., None], train.x) @ w / np.sqrt(train.n)
@@ -400,17 +398,14 @@ def empirical_error(fhat_vals, fstar_vals) -> float:
     return float(d @ d / a.size)
 
 
-def _dual_solve(X: np.ndarray, lam: float, y: np.ndarray, name: str) -> np.ndarray:
-    """xi with [(n/(2*lam)) X + n I] xi = y, for an exactly symmetric n x n
-    X: the matrix is formed once, and its transpose, Fortran-ordered, is
-    factored in place."""
-    n = len(y)
-    A = (n / (2.0 * lam)) * X + n * np.eye(n)
+def _shifted_solve(X: np.ndarray, shift: float, b: np.ndarray, name: str) -> np.ndarray:
+    """x with (X + shift * I) x = b for a symmetric n x n X, on the packed
+    factor of :func:`sketchkrr._util.rfp_factor_shifted` (no copy of X); a
+    failure is a :class:`NumericalError` that names the system."""
     try:
-        L, _ = sla.cho_factor(A.T, lower=True, overwrite_a=True, check_finite=False)
+        return solve_factor(rfp_factor_shifted(X, shift), b)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"{name} system could not be solved: {exc}") from exc
-    return solve_factor(L, y)
 
 
 def solve_dual_krr(K: KernelMatrix, y, lambda_n: float) -> tuple[np.ndarray, np.ndarray]:
@@ -418,11 +413,12 @@ def solve_dual_krr(K: KernelMatrix, y, lambda_n: float) -> tuple[np.ndarray, np.
 
     Maximizes -(n/(4*lam)) xi^T K xi + xi^T y - (n/2) xi^T xi, i.e. solves
     [(n/(2*lam)) K + n I] xi = y, and recovers w = (sqrt(n)/(2*lam)) xi,
-    which matches the primal coefficients.
+    which matches the primal coefficients.  It is solved as (K + 2*lam*I)
+    xi = (2*lam/n) y (:func:`_shifted_solve`), with no scaled copy of K.
     """
     lam = check_positive(lambda_n, "lambda_n")
     yv = _check_vector(y, check_type(K, KernelMatrix, "K").n, "y")
-    xi = _dual_solve(K.matrix, lam, yv, "dual")
+    xi = _shifted_solve(K.matrix, 2.0 * lam, (2.0 * lam / K.n) * yv, "dual")
     omega = (np.sqrt(K.n) / (2.0 * lam)) * xi
     return xi, omega
 
@@ -434,9 +430,9 @@ def solve_nystrom_dual(K: KernelMatrix, y, S: SketchOperator, lambda_n: float) -
     For a sub-sampling sketch Ktil is the Nystrom approximation of K.  It is
     Z Z^T from the pivoted Cholesky factor of S K S^T (:func:`_gram_factor`),
     which drops the rows of S below LAPACK's rank tolerance; the fit is then
-    flagged.  The dual solve [(n/(2*lam)) Ktil + n I] xi = y recovers
-    a = (sqrt(n)/(2*lam)) (S K S^T)^+ S K xi, whose fitted values coincide
-    with the primal sketched solution.
+    flagged.  The dual solve [(n/(2*lam)) Ktil + n I] xi = y, taken as
+    (Ktil + 2*lam*I) xi = (2*lam/n) y, recovers a = (sqrt(n)/(2*lam))
+    (S K S^T)^+ S K xi, whose fitted values match the primal sketched fit.
     """
     lam = check_positive(lambda_n, "lambda_n")
     yv = _check_vector(y, check_type(K, KernelMatrix, "K").n, "y")
@@ -444,8 +440,7 @@ def solve_nystrom_dual(K: KernelMatrix, y, S: SketchOperator, lambda_n: float) -
     n = K.n
     SK = apply_sketch(S, K.matrix)
     Zt, lift, truncated = _gram_factor(apply_sketch(S, SK.T), SK)
-    # Z^T Z by syrk is exactly symmetric
-    xi = _dual_solve(Zt.T @ Zt, lam, yv, "Nystrom dual")
+    xi = _shifted_solve(Zt.T @ Zt, 2.0 * lam, (2.0 * lam / n) * yv, "Nystrom dual")
     alpha = lift((np.sqrt(n) / (2.0 * lam)) * (Zt @ xi))
     fitted = np.sqrt(n) * (SK.T @ alpha)
     return FitResult("nystrom_dual", alpha, S, lam, fitted, rank_deficient=truncated)

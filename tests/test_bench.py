@@ -8,6 +8,7 @@ import pytest
 from helpers import count_calls, spy_routes
 from sketchkrr import (
     CSV_HEADER,
+    ArmSummary,
     DomainError,
     ExperimentConfig,
     KernelSpec,
@@ -20,10 +21,12 @@ from sketchkrr import (
     generate_data,
     load_config,
     parse_config,
+    population_eigenvalues,
     rate_factor,
     read_csv,
     run_error_vs_n,
     run_nystrom_failure_demo,
+    summarize_records,
     write_csv,
 )
 from sketchkrr.bench import _SweepLog, _arm_sketch, _data_seed, _shared_inputs, flatness_ratio
@@ -881,6 +884,22 @@ BAD_INPUTS = {
         "<config>: line 2: duplicate key 'kernel'"),
     "config-empty-value": (
         lambda d: parse_config("kernel ="), DomainError, "<config>: line 1: empty value for 'kernel'"),
+    "rate-text-spec": (lambda d: rate_factor("x", 10), DomainError, "spec must be a KernelSpec, got str"),
+    "population-text-spec": (
+        lambda d: population_eigenvalues("x", 5), DomainError, "spec must be a KernelSpec, got str"),
+    "data-text-config": (
+        lambda d: generate_data("x", 8, 0), DomainError, "config must be an ExperimentConfig, got str"),
+    "sweep-text-config": (
+        lambda d: run_error_vs_n("x"), DomainError, "config must be an ExperimentConfig, got str"),
+    "summary-text-records": (
+        lambda d: summarize_records("x"), DomainError, "record must be a TrialRecord, got str"),
+    "flatness-text-records": (
+        lambda d: flatness_ratio("x", "ros"), DomainError, "record must be a TrialRecord, got str"),
+    "csv-text-records": (
+        lambda d: write_csv("x", d / "out.csv"), DomainError, "record must be a TrialRecord, got str"),
+    "csv-summary-record": (
+        lambda d: write_csv([ArmSummary(1, "ros", 1, 1.0, 0.0, 1.0, 0.0)], d / "out.csv"), DomainError,
+        "record must be a TrialRecord, got ArmSummary"),
 }
 
 

@@ -63,10 +63,20 @@ class TestKernelEval:
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_symmetry(self, spec):
+        # u is a vector, a 0-d array, or predict's q x 1 query column against
+        # the n training points; either order gives the out-of-place formula
         rng = np.random.default_rng(0)
-        u = rng.uniform(0, 1, 200)
         v = rng.uniform(0, 1, 200)
-        np.testing.assert_array_equal(kernel_eval(spec, u, v), kernel_eval(spec, v, u))
+        for shape in [(200,), (), (7, 1)]:
+            u = rng.uniform(0, 1, shape)
+            if spec.kind == "polynomial":
+                oracle = (1.0 + u * v) ** spec.degree
+            elif spec.kind == "gaussian":
+                oracle = np.exp(-((u - v) * (u - v)) / (2.0 * spec.bandwidth**2))
+            else:
+                oracle = np.minimum(u, v)
+            np.testing.assert_array_equal(kernel_eval(spec, u, v), oracle)
+            np.testing.assert_array_equal(kernel_eval(spec, v, u), oracle)
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_positive_semidefinite_quadratic_forms(self, spec):
@@ -289,10 +299,14 @@ class TestSpectralInvariants:
         (lambda: DesignPoints(["a", "b"]), "design points must be numeric"),
         (lambda: kernel_eval(KernelSpec.sobolev1(), "a", 0.5), "u must be numeric"),
         (lambda: KernelMatrix("x"), "kernel matrix must be numeric"),
+        (lambda: kernel_eval("x", 0.2, 0.5), "spec must be a KernelSpec, got str"),
+        (lambda: build_kernel_matrix("x", DesignPoints([0.2, 0.5])), "spec must be a KernelSpec, got str"),
+        (lambda: build_kernel_matrix(KernelSpec.sobolev1(), "x"), "pts must be a DesignPoints, got str"),
     ],
     ids=[
         "polynomial-bandwidth", "non-square-matrix", "non-finite-matrix",
         "text-bandwidth", "text-degree", "text-points", "text-kernel-argument", "text-matrix",
+        "text-kernel-spec", "text-build-spec", "text-build-points",
     ],
 )
 def test_bad_input_raises_a_named_error(call, match):

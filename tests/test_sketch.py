@@ -176,8 +176,14 @@ SKETCH = draw_sketch("gaussian", 3, 8, 0)
             lambda: SketchOperator("gaussian", 1, 2, 0, matrix=np.array([["a", "b"]])),
             "gaussian sketch matrix must be numeric",
         ),
+        (lambda: apply_sketch("x", np.ones(8)), "S must be a SketchOperator, got str"),
+        (lambda: apply_sketch_t("x", np.ones(3)), "S must be a SketchOperator, got str"),
+        (lambda: materialize("x"), "S must be a SketchOperator, got str"),
     ],
-    ids=["text-operand", "text-transpose-operand", "text-fwht", "scalar-fwht", "text-matrix"],
+    ids=[
+        "text-operand", "text-transpose-operand", "text-fwht", "scalar-fwht", "text-matrix",
+        "text-sketch", "text-transpose-sketch", "text-materialize",
+    ],
 )
 def test_bad_input_raises_a_named_error(call, match):
     with pytest.raises(DomainError, match=match):

@@ -786,25 +786,46 @@ class TestDualSolvers:
             dual = solve_nystrom_dual(K, y, S, lam)
             assert rel_dev(dual.fitted, primal.fitted) <= 1e-8
 
-    def test_dual_matrices_are_factored_in_place(self, monkeypatch):
-        # both dual matrices are exactly symmetric, so each is factored in
-        # place through its transpose: no second n x n array, and the lower
-        # triangle is bit for bit the factor of a copy of the matrix itself
-        original, seen = sla.cho_factor, []
+    def test_dual_matrices_are_factored_packed(self, monkeypatch):
+        # each dual system is solved as (X + 2 lam I) xi = (2 lam / n) y on
+        # one packed factor, X = K itself or Z^T Z: no full factor, and no
+        # scaled copy (n / (2 lam)) X + n I
+        import sketchkrr.solver as solver
 
-        def spy(a, **kwargs):
-            matrix = a.T.copy()
-            L, lower = original(a, **kwargs)
-            reference, _ = original(matrix, lower=True)
-            seen.append((np.shares_memory(L, a), np.array_equal(np.tril(L), np.tril(reference))))
-            return L, lower
+        original, seen = solver.rfp_factor_shifted, []
 
-        monkeypatch.setattr(sla, "cho_factor", spy)
+        def spy(matrix, shift):
+            seen.append((matrix, shift))
+            return original(matrix, shift)
+
+        def no_full_factor(*args, **kwargs):
+            raise AssertionError("a dual route called cho_factor")
+
+        monkeypatch.setattr(solver, "rfp_factor_shifted", spy)
+        monkeypatch.setattr(sla, "cho_factor", no_full_factor)
         K, _, _, y = sobolev_instance(300, 27)
         solve_dual_krr(K, y, 0.05)
-        solve_nystrom_dual(K, y, draw_sketch("subsample", 40, 300, 1), 0.05)
-        solve_nystrom_dual(K, y, draw_sketch("gaussian", 40, 300, 1), 0.05)
-        assert seen == [(True, True)] * 3
+        assert len(seen) == 1 and seen[0][0] is K.matrix and seen[0][1] == 0.1
+        for kind in ("subsample", "gaussian"):
+            seen.clear()
+            solve_nystrom_dual(K, y, draw_sketch(kind, 40, 300, 1), 0.05)
+            assert len(seen) == 1 and seen[0][0].shape == (300, 300) and seen[0][1] == 0.1
+
+    @pytest.mark.parametrize("lam", [1e-7, 0.02])
+    def test_dual_solve_allocates_at_most_a_packed_factor(self, irregular_1200, lam):
+        # the factor's n (n + 1) / 2 doubles, plus n-vectors
+        import tracemalloc
+
+        K, y = irregular_1200
+        n = K.n
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            solve_dual_krr(K, y, lam)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * (n + 1) // 2 * 8 + 16 * n * 8
 
     def test_block_diagonal_miss_ignores_second_block(self):
         # kernel = diag(K1, K2); a sketch with rows only in block 1 yields
@@ -842,6 +863,7 @@ def _indefinite_dual_solve():
 FOUR_POINTS = DesignPoints(np.array([0.2, 0.4, 0.6, 0.8]))
 FOUR_K = build_kernel_matrix(KernelSpec.sobolev1(), FOUR_POINTS)
 TEXT = ["a"] * 4
+FOUR_FIT = FitResult("exact", np.ones(4), None, 0.1, np.ones(4))
 
 
 @pytest.mark.parametrize(
@@ -880,11 +902,24 @@ TEXT = ["a"] * 4
             lambda: solve_sketched_krr(np.eye(40), np.ones(40), draw_sketch("gaussian", 4, 40, 1), 0.1),
             DomainError, "K must be a KernelMatrix, got ndarray",
         ),
+        (lambda: RegressionSample("x", np.ones(4)), DomainError, "pts must be a DesignPoints, got str"),
+        (
+            lambda: predict("x", KernelSpec.sobolev1(), FOUR_POINTS, 0.5),
+            DomainError, "fit must be a FitResult, got str",
+        ),
+        (
+            lambda: predict(FOUR_FIT, "x", FOUR_POINTS, 0.5), DomainError, "spec must be a KernelSpec, got str",
+        ),
+        (
+            lambda: predict(FOUR_FIT, KernelSpec.sobolev1(), "x", 0.5),
+            DomainError, "train must be a DesignPoints, got str",
+        ),
     ],
     ids=[
         "short-y", "short-fstar", "fit-of-other-size", "indefinite-dual",
         "text-lambda", "none-lambda", "text-y", "text-sketched-y", "text-omega", "text-values",
         "text-sample-y", "text-query", "array-K", "array-sketched-K",
+        "text-sample-points", "text-fit", "text-predict-spec", "text-train",
     ],
 )
 def test_bad_input_raises_a_named_error(call, error, match):

@@ -30,6 +30,12 @@ operator's own) serve every consumer.
 No function but ``sketchkrr._util.check_floats`` names ``isfinite``: every
 array a public boundary takes is converted and, where it must be finite,
 tested there, so one message names a bad argument everywhere.
+
+No function but ``sketchkrr.solver._solve_sketched`` makes a full Cholesky
+factor (``cho_factor``, LAPACK's potrf, or a ``cholesky``): every n x n
+system, the exact solve's and both dual routes', is factored packed by
+``sketchkrr._util.rfp_factor_shifted``, and only the m x m sketched
+systems are factored full.
 """
 
 import ast
@@ -44,6 +50,7 @@ FACTOR_SOLVES = {"dtrtrs", "strtrs", "dpftrs", "spftrs", "trtrs", "pftrs"}
 KERNEL_NAMES = {"matrix", "K"}
 MATMUL = {"__matmul__"}
 FINITE = {"isfinite"}
+FULL_FACTOR = {"cho_factor", "potrf", "dpotrf", "cholesky"}
 
 
 def potrs_uses(source: str, banned=BANNED) -> list[int]:
@@ -222,17 +229,23 @@ def test_matmul_guard_sees_each_spelling_in_the_certificate(line):
 
 
 
+def uses_outside(source: str, banned: set, function: str) -> list[int]:
+    """Lines of ``source`` that name a banned routine outside a function
+    named ``function``."""
+    helpers = [
+        node for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name == function
+    ]
+    return [
+        line for line in potrs_uses(source, banned)
+        if not any(f.lineno <= line <= f.end_lineno for f in helpers)
+    ]
+
+
 def finiteness_tests(source: str) -> list[int]:
     """Lines of ``source`` that name ``isfinite`` outside a function
     ``check_floats``."""
-    helpers = [
-        node for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.FunctionDef) and node.name == "check_floats"
-    ]
-    return [
-        line for line in potrs_uses(source, FINITE)
-        if not any(f.lineno <= line <= f.end_lineno for f in helpers)
-    ]
+    return uses_outside(source, FINITE, "check_floats")
 
 
 @pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -249,3 +262,39 @@ def test_finiteness_guard_sees_each_spelling_in_the_solver(line):
     source = (PACKAGE / "solver.py").read_text()
     assert finiteness_tests(source) == []
     assert finiteness_tests(f"{source}\n{line}\n")
+
+
+def full_factors(source: str) -> list[int]:
+    """Lines of ``source`` that name a full Cholesky factor outside a
+    function ``_solve_sketched``."""
+    return uses_outside(source, FULL_FACTOR, "_solve_sketched")
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_sketched_solve_makes_a_full_factor(module):
+    uses = full_factors(module.read_text())
+    assert uses == [], f"{module.name} makes a full Cholesky factor; use _util.rfp_factor_shifted"
+
+
+def test_sketched_solve_is_where_full_factors_live():
+    source = (PACKAGE / "solver.py").read_text()
+    assert potrs_uses(source, {"cho_factor"})
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "L, _ = sla.cho_factor(A.T, lower=True, overwrite_a=True, check_finite=False)",
+        "from scipy.linalg import cho_factor",
+        "L, info = sla.lapack.dpotrf(A, lower=1)",
+        "potrf, = get_lapack_funcs(('potrf',), (A,))",
+        "L = np.linalg.cholesky(A)",
+        "factor = getattr(sla, 'cho_factor')",
+    ],
+)
+def test_full_factor_guard_sees_each_spelling_in_the_solver(line):
+    # a mutation of the solver's own source, made in memory, outside
+    # _solve_sketched
+    source = (PACKAGE / "solver.py").read_text()
+    assert full_factors(source) == []
+    assert full_factors(f"{source}\n{line}\n")
