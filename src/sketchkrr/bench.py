@@ -52,6 +52,7 @@ from ._util import ceil_int, check_count, check_floats, check_positive, check_se
 from .complexity import ComplexityProfile, complexity_profile
 from .errors import DomainError, NumericalError
 from .kernels import DesignPoints, KernelMatrix, KernelSpec, build_kernel_matrix
+from .satisfiability import recommended_sketch_dim
 from .sketch import SketchOperator, draw_sketch
 from .solver import RegressionSample, empirical_error, solve_krr, solve_sketched_krr
 
@@ -114,10 +115,10 @@ class ExperimentConfig:
         for name in ("c_statdim", "lambda_fixed"):
             if getattr(self, name) is not None:
                 check_positive(getattr(self, name), name)
-        if self.fstar not in FSTAR_CHOICES:
-            raise DomainError(f"unknown fstar {self.fstar!r}")
-        if self.design not in DESIGN_CHOICES:
-            raise DomainError(f"unknown design {self.design!r}")
+        for name, choices in (("fstar", FSTAR_CHOICES), ("design", DESIGN_CHOICES),
+                              ("m_rule", M_RULES), ("lambda_rule", LAMBDA_RULES)):
+            if getattr(self, name) not in choices:
+                raise DomainError(f"unknown {name} {getattr(self, name)!r}")
         if not (isinstance(self.sigma, numbers.Real) and 0.0 <= self.sigma < math.inf):
             raise DomainError(f"sigma must be finite and >= 0, got {self.sigma!r}")
         n_grid = tuple(check_count(n, "n_grid entry", 2) for n in self.n_grid)
@@ -131,16 +132,12 @@ class ExperimentConfig:
             if kind not in ARM_KINDS:
                 raise DomainError(f"unknown sketch kind {kind!r}")
         object.__setattr__(self, "sketch_kinds", kinds)
-        if self.m_rule not in M_RULES:
-            raise DomainError(f"unknown m_rule {self.m_rule!r}")
         if self.m_fixed is not None:
             object.__setattr__(self, "m_fixed", check_count(self.m_fixed, "m_fixed", 1))
         if self.m_rule == "fixed" and self.m_fixed is None:
             raise DomainError("m_rule 'fixed' needs m_fixed >= 1")
         if self.m_rule == "statdim" and self.c_statdim is None:
             raise DomainError("m_rule 'statdim' needs c_statdim > 0")
-        if self.lambda_rule not in LAMBDA_RULES:
-            raise DomainError(f"unknown lambda_rule {self.lambda_rule!r}")
         if self.lambda_rule == "fixed" and self.lambda_fixed is None:
             raise DomainError("lambda_rule 'fixed' needs lambda_fixed > 0")
         object.__setattr__(self, "trials", check_count(self.trials, "trials", 1))
@@ -247,7 +244,7 @@ def generate_data(config: ExperimentConfig, n: int, seed: int) -> RegressionSamp
         x[n - k :] = 1.0 + rng.normal(0.0, 1.0 / math.sqrt(n), size=k)
     fstar = fstar_values(config.fstar, x)
     y = fstar + config.sigma * rng.standard_normal(n)
-    return RegressionSample(DesignPoints(x), y, fstar=fstar, sigma=config.sigma)
+    return RegressionSample(DesignPoints(x), y, fstar=fstar)
 
 
 def _sketch_dim(config: ExperimentConfig, n: int, d_n: int) -> int:
@@ -259,8 +256,8 @@ def _sketch_dim(config: ExperimentConfig, n: int, d_n: int) -> int:
         m = ceil_int(4.0 * math.sqrt(math.log(n)))
     elif config.m_rule == "fixed":
         m = int(config.m_fixed)
-    else:  # statdim
-        m = ceil_int(config.c_statdim * max(d_n, 1))
+    else:  # statdim: the paper's m = ceil(c d_n)
+        return recommended_sketch_dim("gaussian", max(d_n, 1), n, config.c_statdim)
     return max(1, min(m, n))
 
 
@@ -523,8 +520,9 @@ def flatness_ratio(records, kind: str) -> float:
     summaries = [s for s in summarize_records(records) if s.sketch == kind]
     if not summaries:
         raise DomainError(f"no records for sketch kind {kind!r}")
-    upper = summaries[len(summaries) // 2 :]
-    vals = [s.mean_rescaled for s in upper]
+    vals = [s.mean_rescaled for s in summaries[len(summaries) // 2 :]]
+    if min(vals) <= 0.0:
+        raise DomainError(f"flatness ratio of {kind!r} needs positive means, got {min(vals)}")
     return max(vals) / min(vals)
 
 
@@ -532,34 +530,20 @@ def emit_plot_script(csv_path, out_png="errors.png") -> str:
     """Return a standalone matplotlib script plotting mean error vs n.
 
     Keeps graphics dependencies out of the package: the returned text is
-    meant to be written to a file and run separately.
+    meant to be written to a file and run separately, with sketchkrr
+    importable.  It plots each arm of ``summarize_records(read_csv(csv_path))``.
     """
     return f'''"""Plot mean prediction error per arm from a results CSV."""
-import csv
-from collections import defaultdict
-from math import isnan, sqrt
-
 import matplotlib.pyplot as plt
 
-groups = defaultdict(list)
-with open({str(csv_path)!r}) as fh:
-    for row in csv.DictReader(fh):
-        err = float(row["error"])
-        if not isnan(err):
-            groups[(row["sketch"], int(row["n"]))].append(err)
+from sketchkrr import read_csv, summarize_records
 
-arms = sorted({{kind for kind, _ in groups}})
+summaries = summarize_records(read_csv({str(csv_path)!r}))
 fig, ax = plt.subplots(figsize=(6, 4))
-for kind in arms:
-    ns = sorted(n for k, n in groups if k == kind)
-    means = [sum(groups[(kind, n)]) / len(groups[(kind, n)]) for n in ns]
-    errs = []
-    for n in ns:
-        vals = groups[(kind, n)]
-        mu = sum(vals) / len(vals)
-        var = sum((v - mu) ** 2 for v in vals) / max(len(vals) - 1, 1)
-        errs.append(sqrt(var / len(vals)))
-    ax.errorbar(ns, means, yerr=errs, marker="o", capsize=3, label=kind)
+for kind in sorted({{s.sketch for s in summaries}}):
+    arm = [s for s in summaries if s.sketch == kind]
+    ax.errorbar([s.n for s in arm], [s.mean_error for s in arm],
+                yerr=[s.stderr_error for s in arm], marker="o", capsize=3, label=kind)
 ax.set_xscale("log", base=2)
 ax.set_yscale("log")
 ax.set_xlabel("sample size n")

@@ -44,6 +44,7 @@ from .bench import (
     _SweepLog,
     _arm_sketch,
     _fit_arm,
+    _name,
     _shared_inputs,
     derive_seed,
     load_config,
@@ -67,10 +68,6 @@ def _choices(values) -> list[str]:
     return [v.replace("_", "-") for v in values]
 
 
-def _norm(value: str) -> str:
-    return value.replace("-", "_")
-
-
 def _add_trial_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kernel", required=True, choices=_choices(_KERNEL_KINDS))
     p.add_argument("--bandwidth", type=float, help="gaussian kernel bandwidth h > 0")
@@ -86,7 +83,7 @@ def _config(args, **rules) -> ExperimentConfig:
     try:
         return ExperimentConfig(
             kernel=KernelSpec(args.kernel, degree=args.degree, bandwidth=args.bandwidth),
-            design=_norm(args.design),
+            design=_name(args.design),
             sigma=args.sigma,
             n_grid=(args.n,),
             trials=1,
@@ -105,15 +102,15 @@ def _emit(payload: dict, fmt: str) -> None:
 
 
 def _cmd_fit(args) -> int:
-    kind = _norm(args.sketch)
+    kind = _name(args.sketch)
     config = _config(
         args,
-        fstar=_norm(args.fstar),
+        fstar=_name(args.fstar),
         sketch_kinds=(kind,),
-        m_rule=_norm(args.m_rule),
+        m_rule=_name(args.m_rule),
         m_fixed=args.m_fixed,
         c_statdim=args.c_statdim,
-        lambda_rule=_norm(args.lambda_rule),
+        lambda_rule=_name(args.lambda_rule),
         lambda_fixed=args.lambda_fixed,
     )
     shared = _shared_inputs(config, args.n, 0, None)
@@ -138,7 +135,7 @@ def _cmd_critical_radius(args) -> int:
 
 
 def _cmd_check_sketch(args) -> int:
-    kind = _norm(args.sketch)
+    kind = _name(args.sketch)
     # without --m, m = d_n: the statdim rule with c = 1
     if args.m is None:
         config = _config(args, sketch_kinds=(kind,), m_rule="statdim", c_statdim=1.0)

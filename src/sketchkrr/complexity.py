@@ -106,10 +106,14 @@ class ComplexityProfile:
 
     sigma: float
     delta_n: float
-    delta_n_sq: float
     d_n: int
     n: int
     _head: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def delta_n_sq(self) -> float:
+        """delta_n^2, from delta_n itself, so the two cannot disagree."""
+        return self.delta_n * self.delta_n
 
 
 def _check_spectrum(mu_hat) -> np.ndarray:
@@ -181,9 +185,7 @@ def complexity_profile(mu_hat, n: int, sigma: float) -> ComplexityProfile:
     else:
         delta_n = critical_radius(mu_hat, n, sigma)
         d_n = statistical_dimension(mu_hat, delta_n)
-    return ComplexityProfile(
-        sigma=float(sigma), delta_n=delta_n, delta_n_sq=delta_n * delta_n, d_n=d_n, n=int(n), _head=head
-    )
+    return ComplexityProfile(sigma=float(sigma), delta_n=delta_n, d_n=d_n, n=int(n), _head=head)
 
 
 def _matrix_profile(K: KernelMatrix, n: int, sigma: float) -> tuple[float, int, tuple | None]:

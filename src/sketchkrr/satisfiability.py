@@ -37,6 +37,7 @@ sketches, clamped to [1, n].
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,9 +103,9 @@ def check_k_satisfiable(
     ``S`` may be a :class:`SketchOperator` or any finite dense matrix with
     n columns, taken as the gaussian operator on it (e.g. the transposed
     leading eigenvector block, which passes with both norms zero to
-    rounding).  ``profile`` must be for K's size n.  An empty head (d_n =
-    0) makes the isometry condition vacuous and needs no eigendecomposition
-    of K.
+    rounding).  ``profile`` must be for K's size n, with an integer d_n in
+    [0, n].  An empty head (d_n = 0) makes the isometry condition vacuous
+    and needs no eigendecomposition of K.
     """
     check_positive(c_threshold, "c_threshold")
     if check_type(profile, ComplexityProfile, "profile").n != check_type(K, KernelMatrix, "K").n:
@@ -117,7 +118,7 @@ def check_k_satisfiable(
     if S.n != K.n:
         raise DomainError(f"sketch has {S.n} columns, kernel size is {K.n}")
     d_n, m = profile.d_n, S.m
-    if not 0 <= d_n <= K.n:
+    if not (isinstance(d_n, numbers.Integral) and 0 <= d_n <= K.n):
         raise DomainError(f"profile d_n={d_n} out of range for n={K.n}")
     forward, transpose = _maps(S)
     iso = 0.0

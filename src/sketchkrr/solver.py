@@ -88,7 +88,6 @@ class RegressionSample:
     pts: DesignPoints
     y: np.ndarray
     fstar: np.ndarray | None = None
-    sigma: float = 0.0
 
     def __post_init__(self) -> None:
         y = check_floats(self.y, "y")
@@ -467,12 +466,8 @@ def zero_noise_objective(K: KernelMatrix, z_star, S: SketchOperator, lambda_n: f
     The program minimizes (1/(2n)) ||z* - sqrt(n) K S^T a||^2 +
     lam ||sqrt(K) S^T a||^2; its normal equations are the sketched KRR
     system with y replaced by the true values z*, so its minimizer is
-    ``solve_sketched_krr(K, z_star, S, lambda_n).coefficients``.
+    ``solve_sketched_krr(K, z_star, S, lambda_n).coefficients``.  Expanded,
+    it is the sketched objective at y = z* plus the constant z*^T z* / (2n).
     """
-    _check_sketch_size(S, K)
-    lam = check_positive(lambda_n, "lambda_n")
-    zv = _check_vector(z_star, K.n, "z_star")
-    w = apply_sketch_t(S, _check_vector(alpha, S.m, "alpha"))
-    Kw = symv(K.matrix, w)
-    r = zv - np.sqrt(K.n) * Kw
-    return float(r @ r / (2.0 * K.n) + lam * (w @ Kw))
+    zv = _check_vector(z_star, check_type(K, KernelMatrix, "K").n, "z_star")
+    return float(sketched_krr_objective(K, zv, S, lambda_n, alpha) + zv @ zv / (2.0 * K.n))

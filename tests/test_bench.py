@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -791,6 +793,44 @@ class TestSummaries:
         script = emit_plot_script(tmp_path / "results.csv")
         compile(script, "<plot script>", "exec")
 
+    def test_emitted_plot_script_plots_the_summaries(self, tmp_path, monkeypatch, capsys):
+        # run under a stub matplotlib.pyplot that records each errorbar call
+        from sketchkrr import emit_plot_script
+
+        records = run_error_vs_n(small_config(sketch_kinds=("exact", "gaussian", "ros")))
+        records[1] = dataclasses.replace(records[1], error=math.nan)  # a marker row
+        path = tmp_path / "results.csv"
+        write_csv(records, path)
+        plotted, saved = {}, []
+
+        class Stub:
+            def errorbar(self, x, y, yerr, label, **_):
+                plotted[label] = (list(x), list(y), list(yerr))
+
+            def savefig(self, name, **_):
+                saved.append(name)
+
+            def __getattr__(self, _):
+                return lambda *args, **kwargs: None
+
+        pyplot = types.ModuleType("matplotlib.pyplot")
+        pyplot.subplots = lambda **_: (Stub(), Stub())
+        matplotlib = types.ModuleType("matplotlib")
+        matplotlib.pyplot = pyplot
+        monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+        monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+        out = str(tmp_path / "errors.png")
+        exec(compile(emit_plot_script(path, out), "<plot script>", "exec"), {"__name__": "__main__"})
+
+        expected = {}
+        for s in summarize_records(read_csv(path)):
+            arm = expected.setdefault(s.sketch, ([], [], []))
+            for column, value in zip(arm, (s.n, s.mean_error, s.stderr_error)):
+                column.append(value)
+        assert plotted == expected
+        assert sorted(plotted) == ["exact", "gaussian", "ros"]
+        assert saved == [out] and capsys.readouterr().out == f"wrote {out}\n"
+
 
 class TestNystromFailureDemo:
     def test_missed_block_is_insensitive(self):
@@ -872,6 +912,9 @@ BAD_INPUTS = {
     "nystrom-k-above-n-1": (
         lambda d: run_nystrom_failure_demo(8, 2, 8, 0), DomainError, "need 1 <= k <= n - 1, got k=8"),
     "flatness-no-records": (lambda d: flatness_ratio([], "ros"), DomainError, "no records for sketch kind 'ros'"),
+    "flatness-zero-mean": (
+        lambda d: flatness_ratio([TrialRecord(8, 8, "ros", 0, 0, 0.1, 0.05, 2, 0.0, 0.0, 0.0)], "ros"),
+        DomainError, "flatness ratio of 'ros' needs positive means, got 0.0"),
     "csv-write-to-a-directory": (lambda d: write_csv([], d), OSError, "cannot write results to"),
     "csv-read-missing-file": (lambda d: read_csv(d / "missing.csv"), OSError, "cannot read results from"),
     "csv-unparsable-field": (

@@ -103,7 +103,7 @@ class TestCheckKSatisfiable:
         for S in sketches:
             n = 1024 if S is ros else 128
             K, _, U, mu = setups[n]
-            huge = ComplexityProfile(sigma=1.0, delta_n=10.0, delta_n_sq=100.0, d_n=0, n=n)
+            huge = ComplexityProfile(sigma=1.0, delta_n=10.0, d_n=0, n=n)
             report = check_k_satisfiable(S, K, huge)
             assert report.lhs_isometry == 0.0
             dense = materialize(S) if S is ros else S
@@ -112,7 +112,7 @@ class TestCheckKSatisfiable:
 
     def test_full_head_has_zero_tail(self, sobolev_setup):
         n, K, _ = sobolev_setup
-        full = ComplexityProfile(sigma=1.0, delta_n=0.0, delta_n_sq=0.0, d_n=n, n=n)
+        full = ComplexityProfile(sigma=1.0, delta_n=0.0, d_n=n, n=n)
         report = check_k_satisfiable(draw_sketch("gaussian", n, n, 0), K, full)
         assert report.lhs_tail == 0.0
 
@@ -256,6 +256,10 @@ class TestCheckKSatisfiable:
                 lambda n, K, p: check_k_satisfiable(identity_sketch(n), K, dataclasses.replace(p, d_n=n + 1)),
                 "profile d_n=129 out of range for n=128",
             ),
+            (
+                lambda n, K, p: check_k_satisfiable(identity_sketch(n), K, dataclasses.replace(p, d_n=2.5)),
+                "profile d_n=2.5 out of range for n=128",
+            ),
             (lambda n, K, p: check_k_satisfiable(np.ones(n), K, p), "sketch must be a matrix"),
             (lambda n, K, p: recommended_sketch_dim("gaussian", 2, 20, "x"), "c must be finite and > 0, got 'x'"),
             (
@@ -268,8 +272,8 @@ class TestCheckKSatisfiable:
             ),
         ],
         ids=[
-            "zero-threshold", "text-threshold", "text-sketch", "d_n-above-n", "vector-sketch", "text-c",
-            "text-profile", "array-K",
+            "zero-threshold", "text-threshold", "text-sketch", "d_n-above-n", "fractional-d_n", "vector-sketch",
+            "text-c", "text-profile", "array-K",
         ],
     )
     def test_bad_input_raises_a_named_error(self, sobolev_setup, call, match):

@@ -767,6 +767,43 @@ class TestDualSolvers:
                 primal.coefficients
             )
 
+    def dual_instances(self):
+        # test_dual_recovers_primal_coefficients' 25 instances, then the
+        # gaussian kernel on the irregular design at n = 1200, where lam =
+        # 1e-7 makes the dual system's condition number about 4e6
+        rng = np.random.default_rng(21)
+        for trial in range(25):
+            n = int(rng.integers(2, 65))
+            K, _, _, y = sobolev_instance(n, 2000 + trial)
+            yield K, y, float(rng.uniform(1e-3, 1.0))
+        config = ExperimentConfig(kernel=KernelSpec.gaussian(0.25), fstar="quad", design="irregular")
+        sample = generate_data(config, 1200, 7)
+        K = build_kernel_matrix(config.kernel, sample.pts)
+        for lam in (1e-7, 0.01):
+            yield K, sample.y, lam
+
+    def test_dual_solves_the_dense_dual_system(self):
+        # solve_dual_krr and solve_krr's factor route share one packed
+        # Cholesky factor of K + 2*lam*I, so criterion 3 compares that factor
+        # with itself.  Here xi is checked against the dual system as stated,
+        # [(n/(2*lam)) K + n I] xi = y, formed densely and solved by LU.  With
+        # kappa = 1 + ||K||_inf / (2*lam), an upper bound on the system's
+        # condition number, two backward-stable solves differ by at most a
+        # few kappa eps: the worst gap was 1.7 kappa eps on the sobolev
+        # instances and 0.12-0.14 kappa eps (1.1e-10 at lam = 1e-7) at n =
+        # 1200, and the normwise backward error in the Frobenius norm at most
+        # 0.33 eps (one OpenBLAS thread)
+        eps = np.finfo(np.float64).eps
+        for K, y, lam in self.dual_instances():
+            n = K.n
+            xi, _ = solve_dual_krr(K, y, lam)
+            A = (n / (2.0 * lam)) * K.matrix + n * np.eye(n)
+            ref = np.linalg.solve(A, y)
+            kappa = 1.0 + np.abs(K.matrix).sum(axis=1).max() / (2.0 * lam)
+            assert np.linalg.norm(xi - ref) <= 8.0 * kappa * eps * np.linalg.norm(ref)
+            backward = np.linalg.norm(A @ xi - y) / (np.linalg.norm(A) * np.linalg.norm(xi) + np.linalg.norm(y))
+            assert backward <= 2.0 * eps
+
     def test_nystrom_identity_sketch_reduces_to_exact_dual(self):
         K, _, _, y = sobolev_instance(16, 22)
         lam = 0.05

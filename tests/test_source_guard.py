@@ -36,6 +36,12 @@ factor (``cho_factor``, LAPACK's potrf, or a ``cholesky``): every n x n
 system, the exact solve's and both dual routes', is factored packed by
 ``sketchkrr._util.rfp_factor_shifted``, and only the m x m sketched
 systems are factored full.
+
+The plot script that ``sketchkrr.emit_plot_script`` returns imports only
+``matplotlib.pyplot`` and ``sketchkrr`` and names no ``csv``: it plots
+``summarize_records(read_csv(path))``, so the CSV columns and the
+standard-error formula stay in the package alone.  This guard imports the
+package, to emit the script it parses.
 """
 
 import ast
@@ -298,3 +304,49 @@ def test_full_factor_guard_sees_each_spelling_in_the_solver(line):
     source = (PACKAGE / "solver.py").read_text()
     assert full_factors(source) == []
     assert full_factors(f"{source}\n{line}\n")
+
+
+def plot_script_imports(source: str) -> set[str]:
+    """The modules ``source`` imports, by their dotted names."""
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    return imported
+
+
+def plot_script_faults(source: str) -> list[str]:
+    """What keeps ``source`` from being a plot of the package's own
+    summaries: an import other than matplotlib.pyplot and sketchkrr, or a
+    use of ``csv``."""
+    faults = sorted(plot_script_imports(source) - {"matplotlib.pyplot", "sketchkrr"})
+    return faults + [f"csv on line {line}" for line in potrs_uses(source, {"csv"})]
+
+
+def test_plot_script_plots_the_package_summaries():
+    from sketchkrr import emit_plot_script
+
+    script = emit_plot_script("results.csv")
+    assert plot_script_faults(script) == []
+    assert plot_script_imports(script) == {"matplotlib.pyplot", "sketchkrr"}
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "import csv",
+        "from csv import DictReader",
+        "rows = csv.DictReader(fh)",
+        "from math import isnan, sqrt",
+        "from collections import defaultdict",
+        "import numpy as np",
+    ],
+)
+def test_plot_script_guard_sees_each_spelling(line):
+    # a mutation of the emitted script, made in memory
+    from sketchkrr import emit_plot_script
+
+    script = emit_plot_script("results.csv")
+    assert plot_script_faults(f"{script}\n{line}\n")
