@@ -43,7 +43,9 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -491,7 +493,7 @@ class ArmSummary:
 def summarize_records(records) -> list[ArmSummary]:
     """Mean and standard error per (n, sketch kind), skipping marker rows."""
     groups: dict[tuple[int, str], list[TrialRecord]] = {}
-    for r in records:
+    for r in check_type(records, Iterable, "records"):
         if math.isnan(check_type(r, TrialRecord, "record").error):
             continue
         groups.setdefault((r.n, r.sketch), []).append(r)
@@ -557,6 +559,13 @@ print("wrote", {out_png!r})
 
 # --- CSV persistence --------------------------------------------------------
 
+def _check_path(path) -> None:
+    """A :class:`DomainError` that names ``path`` unless ``open`` takes it
+    as a file name."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise DomainError(f"path must be a str or os.PathLike, got {type(path).__name__}")
+
+
 def _fmt_float(v: float) -> str:
     # 17 significant digits: lossless float64 round trip
     return f"{v:.17g}"
@@ -564,8 +573,9 @@ def _fmt_float(v: float) -> str:
 
 def write_csv(records, path) -> None:
     """Write records under the fixed header; floats keep 17 significant digits."""
+    _check_path(path)
     lines = [CSV_HEADER]
-    for r in records:
+    for r in check_type(records, Iterable, "records"):
         # a dataclass instance's __dict__ holds its fields in declaration order
         row = zip(_CSV_COLUMNS, vars(check_type(r, TrialRecord, "record")).values())
         lines.append(",".join(_fmt_float(v) if parse is float else str(v) for (_, parse), v in row))
@@ -578,6 +588,7 @@ def write_csv(records, path) -> None:
 
 def read_csv(path) -> list[TrialRecord]:
     """Read records back; raises with the offending 1-based line number."""
+    _check_path(path)
     try:
         with open(path, "r", newline="") as fh:
             lines = fh.read().splitlines()
@@ -633,7 +644,7 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     stray hyperparameter; the rest go to :class:`ExperimentConfig`.
     """
     fields: dict = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(check_type(text, str, "text").splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -662,6 +673,7 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
+    _check_path(path)
     try:
         with open(path, "r") as fh:
             text = fh.read()

@@ -33,11 +33,10 @@ once the head's d_n, a lower bound, puts ``HEAD_SPAN`` (d_n + 1), about the
 head size it needs to settle, beyond the last k it may reach.  The
 profile keeps the eigenpairs it settled on, the head's Ritz pairs or
 those of ``K.eig()``, for the exact solve to precondition with (see
-:func:`sketchkrr.solve_krr`).  A matrix from ``build_kernel_matrix`` is PSD
-at working precision by construction (its docstring gives the argument)
-and is not checked again; for any other matrix, after the first head, K +
-1e-10 * theta_1 * I must have a Cholesky factor, or the profile raises
-:class:`NumericalError`.  The result depends only on (K, n, sigma), and n
+:func:`sketchkrr.solve_krr`).  The profile checks nothing about PSD-ness:
+a :class:`KernelMatrix` is PSD at working precision by type, proven for a
+built matrix and checked once at construction for any other (see
+:mod:`sketchkrr.kernels`).  The result depends only on (K, n, sigma), and n
 must be the size of K.  Every head gives an upper bound on delta_n and
 a lower bound on d_n, to rounding: by Cauchy's interlacing theorem each
 Ritz value is at most the eigenvalue of its rank, so the head's tail mass
@@ -60,15 +59,14 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import (
-    block_krylov, check_count, check_floats, check_positive, check_type, rfp_factor_shifted, symv
-)
-from .errors import DomainError, NumericalError
-from .kernels import EIG_CLAMP_REL, KernelMatrix, KernelSpec
+from ._util import block_krylov, check_count, check_floats, check_positive, check_type, symv
+from .errors import DomainError
+from .kernels import KernelMatrix, KernelSpec
 
 __all__ = [
     "ComplexityProfile",
@@ -198,10 +196,6 @@ def _matrix_profile(K: KernelMatrix, n: int, sigma: float) -> tuple[float, int, 
     blocks = max(n // (4 * HEAD_START), 6) if 4 * HEAD_START <= n else 0
     heads = block_krylov(lambda X: symv(matrix, X), n, HEAD_START)
     for theta, residuals, vectors in itertools.islice(heads, blocks):
-        # K is the same for every head: one PSD check suffices, and none for
-        # a matrix PSD by construction (see build_kernel_matrix)
-        if theta.size == HEAD_START and not K._proven:
-            _check_psd(matrix, max(float(theta[0]), 0.0))
         # error estimates: the residual, or residual^2 / gap to the nearest
         # other Ritz value if smaller (see the module docstring)
         gaps = np.abs(np.diff(theta))
@@ -228,25 +222,6 @@ def _matrix_profile(K: KernelMatrix, n: int, sigma: float) -> tuple[float, int, 
     return delta, statistical_dimension(mu, delta), (mu, U)
 
 
-def _check_psd(matrix: np.ndarray, top: float) -> None:
-    """Raise unless K + 1e-10 * top * I has a Cholesky factor, top being
-    the largest Ritz value clamped at zero; with top = 0 only the zero
-    matrix is PSD."""
-    shift = EIG_CLAMP_REL * top
-    if shift > 0.0:
-        try:
-            rfp_factor_shifted(matrix, shift)
-            return
-        except np.linalg.LinAlgError:
-            pass
-    elif not matrix.any():
-        return
-    raise NumericalError(
-        f"matrix is not PSD at working precision: K + {shift:.3e} * I "
-        "(1e-10 times the largest Ritz value) has no Cholesky factor"
-    )
-
-
 def population_eigenvalues(spec: KernelSpec, j_max: int) -> np.ndarray:
     """First j_max population eigenvalues of the kernel integral operator.
 
@@ -271,7 +246,7 @@ def rate_exponent_check(spec: KernelSpec, n_grid, sigma: float) -> float:
     squared critical radius (-1 for polynomial, -2/3 for sobolev1, -1 up to
     a slowly varying factor for gaussian).
     """
-    ns = [check_count(n, "n", 1) for n in n_grid]
+    ns = [check_count(n, "n", 1) for n in check_type(n_grid, Iterable, "n_grid")]
     if len(ns) < 4 or (np.diff(ns) <= 0).any():
         raise DomainError("n_grid must be increasing with at least 4 entries")
     log_dsq = np.empty(len(ns))

@@ -11,16 +11,15 @@ kernel(x_i, x_j) / n``, which keeps its spectrum on the same scale as the
 population eigenvalues of the kernel integral operator.  A
 :class:`KernelMatrix` is a validated, immutable matrix that computes its
 full eigendecomposition lazily and caches it: ``eig()`` (and
-``eigenvalues``) sorts the eigenvalues descending, clamps round-off
-negatives to zero and rejects a matrix that is not PSD at working
-precision.  A matrix passed to ``KernelMatrix(...)`` must be exactly
-symmetric, and ``complexity_profile(K)`` checks that it is PSD with one
-Cholesky factorization; a matrix from ``build_kernel_matrix`` is
-symmetric and PSD by construction (its docstring gives the argument) and
-skips both checks.  Two callers need it: the sketch certificate, for the
-eigenvectors of a nonempty head, and ``complexity_profile(K)``, which
-takes ``K.eig()`` only when its randomized head does not settle, and
-keeps its pairs for the exact solve (see :mod:`sketchkrr.complexity`).
+``eigenvalues``) sorts the eigenvalues descending and clamps round-off
+negatives to zero.  It is PSD at working precision by type, decided here
+alone, once, at construction: a matrix passed to ``KernelMatrix(...)``
+must be exactly symmetric and pass one O(n^3) shifted Cholesky factor; a
+matrix from ``build_kernel_matrix`` is symmetric and PSD by construction
+(its docstring gives the argument) and skips both checks.  The sketch
+certificate needs ``eig()`` for the eigenvectors of a nonempty head, and
+``complexity_profile(K)`` only when its randomized head does not settle;
+it keeps its pairs for the exact solve (see :mod:`sketchkrr.complexity`).
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from ._util import check_floats, check_type
+from ._util import block_krylov, check_floats, check_type, rfp_factor_shifted, symv
 from .errors import DomainError, NumericalError
 
 __all__ = [
@@ -151,7 +150,14 @@ def kernel_eval(spec: KernelSpec, u, v):
 
 
 class KernelMatrix:
-    """Symmetric n x n kernel matrix with a cached eigendecomposition.
+    """Symmetric PSD n x n kernel matrix with a cached eigendecomposition.
+
+    Unless :func:`build_kernel_matrix` proved it, the matrix is checked
+    once, here: it must be exactly symmetric, and K + EIG_CLAMP_REL *
+    theta_1 * I must have a Cholesky factor, theta_1 the top Ritz value of
+    one fixed-seed 8-column (n if n < 8) ``block_krylov`` block; with
+    theta_1 <= 0 only the zero matrix passes.  Else it raises
+    :class:`NumericalError`.  No consumer checks again.
 
     The matrix is immutable after construction.  The eigendecomposition is
     computed on first access and cached; call ``eig()`` eagerly before
@@ -165,20 +171,19 @@ class KernelMatrix:
 
         ``_proven`` is for :func:`build_kernel_matrix` alone: the matrix is
         exactly symmetric and PSD at working precision by construction, so
-        the full-transpose comparison here and the profile's PSD check
-        (:mod:`sketchkrr.complexity`) are skipped.  ``eig()`` still checks
-        its eigenvalues.
+        the full-transpose comparison and the PSD gate are skipped.
         """
         K = check_floats(matrix, "kernel matrix", finite=True)
         if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] < 1:
             raise DomainError("kernel matrix must be square and nonempty")
-        if not _proven and not np.array_equal(K, K.T):
-            raise DomainError("kernel matrix must be exactly symmetric")
         if copy:
             K = K.copy()
+        if not _proven:
+            if not np.array_equal(K, K.T):
+                raise DomainError("kernel matrix must be exactly symmetric")
+            _check_psd(K)
         K.setflags(write=False)
         self._matrix = K
-        self._proven = _proven
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -192,9 +197,9 @@ class KernelMatrix:
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """Return (U, mu_hat) with K = U diag(mu_hat) U^T, mu_hat descending.
 
-        Eigenvalues are clamped at zero; a value below -1e-10 * mu_1
-        indicates the matrix is not PSD at working precision and raises
-        :class:`NumericalError`.
+        Eigenvalues are clamped at zero; a value below -EIG_CLAMP_REL *
+        mu_1, which a checked or proven matrix can reach only by rounding,
+        raises :class:`NumericalError`.
         """
         if self._eig is None:
             self._eig = _eigh_descending(self._matrix)
@@ -219,8 +224,8 @@ def build_kernel_matrix(spec: KernelSpec, pts: DesignPoints) -> KernelMatrix:
     The kernel is evaluated into one n x n buffer, which is scaled in place
     and kept without a copy.  No eigendecomposition is performed.  The
     result is symmetric and PSD at working precision by construction, so
-    it is marked as checked and skips :class:`KernelMatrix`'s
-    full-transpose comparison and the profile's O(n^3) Cholesky:
+    it is marked as proven and skips :class:`KernelMatrix`'s
+    full-transpose comparison and its O(n^3) PSD gate:
 
     * **Symmetry.**  ``min``, ``(u - v)**2`` and ``u * v`` are exactly
       symmetric in their arguments in IEEE arithmetic, and every later step
@@ -238,8 +243,8 @@ def build_kernel_matrix(spec: KernelSpec, pts: DesignPoints) -> KernelMatrix:
       -1e-12 * mu_1 at n = 1200, far inside the -EIG_CLAMP_REL * mu_1 clamp.
 
     The mark is set only when these hold: x >= 0 for sobolev1, and
-    n * c * eps <= EIG_CLAMP_REL.  Otherwise both dense checks run (a
-    sobolev1 kernel on negative points is indefinite).
+    n * c * eps <= EIG_CLAMP_REL.  Otherwise both dense checks run, and
+    reject a sobolev1 kernel on points of both signs (it is indefinite).
     """
     x = check_type(pts, DesignPoints, "pts").x
     n = pts.n
@@ -261,6 +266,25 @@ def _psd_by_construction(spec: KernelSpec, x: np.ndarray) -> bool:
     else:
         c = spec.degree + 3.0
     return x.size * c * np.finfo(np.float64).eps <= EIG_CLAMP_REL
+
+
+def _check_psd(matrix: np.ndarray) -> None:
+    """The PSD gate of :class:`KernelMatrix` (see its docstring)."""
+    if not matrix.any():
+        return
+    n = matrix.shape[0]
+    theta, _, _ = next(block_krylov(lambda X: symv(matrix, X), n, min(8, n)))
+    shift = EIG_CLAMP_REL * max(float(theta[0]), 0.0)
+    try:
+        if shift > 0.0:
+            rfp_factor_shifted(matrix, shift)
+            return
+    except np.linalg.LinAlgError:
+        pass
+    raise NumericalError(
+        f"matrix is not PSD at working precision: K + {shift:.3e} * I "
+        "(1e-10 times the largest Ritz value) has no Cholesky factor"
+    )
 
 
 def _eigh_descending(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -24,6 +24,7 @@ from sketchkrr import (
     load_config,
     parse_config,
     population_eigenvalues,
+    rate_exponent_check,
     rate_factor,
     read_csv,
     run_error_vs_n,
@@ -944,6 +945,30 @@ BAD_INPUTS = {
         lambda d: write_csv([ArmSummary(1, "ros", 1, 1.0, 0.0, 1.0, 0.0)], d / "out.csv"), DomainError,
         "record must be a TrialRecord, got ArmSummary"),
 }
+
+
+# A wrong-type argument at each boundary that once let it escape as a bare
+# AttributeError or TypeError: a callable of a temporary directory and a
+# pattern of the message that names the argument.
+WRONG_TYPES = {
+    "parse-config-text": (lambda d: parse_config(object()), "text must be a str, got object"),
+    "summary-records": (lambda d: summarize_records(object()), "records must be an Iterable, got object"),
+    "flatness-records": (lambda d: flatness_ratio(object(), "ros"), "records must be an Iterable, got object"),
+    "csv-write-records": (
+        lambda d: write_csv(object(), d / "out.csv"), "records must be an Iterable, got object"),
+    "rate-exponent-n-grid": (
+        lambda d: rate_exponent_check(KernelSpec.sobolev1(), object(), 1.0),
+        "n_grid must be an Iterable, got object"),
+    "load-config-path": (lambda d: load_config(object()), "path must be a str or os.PathLike, got object"),
+    "csv-read-path": (lambda d: read_csv(object()), "path must be a str or os.PathLike, got object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPES))
+def test_wrong_type_argument_is_named(case, tmp_path):
+    call, match = WRONG_TYPES[case]
+    with pytest.raises(DomainError, match=match):
+        call(tmp_path)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

@@ -14,7 +14,6 @@ from sketchkrr import (
     ExperimentConfig,
     KernelMatrix,
     KernelSpec,
-    NumericalError,
     build_kernel_matrix,
     complexity_profile,
     critical_radius,
@@ -457,50 +456,10 @@ class TestMatrixProfile:
         assert complexity_profile(K, n, 1.0) == complexity_profile(K.eigenvalues, n, 1.0)
         assert not head_calls
 
-    def test_one_psd_check_per_profile(self, monkeypatch, head_calls):
-        checks = []
-        original = complexity._check_psd
-
-        def counting(matrix, top):
-            checks.append(top)
-            original(matrix, top)
-
-        monkeypatch.setattr(complexity, "_check_psd", counting)
-        K = KernelMatrix(sobolev_uniform_matrix(512))
-        complexity_profile(K, 512, 0.125)
-        assert len(head_calls) >= 2  # d_n = 12 here, so the head grew at least once
-        assert len(checks) == 1
-
-    def test_psd_check_only_for_direct_matrices(self, monkeypatch):
-        checks = []
-        monkeypatch.setattr(complexity, "_check_psd", lambda matrix, top: checks.append(top))
-        n = 512
-        built = build_kernel_matrix(KernelSpec.sobolev1(), DesignPoints(np.arange(1, n + 1) / n))
-        from_build = complexity_profile(built, n, 0.125)
-        assert checks == []
-        assert complexity_profile(KernelMatrix(built.matrix), n, 0.125) == from_build
-        assert len(checks) == 1
-
-    def test_sobolev1_on_negative_points_rejected(self):
-        n = 64  # large enough for the head path
-        with pytest.warns(UserWarning):
-            K = build_kernel_matrix(KernelSpec.sobolev1(), DesignPoints(np.linspace(-1.0, 1.0, n)))
-        with pytest.raises(NumericalError, match="not PSD"):
-            complexity_profile(K, n, 1.0)
-
     def test_size_mismatch_rejected(self):
         K = KernelMatrix(sobolev_uniform_matrix(64))
         with pytest.raises(DomainError, match="n=10.*64"):
             complexity_profile(K, 10, 1.0)
-
-    @pytest.mark.parametrize(
-        "matrix",
-        [np.diag(np.r_[np.linspace(1.0, 0.1, 63), -0.5]), -np.eye(64)],
-        ids=["one-negative", "negative-definite"],
-    )
-    def test_indefinite_matrix_rejected(self, matrix):
-        with pytest.raises(NumericalError, match="not PSD"):
-            complexity_profile(KernelMatrix(matrix), 64, 1.0)
 
     def test_zero_matrix(self):
         prof = complexity_profile(KernelMatrix(np.zeros((64, 64))), 64, 1.0)

@@ -4,6 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
+import sketchkrr.kernels as kernels
+from helpers import sobolev_uniform_matrix
 from sketchkrr import (
     DesignPoints,
     DomainError,
@@ -12,6 +14,7 @@ from sketchkrr import (
     KernelSpec,
     NumericalError,
     build_kernel_matrix,
+    complexity_profile,
     generate_data,
     kernel_eval,
 )
@@ -179,9 +182,23 @@ class TestBuildKernelMatrix:
         assert KernelMatrix(b).matrix is not b and b.flags.writeable
 
 
+@pytest.fixture
+def gate_factors(monkeypatch):
+    """Record the size n of every factor the PSD gate of KernelMatrix makes."""
+    sizes = []
+    original = kernels.rfp_factor_shifted
+
+    def counting(matrix, shift):
+        sizes.append(matrix.shape[0])
+        return original(matrix, shift)
+
+    monkeypatch.setattr(kernels, "rfp_factor_shifted", counting)
+    return sizes
+
+
 class TestPsdByConstruction:
     """Dense oracles for the argument that lets build_kernel_matrix skip the
-    symmetry comparison and the profile's PSD check."""
+    symmetry comparison and the PSD gate."""
 
     @pytest.mark.parametrize(
         "spec",
@@ -196,22 +213,17 @@ class TestPsdByConstruction:
     )
     @pytest.mark.parametrize("design", ["uniform_grid", "irregular", "iid_uniform"])
     @pytest.mark.parametrize("n", [64, 257, 1200])
-    def test_marked_matrix_is_symmetric_and_psd(self, spec, design, n):
+    def test_marked_matrix_is_symmetric_and_psd(self, spec, design, n, gate_factors):
         config = ExperimentConfig(kernel=spec, design=design, n_grid=(n,))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # irregular points pass 1 for sobolev1
             K = build_kernel_matrix(spec, generate_data(config, n, n).pts)
-        assert K._proven
+        assert gate_factors == []  # marked: the gate did not run
         assert np.array_equal(K.matrix, K.matrix.T)
         mu = np.linalg.eigvalsh(K.matrix)
         # the argument allows -n * c * eps * mu_max (about -3e-12 for
         # polynomial(8) at n = 1200); dense eigvalsh sees far less
         assert mu[0] >= -1e-12 * mu[-1]
-
-    def test_sobolev1_on_negative_points_is_not_marked(self):
-        with pytest.warns(UserWarning):
-            K = build_kernel_matrix(KernelSpec.sobolev1(), DesignPoints(np.linspace(-1.0, 1.0, 64)))
-        assert not K._proven
 
     def test_size_beyond_the_rounding_margin_is_not_marked(self):
         # n * (D + 3) * eps > EIG_CLAMP_REL from n = 40 941 on for D = 8;
@@ -225,7 +237,53 @@ class TestPsdByConstruction:
     def test_direct_matrix_keeps_the_symmetry_check(self):
         with pytest.raises(DomainError, match="symmetric"):
             KernelMatrix(np.array([[1.0, 0.5], [0.25, 1.0]]))
-        assert not KernelMatrix(np.eye(3))._proven
+
+
+class TestPsdGate:
+    """A hand-built KernelMatrix is checked for PSD-ness once, when it is
+    constructed; a built one is proven, and no consumer checks again."""
+
+    def test_one_factor_per_hand_built_construction(self, gate_factors):
+        n = 512
+        K = KernelMatrix(sobolev_uniform_matrix(n))
+        assert gate_factors == [n]
+        # the profile runs no check, also where its head grows (d_n = 12)
+        first = complexity_profile(K, n, 0.125)
+        assert first.d_n == 12 and complexity_profile(K, n, 0.125) == first
+        assert gate_factors == [n]
+        KernelMatrix(K.matrix, copy=False)
+        assert gate_factors == [n, n]
+
+    @pytest.mark.parametrize(
+        "spec", [KernelSpec.sobolev1(), KernelSpec.gaussian(0.25)], ids=["sobolev1", "gaussian"]
+    )
+    def test_built_matrix_skips_the_gate(self, spec, gate_factors):
+        n = 512
+        built = build_kernel_matrix(spec, DesignPoints(np.arange(1, n + 1) / n))
+        from_build = complexity_profile(built, n, 0.125)
+        assert gate_factors == []
+        assert complexity_profile(KernelMatrix(built.matrix), n, 0.125) == from_build
+        assert gate_factors == [n]
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.diag([1.0, -1.0]),
+            np.diag([1.0, -0.5]),
+            np.diag(np.r_[np.linspace(1.0, 0.1, 63), -0.5]),
+            -np.eye(64),
+        ],
+        ids=["two-by-two", "two-by-two-half", "one-negative", "negative-definite"],
+    )
+    def test_indefinite_matrix_rejected(self, matrix):
+        with pytest.raises(NumericalError, match="not PSD"):
+            KernelMatrix(matrix)
+
+    def test_sobolev1_on_negative_points_rejected(self, gate_factors):
+        # min(u, v) on points of both signs is indefinite: not marked, so gated
+        with pytest.warns(UserWarning), pytest.raises(NumericalError, match="not PSD"):
+            build_kernel_matrix(KernelSpec.sobolev1(), DesignPoints(np.linspace(-1.0, 1.0, 64)))
+        assert gate_factors == [64]
 
 
 class TestEigendecompose:
@@ -250,11 +308,6 @@ class TestEigendecompose:
         K = KernelMatrix(np.diag([1.0, -1e-12]))
         _, mu = K.eig()
         assert mu[1] == 0.0
-
-    def test_indefinite_matrix_rejected(self):
-        K = KernelMatrix(np.diag([1.0, -0.5]))
-        with pytest.raises(NumericalError):
-            K.eig()
 
     def test_decomposition_is_cached(self):
         K = build_kernel_matrix(KernelSpec.sobolev1(), DesignPoints(np.array([0.2, 0.8])))

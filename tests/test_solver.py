@@ -890,11 +890,17 @@ class TestDualSolvers:
 
 
 def _indefinite_dual_solve():
-    # sobolev1 on [-1, 1] is indefinite (minimum eigenvalue about -0.48), so
-    # at a small lambda the dual matrix has no Cholesky factor
+    # a negative eigenvalue at rounding level, -1e-12 * mu_1, passes the PSD
+    # gate (its shift is about 1e-10 * mu_1), but 2 * lambda = 2e-14 does not
+    # lift it: the dual matrix has no Cholesky factor
+    K = KernelMatrix(np.diag(np.r_[np.linspace(1.0, 0.1, 63), -1e-12]))
+    solve_dual_krr(K, np.ones(64), 1e-14)
+
+
+def _indefinite_build():
+    # sobolev1 on [-1, 1] is indefinite (minimum eigenvalue about -0.48)
     with pytest.warns(UserWarning):
-        K = build_kernel_matrix(KernelSpec.sobolev1(), DesignPoints(np.linspace(-1.0, 1.0, 64)))
-    solve_dual_krr(K, np.ones(64), 1e-3)
+        build_kernel_matrix(KernelSpec.sobolev1(), DesignPoints(np.linspace(-1.0, 1.0, 64)))
 
 
 FOUR_POINTS = DesignPoints(np.array([0.2, 0.4, 0.6, 0.8]))
@@ -918,6 +924,7 @@ FOUR_FIT = FitResult("exact", np.ones(4), None, 0.1, np.ones(4))
             DomainError, "fit is inconsistent with the training points",
         ),
         (_indefinite_dual_solve, NumericalError, "dual system could not be solved"),
+        (_indefinite_build, NumericalError, "not PSD"),
         (lambda: solve_krr(FOUR_K, np.ones(4), "x"), DomainError, "lambda_n must be finite and > 0, got 'x'"),
         (lambda: solve_krr(FOUR_K, np.ones(4), None), DomainError, "lambda_n must be finite and > 0, got None"),
         (lambda: solve_krr(FOUR_K, TEXT, 0.1), DomainError, "y must be numeric"),
@@ -953,7 +960,7 @@ FOUR_FIT = FitResult("exact", np.ones(4), None, 0.1, np.ones(4))
         ),
     ],
     ids=[
-        "short-y", "short-fstar", "fit-of-other-size", "indefinite-dual",
+        "short-y", "short-fstar", "fit-of-other-size", "indefinite-dual", "indefinite-build",
         "text-lambda", "none-lambda", "text-y", "text-sketched-y", "text-omega", "text-values",
         "text-sample-y", "text-query", "array-K", "array-sketched-K",
         "text-sample-points", "text-fit", "text-predict-spec", "text-train",

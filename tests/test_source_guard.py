@@ -37,6 +37,11 @@ system, the exact solve's and both dual routes', is factored packed by
 ``sketchkrr._util.rfp_factor_shifted``, and only the m x m sketched
 systems are factored full.
 
+No module but ``kernels.py`` names ``_proven`` or ``EIG_CLAMP_REL``:
+whether a kernel matrix is PSD is decided there alone, once per matrix,
+when a :class:`sketchkrr.KernelMatrix` is constructed, and no consumer
+reads the mark or the clamp to check again.
+
 The plot script that ``sketchkrr.emit_plot_script`` returns imports only
 ``matplotlib.pyplot`` and ``sketchkrr`` and names no ``csv``: it plots
 ``summarize_records(read_csv(path))``, so the CSV columns and the
@@ -57,17 +62,21 @@ KERNEL_NAMES = {"matrix", "K"}
 MATMUL = {"__matmul__"}
 FINITE = {"isfinite"}
 FULL_FACTOR = {"cho_factor", "potrf", "dpotrf", "cholesky"}
+PSD_DECISION = {"_proven", "EIG_CLAMP_REL"}
 
 
 def potrs_uses(source: str, banned=BANNED) -> list[int]:
     """Lines of ``source`` that name a banned routine: as a name, an
-    attribute, an imported name or a string (``get_lapack_funcs``)."""
+    attribute, a keyword argument, an imported name or a string
+    (``get_lapack_funcs``)."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
             named = {node.id}
         elif isinstance(node, ast.Attribute):
             named = {node.attr}
+        elif isinstance(node, ast.keyword):
+            named = {node.arg}
         elif isinstance(node, ast.alias):
             named = {node.name.rpartition(".")[2]}
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -304,6 +313,36 @@ def test_full_factor_guard_sees_each_spelling_in_the_solver(line):
     source = (PACKAGE / "solver.py").read_text()
     assert full_factors(source) == []
     assert full_factors(f"{source}\n{line}\n")
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p for p in PACKAGE.glob("*.py") if p.name != "kernels.py"), ids=lambda p: p.name
+)
+def test_no_module_but_kernels_decides_psd(module):
+    uses = potrs_uses(module.read_text(), PSD_DECISION)
+    assert uses == [], f"{module.name} decides PSD-ness; KernelMatrix checks it at construction"
+
+
+def test_kernels_is_where_psd_is_decided():
+    source = (PACKAGE / "kernels.py").read_text()
+    for name in PSD_DECISION:
+        assert potrs_uses(source, {name}), name
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "if not K._proven:\n    pass",
+        "from .kernels import EIG_CLAMP_REL",
+        "shift = kernels.EIG_CLAMP_REL * top",
+        "K = KernelMatrix(A, _proven=True)",
+    ],
+)
+def test_psd_guard_sees_each_spelling_in_the_profile(line):
+    # a mutation of the profile's own source, made in memory
+    source = (PACKAGE / "complexity.py").read_text()
+    assert potrs_uses(source, PSD_DECISION) == []
+    assert potrs_uses(f"{source}\n{line}\n", PSD_DECISION)
 
 
 def plot_script_imports(source: str) -> set[str]:
