@@ -123,6 +123,10 @@ class ExperimentConfig:
                 raise DomainError(f"unknown {name} {getattr(self, name)!r}")
         if not (isinstance(self.sigma, numbers.Real) and 0.0 <= self.sigma < math.inf):
             raise DomainError(f"sigma must be finite and >= 0, got {self.sigma!r}")
+        for name in ("n_grid", "sketch_kinds"):
+            value = getattr(self, name)
+            if isinstance(value, str) or not isinstance(value, Iterable):
+                raise DomainError(f"{name} must be a sequence, got {value!r}")
         n_grid = tuple(check_count(n, "n_grid entry", 2) for n in self.n_grid)
         if len(n_grid) == 0:
             raise DomainError("n_grid must be nonempty")
@@ -535,6 +539,7 @@ def emit_plot_script(csv_path, out_png="errors.png") -> str:
     meant to be written to a file and run separately, with sketchkrr
     importable.  It plots each arm of ``summarize_records(read_csv(csv_path))``.
     """
+    _check_path(csv_path)
     return f'''"""Plot mean prediction error per arm from a results CSV."""
 import matplotlib.pyplot as plt
 

@@ -20,33 +20,33 @@ mu_{k+1} <= delta^2,
 
     sum_j min(delta^2, mu_j) = sum_{j<=k} min(delta^2, mu_j) + (tr K - sum_{j<=k} mu_j).
 
-``complexity_profile`` given a :class:`KernelMatrix` therefore works from
-a head spectrum: the k Ritz values of a fixed-seed randomized block Krylov
+``complexity_profile`` given a :class:`KernelMatrix` therefore works from a
+head spectrum: the k Ritz values of a fixed-seed randomized block Krylov
 space of K (Halko, Martinsson and Tropp 2011; Musco and Musco 2015), with
 an error estimate for each value.  The space grows, never restarting, by
-one block of 8 columns and one O(n^2 * 8) product with K at a time, so k
-= 8, 16, 24, ..., until the k-th Ritz value plus its error estimate is at
-most delta_n^2 / 2 and the error estimates of the leading d_n + 1 values
-are within 1e-10 * delta_n^2.  Once k would pass both n/4 and 48, or at
-once if 32 > n, it uses the full spectrum of ``K.eig()``; so it does too
-once the head's d_n, a lower bound, puts ``HEAD_SPAN`` (d_n + 1), about the
-head size it needs to settle, beyond the last k it may reach.  The
-profile keeps the eigenpairs it settled on, the head's Ritz pairs or
-those of ``K.eig()``, for the exact solve to precondition with (see
-:func:`sketchkrr.solve_krr`).  The profile checks nothing about PSD-ness:
-a :class:`KernelMatrix` is PSD at working precision by type, proven for a
-built matrix and checked once at construction for any other (see
-:mod:`sketchkrr.kernels`).  The result depends only on (K, n, sigma), and n
-must be the size of K.  Every head gives an upper bound on delta_n and
-a lower bound on d_n, to rounding: by Cauchy's interlacing theorem each
-Ritz value is at most the eigenvalue of its rank, so the head's tail mass
-tr K - sum theta is at least the truncated mass it stands for, and its R
-is never below the true R.  The error estimates are a-posteriori (their
-quadratic term divides by gaps between Ritz values, not between
-eigenvalues), so they do not certify how tight that bound is; the tests
-check it against dense ``eigvalsh`` (d_n exact, delta_n within 1e-9
-relative), and the bound's side at every head read, for three kernels,
-three designs and n from 64 to 1200.
+one block of 8 columns (orthonormalized by two Householder QRs) and one
+O(n^2 * 8) product with K at a time, so k = 8, 16, 24, ..., until the k-th
+Ritz value plus its error estimate is at most delta_n^2 / 2 and the error
+estimates of the leading d_n + 1 values are within 1e-10 * delta_n^2.  Once
+k would pass both n/4 and 48, or at once if 32 > n, it uses the full
+spectrum of ``K.eig()``; so it does too once the head's d_n, a lower bound,
+puts ``HEAD_SPAN`` (d_n + 1), about the head size it needs to settle,
+beyond the last k it may reach.  The profile keeps the eigenpairs it
+settled on, the head's Ritz pairs or those of ``K.eig()``, for the exact
+solve to precondition with (see :func:`sketchkrr.solve_krr`).  The profile
+checks nothing about PSD-ness: a :class:`KernelMatrix` is PSD at working
+precision by type, proven for a built matrix and checked once at
+construction for any other (see :mod:`sketchkrr.kernels`).  The result
+depends only on (K, n, sigma), and n must be the size of K.  Every head
+gives an upper bound on delta_n and a lower bound on d_n, to rounding: by
+Cauchy's interlacing theorem each Ritz value is at most the eigenvalue of
+its rank, so the head's tail mass tr K - sum theta is at least the
+truncated mass it stands for, and its R is never below the true R.  The
+error estimates are a-posteriori (their quadratic term divides by gaps
+between Ritz values, not between eigenvalues), so they do not certify how
+tight that bound is; the tests check it against dense ``eigvalsh`` (d_n
+exact, delta_n within 1e-9 relative), and the bound's side at every head
+read, for three kernels, three designs and n from 64 to 1200.
 
 The module also provides population-level spectra for the three built-in
 kernel families, used for rate checks against the known decay of delta_n^2

@@ -14,12 +14,14 @@ full eigendecomposition lazily and caches it: ``eig()`` (and
 ``eigenvalues``) sorts the eigenvalues descending and clamps round-off
 negatives to zero.  It is PSD at working precision by type, decided here
 alone, once, at construction: a matrix passed to ``KernelMatrix(...)``
-must be exactly symmetric and pass one O(n^3) shifted Cholesky factor; a
-matrix from ``build_kernel_matrix`` is symmetric and PSD by construction
-(its docstring gives the argument) and skips both checks.  The sketch
-certificate needs ``eig()`` for the eigenvectors of a nonempty head, and
-``complexity_profile(K)`` only when its randomized head does not settle;
-it keeps its pairs for the exact solve (see :mod:`sketchkrr.complexity`).
+must be finite, exactly symmetric and pass one O(n^3) shifted Cholesky
+factor; a matrix from ``build_kernel_matrix`` is symmetric and PSD by
+construction, and finite but for the polynomial family, which alone is
+scanned (its docstring gives the argument), and skips the other checks.
+The sketch certificate needs ``eig()`` for the eigenvectors of a nonempty
+head, and ``complexity_profile(K)`` only when its randomized head does not
+settle; it keeps its pairs for the exact solve (see
+:mod:`sketchkrr.complexity`).
 """
 
 from __future__ import annotations
@@ -128,7 +130,10 @@ def kernel_eval(spec: KernelSpec, u, v):
     ua, va = check_floats(u, "u", finite=True), check_floats(v, "v", finite=True)
     # one n x n buffer, u copied in, then every step in place against v, not on
     # two broadcast operands: the gaussian build at n = 1200 took 4.6, not 5.3 ms
-    out = np.empty(np.broadcast_shapes(ua.shape, va.shape))
+    try:
+        out = np.empty(np.broadcast_shapes(ua.shape, va.shape))
+    except ValueError as exc:
+        raise DomainError(f"u and v must broadcast together, got shapes {ua.shape} and {va.shape}") from exc
     out[...] = ua
     if check_type(spec, KernelSpec, "spec").kind == "polynomial":
         np.multiply(out, va, out=out)
@@ -138,9 +143,11 @@ def kernel_eval(spec: KernelSpec, u, v):
         np.subtract(out, va, out=out)
         out *= out
         # x / (-c) is -(x / c) exactly; a tiny bandwidth overflows the
-        # quotient to -inf, and exp(-inf) = 0 is the kernel's correct limit
+        # quotient to -inf, and exp(-inf) = 0 is the kernel's correct limit.
+        # c is 2 h h as KernelSpec checks it, positive: h**2 underflows to 0
+        # first (h = 1.3e-162), and 0 / -0 is NaN
         with np.errstate(over="ignore"):
-            out /= -2.0 * spec.bandwidth**2
+            out /= -(2.0 * spec.bandwidth * spec.bandwidth)
         np.exp(out, out=out)
     else:  # sobolev1
         np.minimum(out, va, out=out)
@@ -153,11 +160,12 @@ class KernelMatrix:
     """Symmetric PSD n x n kernel matrix with a cached eigendecomposition.
 
     Unless :func:`build_kernel_matrix` proved it, the matrix is checked
-    once, here: it must be exactly symmetric, and K + EIG_CLAMP_REL *
-    theta_1 * I must have a Cholesky factor, theta_1 the top Ritz value of
-    one fixed-seed 8-column (n if n < 8) ``block_krylov`` block; with
-    theta_1 <= 0 only the zero matrix passes.  Else it raises
-    :class:`NumericalError`.  No consumer checks again.
+    once, here: it must be finite and exactly symmetric, and K +
+    EIG_CLAMP_REL * theta_1 * I must have a Cholesky factor, theta_1 the
+    top Ritz value of one fixed-seed 8-column (n if n < 8) ``block_krylov``
+    block, which pays no extension of its basis; with theta_1 <= 0 only the
+    zero matrix passes.  Else it raises :class:`NumericalError`.  No
+    consumer checks again.
 
     The matrix is immutable after construction.  The eigendecomposition is
     computed on first access and cached; call ``eig()`` eagerly before
@@ -170,10 +178,11 @@ class KernelMatrix:
         array that nothing else writes to.
 
         ``_proven`` is for :func:`build_kernel_matrix` alone: the matrix is
-        exactly symmetric and PSD at working precision by construction, so
-        the full-transpose comparison and the PSD gate are skipped.
+        finite, exactly symmetric and PSD at working precision by
+        construction, so the finiteness scan, the full-transpose comparison
+        and the PSD gate are skipped.
         """
-        K = check_floats(matrix, "kernel matrix", finite=True)
+        K = check_floats(matrix, "kernel matrix", finite=not _proven)
         if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] < 1:
             raise DomainError("kernel matrix must be square and nonempty")
         if copy:
@@ -223,10 +232,18 @@ def build_kernel_matrix(spec: KernelSpec, pts: DesignPoints) -> KernelMatrix:
 
     The kernel is evaluated into one n x n buffer, which is scaled in place
     and kept without a copy.  No eigendecomposition is performed.  The
-    result is symmetric and PSD at working precision by construction, so
-    it is marked as proven and skips :class:`KernelMatrix`'s
-    full-transpose comparison and its O(n^3) PSD gate:
+    result is finite, symmetric and PSD at working precision by
+    construction, so it is marked as proven and skips
+    :class:`KernelMatrix`'s finiteness scan, its full-transpose comparison
+    and its O(n^3) PSD gate:
 
+    * **Finiteness.**  The points are finite (:class:`DesignPoints`).  A
+      gaussian entry is exp(-t) / n with t = (u - v)^2 / (2 h^2) in [0,
+      inf]: u - v is never NaN, and 2 h h is positive and finite
+      (:class:`KernelSpec`), so it lies in [0, 1/n].  A sobolev1 entry is
+      min(u, v) / n, finite.  Only (1 + u v)^D can overflow, so a
+      polynomial K alone is scanned, here; the scan took 0.5-0.9 ms of the
+      5-6 ms gaussian build at n = 1200.
     * **Symmetry.**  ``min``, ``(u - v)**2`` and ``u * v`` are exactly
       symmetric in their arguments in IEEE arithmetic, and every later step
       acts on one entry alone, so K[i, j] and K[j, i] are the same bits.
@@ -252,6 +269,8 @@ def build_kernel_matrix(spec: KernelSpec, pts: DesignPoints) -> KernelMatrix:
         warnings.warn("sobolev1 kernel is intended for covariates in [0, 1]", stacklevel=2)
     K = kernel_eval(spec, x[:, None], x[None, :])
     K /= n
+    if spec.kind == "polynomial":
+        check_floats(K, "kernel matrix", finite=True)
     return KernelMatrix(K, copy=False, _proven=_psd_by_construction(spec, x))
 
 

@@ -24,10 +24,10 @@ D as the gaussian operator on it, by D @ and D^T @.  S U1 is one apply
 of the n x d_n block.  Narrow sketches apply it to the m x m identity
 and take the top eigenvalue of the result with LAPACK; wide ones run
 Lanczos (the profile's block Krylov eigensolver, one column per block)
-on it, so a step reads one triangle of K and applies S and S^T to one
-column each.  Both routes agree with the explicit tail block to working
-precision.  The report always exposes the raw norms so a caller can
-re-threshold.
+on it, so a step reads one triangle of K, applies S and S^T to one column
+each and factors two one-column QRs.  Both routes agree with the explicit
+tail block to working precision.  The report always exposes the raw norms
+so a caller can re-threshold.
 
 ``recommended_sketch_dim`` gives the projection-dimension rule of thumb,
 m ~ c * d_n for Gaussian sketches and m ~ c * d_n * ln(n)^4 for ROS

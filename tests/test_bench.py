@@ -19,8 +19,10 @@ from sketchkrr import (
     complexity_profile,
     derive_seed,
     draw_sketch,
+    emit_plot_script,
     fstar_values,
     generate_data,
+    kernel_eval,
     load_config,
     parse_config,
     population_eigenvalues,
@@ -962,6 +964,36 @@ WRONG_TYPES = {
     "load-config-path": (lambda d: load_config(object()), "path must be a str or os.PathLike, got object"),
     "csv-read-path": (lambda d: read_csv(object()), "path must be a str or os.PathLike, got object"),
 }
+
+
+# Arguments that once escaped as a bare ValueError or TypeError, reported
+# the wrong thing ("unknown sketch kind 'e'"), or returned a plot script
+# that calls read_csv(3): a call and a pattern of the message that names
+# the argument.
+UNNAMED_ERRORS = {
+    "kernel-eval-shapes": (
+        lambda: kernel_eval(KernelSpec.sobolev1(), np.ones(3), np.ones(4)),
+        r"u and v must broadcast together, got shapes \(3,\) and \(4,\)"),
+    "config-n-grid-int": (
+        lambda: ExperimentConfig(kernel=KernelSpec.sobolev1(), n_grid=64), "n_grid must be a sequence, got 64"),
+    "config-n-grid-none": (
+        lambda: ExperimentConfig(kernel=KernelSpec.sobolev1(), n_grid=None),
+        "n_grid must be a sequence, got None"),
+    "config-kinds-int": (
+        lambda: ExperimentConfig(kernel=KernelSpec.sobolev1(), sketch_kinds=3),
+        "sketch_kinds must be a sequence, got 3"),
+    "config-kinds-text": (
+        lambda: ExperimentConfig(kernel=KernelSpec.sobolev1(), sketch_kinds="exact"),
+        "sketch_kinds must be a sequence, got 'exact'"),
+    "plot-script-path": (lambda: emit_plot_script(3), "path must be a str or os.PathLike, got int"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNNAMED_ERRORS))
+def test_unnamed_error_is_a_named_domain_error(case):
+    call, match = UNNAMED_ERRORS[case]
+    with pytest.raises(DomainError, match=match):
+        call()
 
 
 @pytest.mark.parametrize("case", sorted(WRONG_TYPES))

@@ -174,6 +174,39 @@ class TestBuildKernelMatrix:
         np.testing.assert_array_equal(K.matrix, oracle / n)
         np.testing.assert_array_equal(K.matrix, kernel_eval(spec, u, v) / n)
 
+    def test_polynomial_overflow_is_scanned(self):
+        # (1 + 0 * 1e110)^3 is finite, (1 + 1e220)^3 overflows
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="kernel matrix must be finite"):
+            build_kernel_matrix(KernelSpec.polynomial(3), DesignPoints([0.0, 1e110]))
+
+    def test_tiny_bandwidth_builds_a_finite_matrix(self):
+        # h**2 underflows to 0 here while 2 h h, which KernelSpec checks, does
+        # not; 0 / -0 on the diagonal would be NaN, and nothing scans for it
+        K = build_kernel_matrix(KernelSpec.gaussian(1.3e-162), DesignPoints([0.0, 1.0, 2.0]))
+        np.testing.assert_array_equal(K.matrix, np.eye(3) / 3)
+
+    @pytest.mark.parametrize(
+        "build, scans",
+        [
+            (lambda x: build_kernel_matrix(KernelSpec.gaussian(0.25), DesignPoints(x)), 0),
+            (lambda x: build_kernel_matrix(KernelSpec.sobolev1(), DesignPoints(x)), 0),
+            (lambda x: build_kernel_matrix(KernelSpec.polynomial(3), DesignPoints(x)), 1),
+            (lambda x: KernelMatrix(np.minimum.outer(x, x) / x.size), 1),
+        ],
+        ids=["gaussian", "sobolev1", "polynomial", "hand-built"],
+    )
+    def test_only_what_may_overflow_is_scanned(self, build, scans, monkeypatch):
+        calls, original = [], kernels.check_floats
+
+        def spy(value, name, *, finite=False):
+            calls.append((np.shape(value), finite))
+            return original(value, name, finite=finite)
+
+        monkeypatch.setattr(kernels, "check_floats", spy)
+        n = 200
+        build(np.arange(1, n + 1) / n)
+        assert calls.count(((n, n), True)) == scans
+
     def test_copy_false_keeps_the_buffer(self):
         a = np.eye(3)
         K = KernelMatrix(a, copy=False)

@@ -42,6 +42,12 @@ whether a kernel matrix is PSD is decided there alone, once per matrix,
 when a :class:`sketchkrr.KernelMatrix` is constructed, and no consumer
 reads the mark or the clamp to check again.
 
+No module but ``_util.py`` names a QR routine (``qr``, LAPACK's geqrf or
+orgqr): the block Krylov eigensolver orthonormalizes its basis there, by
+dgeqrf and dorgqr through ``sketchkrr._util._householder``.  On one column
+``np.linalg.qr`` took 16-30 us against 3-6 us for the LAPACK pair (one
+OpenBLAS thread), and the certificate's Lanczos factors twice a step.
+
 The plot script that ``sketchkrr.emit_plot_script`` returns imports only
 ``matplotlib.pyplot`` and ``sketchkrr`` and names no ``csv``: it plots
 ``summarize_records(read_csv(path))``, so the CSV columns and the
@@ -63,6 +69,7 @@ MATMUL = {"__matmul__"}
 FINITE = {"isfinite"}
 FULL_FACTOR = {"cho_factor", "potrf", "dpotrf", "cholesky"}
 PSD_DECISION = {"_proven", "EIG_CLAMP_REL"}
+QR = {"qr", "geqrf", "orgqr", "dgeqrf", "dorgqr", "sgeqrf", "sorgqr"}
 
 
 def potrs_uses(source: str, banned=BANNED) -> list[int]:
@@ -343,6 +350,39 @@ def test_psd_guard_sees_each_spelling_in_the_profile(line):
     source = (PACKAGE / "complexity.py").read_text()
     assert potrs_uses(source, PSD_DECISION) == []
     assert potrs_uses(f"{source}\n{line}\n", PSD_DECISION)
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p for p in PACKAGE.glob("*.py") if p.name != "_util.py"), ids=lambda p: p.name
+)
+def test_no_module_but_util_names_a_qr(module):
+    uses = potrs_uses(module.read_text(), QR)
+    assert uses == [], f"{module.name} factors a QR; the Krylov basis is orthonormalized in _util"
+
+
+def test_util_is_where_qr_lives():
+    source = (PACKAGE / "_util.py").read_text()
+    for name in ("dgeqrf", "dorgqr"):
+        assert potrs_uses(source, {name}), name
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "Q, R = np.linalg.qr(X)",
+        "from numpy.linalg import qr",
+        "Q = sla.qr(X, mode='economic')[0]",
+        "qr, tau, work, info = sla.lapack.dgeqrf(A)",
+        "X, work, info = scipy.linalg.lapack.dorgqr(qr, tau)",
+        "from scipy.linalg.lapack import sgeqrf as factor",
+        "geqrf, orgqr = sla.get_lapack_funcs(('geqrf', 'orgqr'), (A,))",
+    ],
+)
+def test_qr_guard_sees_each_spelling_in_the_certificate(line):
+    # a mutation of the certificate's own source, made in memory
+    source = (PACKAGE / "satisfiability.py").read_text()
+    assert potrs_uses(source, QR) == []
+    assert potrs_uses(f"{source}\n{line}\n", QR)
 
 
 def plot_script_imports(source: str) -> set[str]:

@@ -1,14 +1,15 @@
 """Dense-oracle tests of the linear-algebra helpers in ``sketchkrr._util``:
 the Cholesky factor in rectangular full packed storage and its solve against
 numpy's Cholesky and LU solve, the solve with a full lower Cholesky factor,
-and the one-triangle product against the full GEMV of ``@``."""
+the one-triangle product against the full GEMV of ``@``, and the block
+Krylov eigensolver's basis and residuals against their definitions."""
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from sketchkrr import DesignPoints, KernelMatrix, KernelSpec, build_kernel_matrix
-from sketchkrr._util import rfp_factor_shifted, solve_factor, symv
+from sketchkrr._util import _extend, _householder, block_krylov, rfp_factor_shifted, solve_factor, symv
 
 EPS = np.finfo(np.float64).eps
 
@@ -162,3 +163,74 @@ class TestSymv:
     def test_rejects_other_operands(self, matrices, shape):
         with pytest.raises(ValueError, match="symv takes"):
             symv(matrices["built"].matrix, np.ones(shape))
+
+
+def assert_extends(Q: np.ndarray, grown: np.ndarray) -> None:
+    """``grown`` is Q followed by orthonormal columns orthogonal to Q."""
+    p, b = Q.shape[1], grown.shape[1] - Q.shape[1]
+    np.testing.assert_array_equal(grown[:, :p], Q)
+    X = grown[:, p:]
+    assert np.abs(X.T @ X - np.eye(b)).max() <= 1e-14
+    assert np.abs(Q.T @ X).max() <= 1e-14
+
+
+class TestExtend:
+    @pytest.mark.parametrize("b", [8, 1])
+    def test_block_inside_the_basis_is_replaced(self, b):
+        # Q the first b coordinate vectors and a block Q C: the first QR's
+        # columns lie inside span(Q), every column breaks down
+        n = 40
+        Q = np.eye(n)[:, :b]
+        C = np.random.default_rng(b).standard_normal((b, b))
+        X = _householder(Q @ C)[0]
+        assert np.abs(X - Q @ (Q.T @ X)).max() <= 1e-15
+        grown = _extend(Q, X, np.random.default_rng(5))
+        assert grown.shape == (n, 2 * b)
+        assert_extends(Q, grown)
+        np.testing.assert_array_equal(grown, _extend(Q, X, np.random.default_rng(5)))
+
+    def test_columns_after_a_breakdown_stay_orthogonal_to_the_basis(self):
+        # the middle column lies inside span(Q); the QR that finds it made the
+        # last column orthogonal to it, so the block is factored once more
+        n, rng = 30, np.random.default_rng(3)
+        Q = np.linalg.qr(rng.standard_normal((n, 10)))[0]
+        outside = rng.standard_normal((n, 2))
+        outside -= Q @ (Q.T @ outside)
+        X = _householder(np.column_stack((outside[:, 0], Q @ rng.standard_normal(10), outside[:, 1])))[0]
+        assert_extends(Q, _extend(Q, X, np.random.default_rng(5)))
+
+    def test_block_outside_the_basis_keeps_its_span(self):
+        n, rng = 50, np.random.default_rng(4)
+        Q = np.linalg.qr(rng.standard_normal((n, 16)))[0]
+        Y = rng.standard_normal((n, 8))
+        X = _householder(Y - Q @ (Q.T @ Y))[0]
+        grown = _extend(Q, X, np.random.default_rng(5))
+        assert_extends(Q, grown)
+        # the new columns span the projected block: X = X' (X'^T X)
+        new = grown[:, 16:]
+        assert np.abs(X - new @ (new.T @ X)).max() <= 1e-14
+
+
+class TestBlockKrylov:
+    @pytest.mark.parametrize("n, block", [(20, 8), (16, 8), (12, 1)])
+    def test_every_residual_is_the_ritz_pairs(self, n, block):
+        # every yield, the last one included, where the basis fills R^n or
+        # no further block fits: the residual norms are those of K V - V Theta
+        K = sobolev_matrix(n, n)
+        mu1 = np.linalg.eigvalsh(K)[-1]
+        ks = []
+        for theta, residuals, vectors in block_krylov(lambda X: K @ X, n, block):
+            V = vectors()
+            assert V.shape == (n, theta.size) and residuals.shape == theta.shape
+            want = np.linalg.norm(K @ V - V * theta, axis=0)
+            assert np.abs(residuals - want).max() <= 1e-13 * mu1
+            ks.append(theta.size)
+        assert ks == list(range(block, n + 1, block))
+
+    def test_full_basis_gives_the_spectrum(self):
+        n = 12
+        K = sobolev_matrix(n, 1)
+        *_, (theta, residuals, _) = block_krylov(lambda X: K @ X, n, 1)
+        mu = np.linalg.eigvalsh(K)[::-1]
+        assert np.abs(theta - mu).max() <= 1e-14 * mu[0]
+        assert residuals.max() <= 1e-13 * mu[0]
